@@ -15,21 +15,8 @@ from fractions import Fraction
 
 from . import expr as ex
 from .expr import Expr, parse
-from .invariants import (
-    FIRST_INTEGRAL,
-    InvariantSpec,
-    autonomous_aux,
-    first_integral_autonomous,
-    nonlocal_autonomous,
-    nonlocal_general,
-    nonlocal_timedep_phi0,
-)
+from .invariants import FIRST_INTEGRAL
 from .problem import JacobiProblem, LagrangianData
-from .verify import PerturbationFamily
-
-THEOREM_AUTONOMOUS = "autonomous"
-THEOREM_PHI_TIME_FREE = "phi_time_free"
-THEOREM_GENERAL = "general"
 
 FIXTURE_IDS = ("PG18", "PG21", "PG22", "PG4", "PG20", "JAC_EXACT")
 
@@ -60,7 +47,6 @@ class Fixture:
     id: str
     problem: JacobiProblem
     lagrangian: LagrangianData
-    theorem: str
     expected: tuple[ExpectedInvariant, ...]
     delta2: Expr | None = None
     eta: Expr | None = None
@@ -68,34 +54,6 @@ class Fixture:
     rho2: Expr | None = None
     drift_threshold: float = 1e-6
     notes: str = ""
-
-    def invariants(self) -> list[InvariantSpec]:
-        """Construct every invariant this fixture's regime provides."""
-        p = self.problem
-        if self.theorem == THEOREM_AUTONOMOUS:
-            aux_p, aux_m = autonomous_aux(p, self.delta2)
-            return [
-                first_integral_autonomous(p, self.delta2),
-                nonlocal_autonomous(p, aux_p),
-                nonlocal_autonomous(p, aux_m),
-            ]
-        if self.theorem == THEOREM_PHI_TIME_FREE:
-            return [nonlocal_timedep_phi0(p, self.eta, self.delta2)]
-        return [nonlocal_general(p, self.rho1, self.rho2)]
-
-    def oracle_family(self) -> PerturbationFamily:
-        """The x-shift family whose variational constant matches this
-        fixture's dressed invariant (plain shift when none applies)."""
-        p = self.problem
-        if self.theorem == THEOREM_AUTONOMOUS:
-            aux_p, _ = autonomous_aux(p, self.delta2)
-            return PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
-        if self.theorem == THEOREM_GENERAL:
-            from .invariants import general_aux
-
-            aux_p, _ = general_aux(p, self.rho1, self.rho2)
-            return PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
-        return PerturbationFamily(a=ex.ONE, b=ex.ZERO, sign=0)
 
 
 def _pg_autonomous(fid: str, alpha: str, beta_xn: str, delta2: str,
@@ -120,7 +78,7 @@ def _pg_autonomous(fid: str, alpha: str, beta_xn: str, delta2: str,
     return Fixture(
         id=fid, problem=problem,
         lagrangian=LagrangianData(ex.ZERO, d2),
-        theorem=THEOREM_AUTONOMOUS, expected=expected, delta2=d2,
+        expected=expected, delta2=d2,
         notes=notes,
     )
 
@@ -155,7 +113,6 @@ def _build_fixtures() -> dict[str, Fixture]:
     fixtures["PG4"] = Fixture(
         id="PG4", problem=p4,
         lagrangian=LagrangianData(parse("-6*x^2*t"), parse("t*x"), eta=parse("-2*x^3*t")),
-        theorem=THEOREM_PHI_TIME_FREE,
         expected=(ExpectedInvariant(
             constructor="accumulator",
             kind="NonlocalConstant",
@@ -173,7 +130,6 @@ def _build_fixtures() -> dict[str, Fixture]:
     fixtures["PG20"] = Fixture(
         id="PG20", problem=p20,
         lagrangian=LagrangianData(parse("-t^2"), parse("2*x^2"), eta=parse("-t^2*x")),
-        theorem=THEOREM_PHI_TIME_FREE,
         expected=(ExpectedInvariant(
             constructor="accumulator",
             kind="NonlocalConstant",
@@ -197,7 +153,6 @@ def _build_fixtures() -> dict[str, Fixture]:
     fixtures["JAC_EXACT"] = Fixture(
         id="JAC_EXACT", problem=pj,
         lagrangian=LagrangianData(parse("2*rho*exp((t+x)/2)"), ex.ZERO),
-        theorem=THEOREM_GENERAL,
         expected=(ExpectedInvariant(
             constructor="general",
             kind=FIRST_INTEGRAL,

@@ -20,7 +20,7 @@ import sys
 from . import catalog
 from . import expr as ex
 from .expr import Expr, ParseError, parse
-from .integrate import drift_report, evaluate_along, integrate
+from .integrate import REFINE, TOL_MAX, TOL_MIN, drift_report, evaluate_along, integrate
 from .invariants import (
     FIRST_INTEGRAL,
     autonomous_aux,
@@ -272,6 +272,15 @@ def _oracle_family_for(problem, exprs, tag) -> PerturbationFamily | None:
     return PerturbationFamily(a=ex.ONE, b=ex.ZERO, sign=0)
 
 
+def registered_integrands(specs, family: PerturbationFamily | None) -> tuple[Expr, ...]:
+    """Accumulator integrands of a run: every spec's, then the family's
+    exponent integrand if it has one; simplified, first occurrence kept."""
+    regs = [g for spec in specs for g in spec.integrands]
+    if family is not None and family.sign != 0:
+        regs.append(family.b)
+    return tuple(dict.fromkeys(ex.simplify(g) for g in regs))
+
+
 def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
                  tol: float = 1e-10, grid: int = 1024, oracle: bool = False,
                  threshold: float = 1e-6) -> tuple[dict, int, object]:
@@ -283,23 +292,15 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     if not report["pass"]:
         return report, EXIT_FAIL, None
 
-    tols = (tol, tol)
-    registered: list[Expr] = []
-    for spec in specs:
-        for g in spec.integrands:
-            if not any(ex.simplify(g) == ex.simplify(r) for r in registered):
-                registered.append(g)
     fam = None
     if oracle:
         try:
             fam = _oracle_family_for(problem, exprs, report["classification"]["tag"])
         except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
             raise InputError(f"oracle family unavailable: {err}") from err
-        if fam.sign != 0 and not any(
-                ex.simplify(fam.b) == ex.simplify(r) for r in registered):
-            registered.append(fam.b)
+    registered = registered_integrands(specs, fam)
 
-    traj = integrate(problem, tuple(registered), tols)
+    traj = integrate(problem, registered, (tol, tol))
     term = traj.termination
     report["termination"] = {"status": term.status, "t": term.t}
     if term.detail:
@@ -308,10 +309,11 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     if not term.completed and (traj.t_last - problem.t0) < 0.1 * window:
         return report, EXIT_ABORT, traj
 
+    fine = integrate(problem, registered, (tol / REFINE, tol / REFINE))
     all_pass = True
     inv_reports = []
     for spec in specs:
-        rep = drift_report(problem, spec, tuple(registered), tols, grid)
+        rep = drift_report(spec, traj, fine, grid)
         gate = drift_gate(rep, threshold)
         all_pass = all_pass and gate
         entry = spec.to_jsonable()
@@ -332,8 +334,10 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
         disc = oracle_vs_closed(ser_oracle, ser_closed)
         # constancy gate in a regime where trajectory error dominates the
         # quadrature floor: finer prefix grid, moderate tolerance
-        o_rep = oracle_drift_report(problem, L, fam, tuple(registered),
-                                    (1e-8, 1e-8), 2 * o_grid)
+        o_tol = 1e-8
+        o_coarse = integrate(problem, registered, (o_tol, o_tol))
+        o_fine = integrate(problem, registered, (o_tol / REFINE, o_tol / REFINE))
+        o_rep = oracle_drift_report(problem, L, fam, o_coarse, o_fine, 2 * o_grid)
         o_gate = drift_gate(o_rep, 1e-5)
         all_pass = all_pass and o_gate and disc < 1e-5
         report["oracle"] = {
@@ -442,6 +446,42 @@ def cmd_catalog(args) -> int:
     return code
 
 
+def _float_arg(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _grid_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {value}")
+    return value
+
+
+def _tol_arg(text: str) -> float:
+    # the refinement run integrates at tol / REFINE, which must stay inside
+    # the integrator's tolerance range
+    low = TOL_MIN * REFINE
+    value = _float_arg(text)
+    if not low <= value <= TOL_MAX:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must lie in [{low:g}, {TOL_MAX:g}], got {text}")
+    return value
+
+
+def _threshold_arg(text: str) -> float:
+    value = _float_arg(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jacobi-invariants",
@@ -455,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="full pipeline on a problem file")
     p_run.add_argument("file", help="problem JSON file")
-    p_run.add_argument("--tol", type=float, default=1e-10,
+    p_run.add_argument("--tol", type=_tol_arg, default=1e-10,
                        help="integration tolerance, absolute and relative "
                             "(default 1e-10)")
-    p_run.add_argument("--grid", type=int, default=1024,
+    p_run.add_argument("--grid", type=_grid_arg, default=1024,
                        help="evaluation grid points (default 1024)")
-    p_run.add_argument("--threshold", type=float, default=1e-6,
+    p_run.add_argument("--threshold", type=_threshold_arg, default=1e-6,
                        help="relative drift gate (default 1e-6)")
     p_run.add_argument("--oracle", action="store_true",
                        help="also run the brute-force variational oracle")
@@ -472,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("action", choices=("list", "run"))
     p_cat.add_argument("id", nargs="?", help="fixture id for 'run'")
     p_cat.add_argument("--all", action="store_true", help="run every fixture")
-    p_cat.add_argument("--tol", type=float, default=1e-10)
-    p_cat.add_argument("--grid", type=int, default=1024)
+    p_cat.add_argument("--tol", type=_tol_arg, default=1e-10)
+    p_cat.add_argument("--grid", type=_grid_arg, default=1024)
     p_cat.add_argument("--no-oracle", dest="oracle", action="store_false",
                        help="skip the oracle comparison")
     p_cat.set_defaults(fn=cmd_catalog, oracle=True)

@@ -221,6 +221,12 @@ def is_constant(e: Expr) -> bool:
 _KNOWN_FUNCS = {"exp": EXP, "ln": LN, "sqrt": SQRT, "sin": SIN, "cos": COS}
 
 
+# Nesting levels (parentheses, unary minus, exponents) the recursive-descent
+# parser accepts.  Each level costs about five Python frames, so this stays
+# well inside the interpreter's default recursion limit of 1000.
+_MAX_PARSE_DEPTH = 100
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -228,6 +234,7 @@ class _Tokenizer:
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.i = 0
+        self.depth = 0
 
     def _scan(self):
         s, n = self.text, len(self.text)
@@ -317,14 +324,18 @@ def _parse_term(tz) -> Expr:
 
 
 def _parse_unary(tz) -> Expr:
-    kind, val, _ = tz.peek()
+    kind, val, off = tz.peek()
+    if tz.depth >= _MAX_PARSE_DEPTH:
+        raise ParseError(f"expression nested deeper than {_MAX_PARSE_DEPTH} levels", off)
+    tz.depth += 1
     if kind == "op" and val == "-":
         tz.next()
         inner = _parse_unary(tz)
-        if inner.kind == RAT:
-            return Rat(-inner.value)
-        return Expr(NEG, (inner,))
-    return _parse_power(tz)
+        e = Rat(-inner.value) if inner.kind == RAT else Expr(NEG, (inner,))
+    else:
+        e = _parse_power(tz)
+    tz.depth -= 1
+    return e
 
 
 def _parse_power(tz) -> Expr:

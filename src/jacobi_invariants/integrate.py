@@ -50,6 +50,11 @@ STEP_FAILURE = "StepFailure"
 _BLOWUP_BOUND = 1e8
 _MAX_CONSECUTIVE_REJECTS = 20
 
+TOL_MIN = 1e-14
+TOL_MAX = 1e-2
+# tolerance ratio between the coarse and the fine run of a drift report
+REFINE = 16
+
 
 class IntegrationError(Exception):
     pass
@@ -84,7 +89,7 @@ class Trajectory:
     """Accepted-step samples plus per-step dense-output coefficients."""
 
     problem: JacobiProblem
-    integrands: tuple[Expr, ...]
+    integrands: tuple[Expr, ...]   # simplified, one per accumulator channel
     ts: np.ndarray
     ys: np.ndarray          # shape (n_samples, 2 + n_channels)
     conts: np.ndarray       # shape (n_steps, 5, 2 + n_channels)
@@ -124,9 +129,8 @@ class Trajectory:
     def channel_of(self, integrand: Expr) -> int:
         """Index of a registered accumulator, matched structurally."""
         target = ex.simplify(integrand)
-        for i, g in enumerate(self.integrands):
-            if ex.simplify(g) == target:
-                return i
+        if target in self.integrands:
+            return self.integrands.index(target)
         raise AccumulatorMismatchError(
             f"integrand {ex.pprint(target)} is not registered on this trajectory")
 
@@ -158,17 +162,17 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
               u0: tuple[float, ...] | None = None) -> Trajectory:
     """Integrate x'' = -(phi_x/2 v^2 + phi_t v + B) plus accumulator channels.
 
-    tol is (absolute, relative), both in [1e-14, 1e-2].  Termination is
+    tol is (absolute, relative), both in [TOL_MIN, TOL_MAX].  Termination is
     Completed when t_end is reached; DomainAbort / BlowUp / StepFailure
     truncate the trajectory at the last accepted step.
     """
     atol, rtol = tol
     for v in (atol, rtol):
-        if not (1e-14 <= v <= 1e-2):
-            raise IntegrationError(f"tolerance {v} outside [1e-14, 1e-2]")
-    integrands = tuple(integrands)
+        if not (TOL_MIN <= v <= TOL_MAX):
+            raise IntegrationError(f"tolerance {v} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
+    integrands = tuple(ex.simplify(g) for g in integrands)
     accel = rhs(p)
-    gs = [ex.compile_fn(ex.simplify(g), p.params) for g in integrands]
+    gs = [ex.compile_fn(g, p.params) for g in integrands]
     n = 2 + len(gs)
     if u0 is None:
         u0 = (0.0,) * len(gs)
@@ -359,31 +363,16 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     return EvalSeries(ts[: len(values)], np.array(values), truncated, abort)
 
 
-def _drift_stats(series: EvalSeries) -> tuple[float, float, float]:
-    dev = np.abs(series.values - series.values[0])
-    scale = max(1.0, abs(float(series.values[0])))
-    return float(np.max(dev)), float(np.mean(dev)), float(np.max(dev)) / scale
-
-
-def drift_report(p: JacobiProblem, spec, integrands=(),
-                 tol: tuple[float, float] = (1e-10, 1e-10),
-                 grid: int = 1024, refine: float = 16.0) -> DriftReport:
-    """Drift metrics at tol, with order estimated against a tol/refine rerun.
-
-    The observed order is log(drift ratio) / log(mean-step ratio) between
-    the two runs; drifts at the round-off floor report order inf.
-    """
-    regs = tuple(integrands) if integrands else tuple(spec.integrands)
-    traj_c = integrate(p, regs, tol)
-    series_c = evaluate_along(traj_c, spec, grid)
-    max_c, mean_c, rel_c = _drift_stats(series_c)
-
-    tol_f = (tol[0] / refine, tol[1] / refine)
-    traj_f = integrate(p, regs, tol_f)
-    series_f = evaluate_along(traj_f, spec, grid)
-    max_f, _, _ = _drift_stats(series_f)
-
-    floor = 1e-14 * max(1.0, abs(series_c.initial()))
+def _drift_report(name: str, ser_c: EvalSeries, ser_f: EvalSeries,
+                  traj_c: Trajectory, traj_f: Trajectory) -> DriftReport:
+    """Drift metrics of the coarse series, with the observed order
+    log(drift ratio) / log(mean-step ratio) against the fine series;
+    drifts at the round-off floor report order inf."""
+    dev = np.abs(ser_c.values - ser_c.values[0])
+    max_c = float(np.max(dev))
+    max_f = ser_f.max_drift()
+    scale = max(1.0, abs(ser_c.initial()))
+    floor = 1e-14 * scale
     if max_f <= floor or max_c <= floor:
         order = math.inf
     else:
@@ -391,12 +380,20 @@ def drift_report(p: JacobiProblem, spec, integrands=(),
         order = (math.log(max_c / max_f) / math.log(h_ratio)
                  if h_ratio > 1.0 and max_c > max_f else 0.0)
     return DriftReport(
-        name=spec.name,
-        initial_value=series_c.initial(),
+        name=name,
+        initial_value=ser_c.initial(),
         max_abs_drift=max_c,
-        mean_abs_drift=mean_c,
-        rel_drift=rel_c,
+        mean_abs_drift=float(np.mean(dev)),
+        rel_drift=max_c / scale,
         order=order,
-        truncated=series_c.truncated,
+        truncated=ser_c.truncated,
         window=(traj_c.t0, traj_c.t_last),
     )
+
+
+def drift_report(spec, coarse: Trajectory, fine: Trajectory,
+                 grid: int = 1024) -> DriftReport:
+    """Drift metrics of spec along the coarse trajectory, with the order
+    estimated against the fine one (integrated at tol / REFINE)."""
+    return _drift_report(spec.name, evaluate_along(coarse, spec, grid),
+                         evaluate_along(fine, spec, grid), coarse, fine)

@@ -167,58 +167,3 @@ def euler_lagrange_residual(p: JacobiProblem, L: LagrangianData):
         return c_a(t, x) * a + c_v2(t, x) * v * v + c_v1(t, x) * v + c_v0(t, x)
 
     return residual
-
-
-# Gauss-Legendre nodes/weights on [-1, 1], 32 points (scipy-independent,
-# generated once from numpy.polynomial.legendre.leggauss and frozen here
-# via lazy call to keep values exact to the library).
-_GL_CACHE: tuple | None = None
-
-
-def _gauss_legendre_32():
-    global _GL_CACHE
-    if _GL_CACHE is None:
-        import numpy as np
-
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        _GL_CACHE = (nodes, weights)
-    return _GL_CACHE
-
-
-def delta2_by_quadrature(p: JacobiProblem, x_ref: float | None = None):
-    """Numeric delta2(x) = -integral of e^phi*B dx from x_ref, for autonomous input.
-
-    Composite 32-node Gauss-Legendre with panel width refined until two
-    successive halvings agree to 1e-12.  Returns a float-valued callable;
-    symbolic delta2 input is preferred whenever it is available since the
-    invariant constructors need derivatives of it.
-    """
-    if x_ref is None:
-        x_ref = p.x0
-    integrand = ex.compile_fn(ex.simplify(ex.Exp(p.phi) * p.B), p.params)
-    t_fix = p.t0
-    nodes, weights = _gauss_legendre_32()
-
-    def panel(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * sum(w * integrand(t_fix, mid + half * xi)
-                          for xi, w in zip(nodes, weights))
-
-    def integral(a: float, b: float) -> float:
-        if a == b:
-            return 0.0
-        n = 1
-        prev = panel(a, b)
-        for _ in range(20):
-            n *= 2
-            step = (b - a) / n
-            cur = sum(panel(a + i * step, a + (i + 1) * step) for i in range(n))
-            if abs(cur - prev) <= 1e-12 * (1.0 + abs(cur)):
-                return cur
-            prev = cur
-        return prev
-
-    def delta2(xv: float) -> float:
-        return -integral(x_ref, xv)
-
-    return delta2

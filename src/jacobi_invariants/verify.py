@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .integrate import DriftReport, EvalSeries, Trajectory, integrate
+from .integrate import DriftReport, EvalSeries, Trajectory, _drift_report
 from .problem import JacobiProblem, LagrangianData
 
 
@@ -109,35 +109,12 @@ def oracle_offset(series_oracle: EvalSeries, series_closed: EvalSeries) -> float
 
 
 def oracle_drift_report(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
-                        integrands=(), tol: tuple[float, float] = (1e-8, 1e-8),
-                        grid: int = 4096, refine: float = 16.0,
-                        name: str = "oracle") -> DriftReport:
-    """Constancy of the oracle series, order estimated under tol refinement."""
-    regs = tuple(integrands)
-    traj_c = integrate(p, regs, tol)
-    ser_c = oracle_constant(p, L, fam, traj_c, grid)
-    dev_c = np.abs(ser_c.values - ser_c.values[0])
-    traj_f = integrate(p, regs, (tol[0] / refine, tol[1] / refine))
-    ser_f = oracle_constant(p, L, fam, traj_f, grid)
-    dev_f = np.abs(ser_f.values - ser_f.values[0])
-    max_c, max_f = float(np.max(dev_c)), float(np.max(dev_f))
-    scale = max(1.0, abs(float(ser_c.values[0])))
-    floor = 1e-14 * scale
-    if max_f <= floor or max_c <= floor:
-        order = math.inf
-    else:
-        h_ratio = traj_c.mean_step / traj_f.mean_step
-        order = (math.log(max_c / max_f) / math.log(h_ratio)
-                 if h_ratio > 1.0 and max_c > max_f else 0.0)
-    return DriftReport(
-        name=name,
-        initial_value=float(ser_c.values[0]),
-        max_abs_drift=max_c,
-        mean_abs_drift=float(np.mean(dev_c)),
-        rel_drift=max_c / scale,
-        order=order,
-        window=(traj_c.t0, traj_c.t_last),
-    )
+                        coarse: Trajectory, fine: Trajectory,
+                        grid: int = 4096) -> DriftReport:
+    """Constancy of the oracle series along the coarse trajectory, with the
+    order estimated against the fine one."""
+    return _drift_report("oracle", oracle_constant(p, L, fam, coarse, grid),
+                         oracle_constant(p, L, fam, fine, grid), coarse, fine)
 
 
 def drift_gate(report: DriftReport, threshold: float) -> bool:

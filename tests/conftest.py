@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from jacobi_invariants import catalog
+from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
-from jacobi_invariants.integrate import integrate
+from jacobi_invariants.cli import registered_integrands
+from jacobi_invariants.integrate import REFINE, integrate
 
 
 @pytest.fixture(scope="session")
@@ -14,36 +15,46 @@ def all_fixtures():
 
 
 @pytest.fixture(scope="session")
-def constructed(all_fixtures):
-    """Constructed invariant specs per fixture id."""
-    return {fid: fx.invariants() for fid, fx in all_fixtures.items()}
+def checked(all_fixtures):
+    """(problem, exprs, check report, specs) per fixture id, through the CLI path."""
+    out = {}
+    for fid, fx in all_fixtures.items():
+        problem, exprs = cli.load_problem(cli._fixture_data(fx))
+        report, specs = cli.run_checks(problem, exprs)
+        out[fid] = (problem, exprs, report, specs)
+    return out
 
 
 @pytest.fixture(scope="session")
-def families(all_fixtures):
-    return {fid: fx.oracle_family() for fid, fx in all_fixtures.items()}
+def constructed(checked):
+    """Constructed invariant specs per fixture id."""
+    return {fid: specs for fid, (_, _, _, specs) in checked.items()}
 
 
-def registered_integrands(specs, fam):
-    regs = []
-    for spec in specs:
-        for g in spec.integrands:
-            if not any(ex.simplify(g) == ex.simplify(r) for r in regs):
-                regs.append(g)
-    if fam.sign != 0 and not any(
-            ex.simplify(fam.b) == ex.simplify(r) for r in regs):
-        regs.append(fam.b)
-    return tuple(regs)
+@pytest.fixture(scope="session")
+def families(checked):
+    return {fid: cli._oracle_family_for(problem, exprs, report["classification"]["tag"])
+            for fid, (problem, exprs, report, _) in checked.items()}
+
+
+def _integrate_all(all_fixtures, constructed, families, tol):
+    out = {}
+    for fid, fx in all_fixtures.items():
+        regs = registered_integrands(constructed[fid], families[fid])
+        out[fid] = integrate(fx.problem, regs, (tol, tol))
+    return out
 
 
 @pytest.fixture(scope="session")
 def trajectories(all_fixtures, constructed, families):
     """One tol-1e-10 trajectory per fixture with every needed channel."""
-    out = {}
-    for fid, fx in all_fixtures.items():
-        regs = registered_integrands(constructed[fid], families[fid])
-        out[fid] = integrate(fx.problem, regs, (1e-10, 1e-10))
-    return out
+    return _integrate_all(all_fixtures, constructed, families, 1e-10)
+
+
+@pytest.fixture(scope="session")
+def fine_trajectories(all_fixtures, constructed, families):
+    """The refinement partners of ``trajectories``, at 1e-10 / REFINE."""
+    return _integrate_all(all_fixtures, constructed, families, 1e-10 / REFINE)
 
 
 # ---------------------------------------------------------------- helpers

@@ -29,7 +29,8 @@ from jacobi_invariants.problem import (
     rhs,
 )
 from jacobi_invariants.verify import oracle_constant, oracle_vs_closed
-from conftest import SAFE_ENV, random_tree, registered_integrands
+from jacobi_invariants.cli import registered_integrands
+from conftest import SAFE_ENV, random_tree
 
 
 def announce(capsys, num: int, desc: str, ok: bool, detail: str = ""):
@@ -229,8 +230,8 @@ def test_criterion_6_hypothesis_gates(all_fixtures, capsys):
              f"{len(results)} checks" + (f", failing: {failing}" if failing else ""))
 
 
-def test_criterion_7_numerics_hygiene(all_fixtures, constructed,
-                                      trajectories, families, capsys):
+def test_criterion_7_numerics_hygiene(all_fixtures, constructed, trajectories,
+                                      fine_trajectories, capsys):
     """Derivatives vs finite differences < 1e-6 (100 points); drift order
     >= 3.5 on every fixture; EL residual < 1e-8 (1+|a|) along every
     trajectory."""
@@ -257,10 +258,9 @@ def test_criterion_7_numerics_hygiene(all_fixtures, constructed,
 
     orders_ok = True
     worst_order = math.inf
-    for fid, fx in all_fixtures.items():
-        regs = registered_integrands(constructed[fid], families[fid])
+    for fid in all_fixtures:
         for spec in constructed[fid]:
-            rep = drift_report(fx.problem, spec, regs, (1e-10, 1e-10), 512)
+            rep = drift_report(spec, trajectories[fid], fine_trajectories[fid], 512)
             worst_order = min(worst_order, rep.order)
             orders_ok = orders_ok and rep.order >= 3.5
 

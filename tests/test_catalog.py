@@ -16,11 +16,12 @@ def test_ids_and_unknown():
         catalog.get("PG99")
 
 
-def test_every_fixture_passes_its_hypotheses(all_fixtures):
+def test_every_fixture_passes_its_hypotheses(all_fixtures, checked):
     for fid, fx in all_fixtures.items():
         reports = validate_lagrangian(fx.problem, fx.lagrangian)
         assert all(r.passed for r in reports), fid
-        fx.invariants()  # constructors raise on any hypothesis failure
+        _, _, report, specs = checked[fid]
+        assert report["pass"] and specs, fid
 
 
 def test_expected_classifications(all_fixtures):
@@ -40,9 +41,9 @@ def test_safe_windows_stay_inside_escape_scan(all_fixtures):
         assert fx.problem.t_end <= 0.6 * t_esc + 1e-9, (fid, t_esc)
 
 
-def test_pg18_doubled_expected_form(all_fixtures):
+def test_pg18_doubled_expected_form(all_fixtures, constructed):
     fx = all_fixtures["PG18"]
-    spec = fx.invariants()[0]
+    spec = constructed["PG18"][0]
     target = fx.expected[0]
     assert target.normalization == 2
     doubled = {d: simplify(ex.Rat(2) * c) for d, c in spec.local_exprs().items()}
@@ -86,9 +87,9 @@ def test_exact_solution_guards_log_domain():
         x(0.0)
 
 
-def test_closed_form_invariant_constant_on_exact_solution(all_fixtures):
+def test_closed_form_invariant_constant_on_exact_solution(all_fixtures, constructed):
     fx = all_fixtures["JAC_EXACT"]
-    spec = fx.invariants()[0]
+    spec = constructed["JAC_EXACT"][0]
     fn = spec.compiled(fx.problem.params)
     x, v = exact_solution(1.0, -2.0, 1.0)
     values = [fn(t, x(t), v(t), []) for t in np.linspace(0, 4, 200)]
@@ -116,14 +117,12 @@ def test_numeric_trajectory_matches_exact_solution(trajectories):
         assert s.v == pytest.approx(v(float(t)), abs=1e-7)
 
 
-def test_every_expected_invariant_passes_drift_gate(all_fixtures, constructed):
+def test_every_expected_invariant_passes_drift_gate(constructed, trajectories,
+                                                    fine_trajectories):
     from jacobi_invariants.integrate import drift_report
     from jacobi_invariants.verify import drift_gate
-    from conftest import registered_integrands
 
-    for fid, fx in all_fixtures.items():
-        specs = constructed[fid]
-        regs = registered_integrands(specs, fx.oracle_family())
+    for fid, specs in constructed.items():
         for spec in specs:
-            rep = drift_report(fx.problem, spec, regs, (1e-10, 1e-10), 512)
+            rep = drift_report(spec, trajectories[fid], fine_trajectories[fid], 512)
             assert drift_gate(rep, 1e-6), (fid, spec.name, rep)

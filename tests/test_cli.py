@@ -1,10 +1,15 @@
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from jacobi_invariants import catalog, cli
 from jacobi_invariants.cli import dumps, load_problem, main
+
+# the package re-exports the function integrate under the module's name
+integrate_module = importlib.import_module("jacobi_invariants.integrate")
 
 PG18_FILE = {
     "phi": "-ln(x)",
@@ -94,9 +99,11 @@ def test_check_missing_key_exit_2(tmp_path, capsys):
 
 
 def test_check_parse_error_exit_2(tmp_path, capsys):
-    bad = dict(PG18_FILE, B="4*x^^2")
-    code, _, err = run_main(["check", write(tmp_path, "p.json", bad)], capsys)
-    assert code == 2
+    for B in ("4*x^^2", "-" * 5000 + "x"):
+        bad = dict(PG18_FILE, B=B)
+        code, _, err = run_main(["check", write(tmp_path, "p.json", bad)], capsys)
+        assert code == 2
+        assert "cannot parse 'B'" in err
 
 
 def test_run_pg18(tmp_path, capsys):
@@ -153,6 +160,23 @@ def test_run_abort_before_ten_percent_exit_3(tmp_path, capsys):
     assert report["termination"]["t"] < 0.1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{file}", "--grid", "1"],
+    ["run", "{file}", "--tol", "nan"],
+    ["run", "{file}", "--tol", "1"],
+    ["run", "{file}", "--tol", "1e-13"],   # the tol/16 refinement run is below 1e-14
+    ["run", "{file}", "--threshold", "0"],
+    ["catalog", "run", "PG18", "--grid", "1"],
+    ["catalog", "run", "PG18", "--tol", "1e-13"],
+])
+def test_bad_numeric_options_exit_2(tmp_path, capsys, argv):
+    path = write(tmp_path, "pg18.json", PG18_FILE)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=path) for arg in argv])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_catalog_list(capsys):
     code, out, _ = run_main(["catalog", "list"], capsys)
     assert code == 0
@@ -183,6 +207,27 @@ def test_catalog_run_all_byte_identical():
     reports = json.loads(r1.stdout)
     assert [r["fixture"] for r in reports] == list(
         ("PG18", "PG21", "PG22", "PG4", "PG20", "JAC_EXACT"))
+
+
+def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
+    # every invariant is evaluated on one coarse/fine pair; the oracle's
+    # constancy gate adds its own pair at 1e-8
+    original = integrate_module.integrate
+    tols = []
+
+    def counting(p, integrands, tol):
+        tols.append(tol[0])
+        return original(p, integrands, tol)
+
+    for module in (cli, integrate_module):
+        monkeypatch.setattr(module, "integrate", counting)
+    for fid in catalog.ids():
+        for oracle, want in ((True, [1e-10, 1e-10 / 16, 1e-8, 1e-8 / 16]),
+                             (False, [1e-10, 1e-10 / 16])):
+            tols.clear()
+            _, code = cli.run_fixture(fid, grid=64, oracle=oracle)
+            assert code == 0
+            assert tols == want, (fid, oracle)
 
 
 def test_dumps_float_format():

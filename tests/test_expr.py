@@ -85,6 +85,14 @@ def test_parse_error_carries_offset():
     assert err.value.offset == 0
 
 
+def test_parse_depth_limited():
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"):
+        with pytest.raises(ParseError):
+            parse(text)
+    assert parse("(" * 90 + "x" + ")" * 90) == parse("x")
+    assert evaluate(parse("-" * 90 + "x"), 0.0, 2.0) == 2.0
+
+
 def test_nonconstant_exponent_rejected():
     with pytest.raises(ParseError) as err:
         parse("x^t")

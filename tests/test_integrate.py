@@ -183,9 +183,8 @@ def test_csv_export_roundtrip():
     assert len(js["t"]) == len(rows)
 
 
-def test_drift_report_orders(all_fixtures, constructed):
-    fx = all_fixtures["PG18"]
+def test_drift_report_orders(constructed, trajectories, fine_trajectories):
     spec = constructed["PG18"][0]
-    rep = drift_report(fx.problem, spec, (), (1e-10, 1e-10), 256)
+    rep = drift_report(spec, trajectories["PG18"], fine_trajectories["PG18"], 256)
     assert rep.rel_drift < 1e-6
     assert rep.order >= 3.5

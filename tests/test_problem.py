@@ -12,7 +12,6 @@ from jacobi_invariants.problem import (
     LagrangianData,
     ProblemError,
     classify,
-    delta2_by_quadrature,
     euler_lagrange_residual,
     lagrangian_residual_expr,
     rhs,
@@ -112,20 +111,3 @@ def test_euler_lagrange_vanishes_on_rhs(pg18):
     for (t, x, v) in [(0.0, 1.0, 0.0), (0.1, 1.2, 0.8), (0.3, 2.0, 3.0)]:
         a = accel(t, x, v)
         assert abs(res(t, x, v, a)) < 1e-8 * (1 + abs(a))
-
-
-def test_delta2_quadrature_matches_symbolic(pg18):
-    d2 = delta2_by_quadrature(pg18)
-    # defined up to the value at the anchor: compare differences
-    sym = lambda x: 2 * x * x
-    for x in (0.5, 0.8, 1.3, 2.1):
-        assert d2(x) == pytest.approx(sym(x) - sym(pg18.x0), abs=1e-11)
-
-
-def test_delta2_quadrature_constant_forcing():
-    # phi = 0, B = k: delta2 = -k x (up to anchor)
-    p = JacobiProblem(phi=ex.ZERO, B=parse("k"), params={"k": 3.0},
-                      t0=0, t_end=1, x0=-1.0, domain=(0, 1, -2.0, -0.5))
-    d2 = delta2_by_quadrature(p)
-    for x in (-2.0, -1.5, -0.6):
-        assert d2(x) == pytest.approx(-3.0 * x + 3.0 * p.x0, abs=1e-11)

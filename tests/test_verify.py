@@ -1,7 +1,8 @@
 import pytest
 
 from jacobi_invariants import expr as ex
-from jacobi_invariants.integrate import DriftReport, evaluate_along, integrate
+from jacobi_invariants.cli import registered_integrands
+from jacobi_invariants.integrate import REFINE, DriftReport, evaluate_along, integrate
 from jacobi_invariants.invariants import autonomous_aux, nonlocal_autonomous
 from jacobi_invariants.problem import JacobiProblem, LagrangianData
 from jacobi_invariants.verify import (
@@ -12,7 +13,6 @@ from jacobi_invariants.verify import (
     oracle_offset,
     oracle_vs_closed,
 )
-from conftest import registered_integrands
 
 
 def test_family_sign_validation():
@@ -83,8 +83,9 @@ def test_oracle_drift_gate_on_fixtures(all_fixtures, constructed, families):
     for fid, fx in all_fixtures.items():
         fam = families[fid]
         regs = registered_integrands(constructed[fid], fam)
-        rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, regs,
-                                  (1e-8, 1e-8), 8192)
+        coarse = integrate(fx.problem, regs, (1e-8, 1e-8))
+        fine = integrate(fx.problem, regs, (1e-8 / REFINE, 1e-8 / REFINE))
+        rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, coarse, fine, 8192)
         assert drift_gate(rep, 1e-5), (fid, rep.rel_drift, rep.order)
 
 
