@@ -20,7 +20,15 @@ import sys
 from . import catalog
 from . import expr as ex
 from .expr import Expr, ParseError, parse
-from .integrate import REFINE, TOL_MAX, TOL_MIN, drift_report, evaluate_along, integrate
+from .integrate import (
+    REFINE,
+    TOL_MAX,
+    TOL_MIN,
+    IntegrationError,
+    drift_report,
+    evaluate_along,
+    integrate,
+)
 from .invariants import (
     FIRST_INTEGRAL,
     autonomous_aux,
@@ -378,7 +386,7 @@ def cmd_run(args) -> int:
         report, code, traj = run_pipeline(
             problem, exprs, data, tol=args.tol, grid=args.grid,
             oracle=args.oracle, threshold=args.threshold)
-    except (InputError, ex.IllPosedDomainError) as err:
+    except (InputError, ex.IllPosedDomainError, IntegrationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out == "csv":

@@ -14,7 +14,10 @@ quasi-random sampling for whatever rewriting misses.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 # node kinds
 RAT = "rat"
@@ -51,6 +54,7 @@ class DomainError(ExprError):
     """Evaluation left the real domain (ln<=0, sqrt<0, division by zero...)."""
 
     def __init__(self, expr: "Expr", t: float, x: float, reason: str):
+        t, x = float(t), float(x)
         super().__init__(f"{reason} in {expr} at (t={t!r}, x={x!r})")
         self.expr = expr
         self.t = t
@@ -513,6 +517,11 @@ class _FastDomainSignal(Exception):
     pass
 
 
+# what the fast path of a compiled function raises before it falls back to
+# the slow evaluator
+_FAST_ERRORS = (ValueError, ZeroDivisionError, OverflowError, _FastDomainSignal)
+
+
 def _fast_pow(base, expo):
     if base == 0.0 and expo < 0.0:
         raise _FastDomainSignal
@@ -521,29 +530,154 @@ def _fast_pow(base, expo):
     return base ** expo
 
 
-def compile_fn(e: Expr, params: dict[str, float] | None = None):
+def compile_fn(e: Expr, params: dict[str, float] | None = None, array: bool = False):
     """Compile to a fast (t, x) -> float callable with params frozen in.
 
     The fast path uses plain math ops; on any numeric-domain failure the slow
     evaluator re-runs to raise a DomainError locating the offending node.
+
+    With ``array`` true the result is ``fn(t, x, strict=False) -> (values,
+    bad)`` over equal-length 1-D float arrays, bit for bit equal to the
+    scalar callable at every point that is not ``bad``.  ``bad`` marks the
+    points where the scalar fast path would have fallen back to the slow
+    evaluator; their values are meaningless.  With ``strict`` true the slow
+    evaluator runs at those points, in order, so the first one outside the
+    domain raises its DomainError, and ``bad`` comes back all false.
     """
     params = params or {}
     for name in free_params(e):
         if name not in params:
             raise UnboundParameterError(name)
-    src = "lambda t, x: " + _pysrc(e, params)
+    if array:
+        return _compile_array(e, params)
+    src = "lambda t, x: " + _pysrc(e, params, _SCALAR_OPS)
     fast = eval(src, {"math": math, "_pw": _fast_pow})
 
     def fn(t: float, x: float) -> float:
         try:
             return fast(t, x)
-        except (ValueError, ZeroDivisionError, OverflowError, _FastDomainSignal):
+        except _FAST_ERRORS:
             return _eval(e, t, x, params)
 
     return fn
 
 
-def _pysrc(e: Expr, params) -> str:
+def _compile_array(e: Expr, params: dict[str, float]):
+    fast = eval("lambda t, x, _m: " + _pysrc(e, params, _ARRAY_OPS), _ARRAY_NAMESPACE)
+
+    def fn(t, x, strict: bool = False):
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        marks: list = []
+        try:
+            with np.errstate(all="ignore"):
+                values = np.array(np.broadcast_to(fast(t, x, marks), t.shape), dtype=float)
+            bad = np.zeros(t.shape, dtype=bool)
+            for mark in marks:
+                bad |= mark
+        except _FAST_ERRORS:
+            # raised by constant subexpressions, so at every point alike
+            values = np.full(t.shape, math.nan)
+            bad = np.ones(t.shape, dtype=bool)
+        if strict:
+            for i in np.flatnonzero(bad):
+                values[i] = _eval(e, float(t[i]), float(x[i]), params)
+            bad[:] = False
+        return values, bad
+
+    return fn
+
+
+def elementwise(f, *args, strict: bool = False):
+    """Apply the scalar float function f elementwise through Python floats.
+
+    numpy's own exp/log/power loops may differ from the C library in the
+    last bit; calling the math-module function per element keeps array
+    results identical to scalar code.  Returns (values, bad): bad marks the
+    elements where f raised, whose values are nan.  With ``strict`` true the
+    first such exception propagates instead.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    columns = [[float(a)] * size if a.ndim == 0 else np.broadcast_to(a, shape).ravel().tolist()
+               for a in arrays]
+    try:
+        out = list(map(f, *columns))
+        bad = np.zeros(shape, dtype=bool)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        if strict:
+            raise
+        out, flags = [], []
+        for point in zip(*columns):
+            try:
+                out.append(f(*point))
+                flags.append(False)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                out.append(math.nan)
+                flags.append(True)
+        bad = np.array(flags, dtype=bool).reshape(shape)
+    return np.array(out, dtype=float).reshape(shape), bad
+
+
+# Array counterparts of the fast path's operations: each one appends to the
+# list ``m`` a mask of the points where the scalar operation raises, and
+# computes the rest exactly as the scalar one does.
+
+def _a_div(a, b, m):
+    m.append(np.asarray(b) == 0.0)
+    return a / b
+
+
+def _a_pow(base, expo, m):
+    base = np.asarray(base, dtype=float)
+    expo = np.asarray(expo, dtype=float)
+    integral = np.isfinite(expo) & (np.floor(expo) == expo)
+    guard = ((base == 0.0) & (expo < 0.0)) | ((base < 0.0) & ~integral)
+    values, bad = elementwise(operator.pow, np.where(guard, 1.0, base), expo)
+    m.append(guard | bad)
+    return values
+
+
+def _a_exp(a, m):
+    values, bad = elementwise(math.exp, a)
+    m.append(bad)
+    return values
+
+
+def _a_sqrt(a, m):
+    # correctly rounded under IEEE 754, so numpy's loop agrees with libm
+    m.append(np.asarray(a) < 0.0)
+    return np.sqrt(a)
+
+
+def _a_guarded(f, a, guard, m):
+    m.append(guard)
+    return elementwise(f, np.where(guard, 1.0, a))[0]
+
+
+_ARRAY_NAMESPACE = {
+    "_dv": _a_div,
+    "_pw": _a_pow,
+    "_ex": _a_exp,
+    "_ln": lambda a, m: _a_guarded(math.log, a, np.asarray(a) <= 0.0, m),
+    "_sq": _a_sqrt,
+    "_sn": lambda a, m: _a_guarded(math.sin, a, np.isinf(a), m),
+    "_cs": lambda a, m: _a_guarded(math.cos, a, np.isinf(a), m),
+}
+
+# source templates of the operations that can leave the real domain
+_SCALAR_OPS = {
+    DIV: "({}/{})", POW: "_pw({},{})", EXP: "math.exp({})", LN: "math.log({})",
+    SQRT: "math.sqrt({})", SIN: "math.sin({})", COS: "math.cos({})",
+}
+_ARRAY_OPS = {
+    DIV: "_dv({},{},_m)", POW: "_pw({},{},_m)", EXP: "_ex({},_m)", LN: "_ln({},_m)",
+    SQRT: "_sq({},_m)", SIN: "_sn({},_m)", COS: "_cs({},_m)",
+}
+
+
+def _pysrc(e: Expr, params, ops) -> str:
     k = e.kind
     if k == RAT:
         return f"({e.value.numerator}/{e.value.denominator})"
@@ -551,29 +685,62 @@ def _pysrc(e: Expr, params) -> str:
         return e.name
     if k == PARAM:
         return repr(float(params[e.name]))
+    args = [_pysrc(a, params, ops) for a in e.args]
     if k == ADD:
-        return "(" + "+".join(_pysrc(a, params) for a in e.args) + ")"
+        return "(" + "+".join(args) + ")"
     if k == SUB:
-        return f"({_pysrc(e.args[0], params)}-{_pysrc(e.args[1], params)})"
+        return f"({args[0]}-{args[1]})"
     if k == MUL:
-        return "(" + "*".join(_pysrc(a, params) for a in e.args) + ")"
-    if k == DIV:
-        return f"({_pysrc(e.args[0], params)}/{_pysrc(e.args[1], params)})"
+        return "(" + "*".join(args) + ")"
     if k == NEG:
-        return f"(-{_pysrc(e.args[0], params)})"
-    if k == POW:
-        return f"_pw({_pysrc(e.args[0], params)},{_pysrc(e.args[1], params)})"
-    if k == EXP:
-        return f"math.exp({_pysrc(e.args[0], params)})"
-    if k == LN:
-        return f"math.log({_pysrc(e.args[0], params)})"
-    if k == SQRT:
-        return f"math.sqrt({_pysrc(e.args[0], params)})"
-    if k == SIN:
-        return f"math.sin({_pysrc(e.args[0], params)})"
-    if k == COS:
-        return f"math.cos({_pysrc(e.args[0], params)})"
+        return f"(-{args[0]})"
+    if k in ops:
+        return ops[k].format(*args)
     raise ExprError(f"unknown node kind {k!r}")
+
+
+class Grid:
+    """One evaluation of a formula over arrays of points.
+
+    ``fn`` and ``map`` evaluate a compiled array function or a math-module
+    function and collect in ``bad`` the points where scalar code would not
+    have taken the fast path.  A strict grid evaluates a single point the
+    way scalar code does: the slow evaluator runs where needed, and every
+    error is raised.
+    """
+
+    def __init__(self, strict: bool = False):
+        self.strict = strict
+        self.bad = False
+
+    def fn(self, afn, t, x):
+        values, bad = afn(t, x, self.strict)
+        self.bad = self.bad | bad
+        return values
+
+    def map(self, f, *args):
+        values, bad = elementwise(f, *args, strict=self.strict)
+        self.bad = self.bad | bad
+        return values
+
+
+def on_grid(formula, *arrays):
+    """Evaluate ``formula(grid, *arrays)`` over whole arrays of points, with
+    the outcome of a point-by-point scalar loop.
+
+    The points a ``Grid`` marks bad are re-evaluated one at a time, in
+    order, on a strict grid.  Returns (values, err): err is the DomainError
+    of the first point that leaves the domain, or None, and values cover
+    the points before it.  Any other error propagates.
+    """
+    grid = Grid()
+    values = formula(grid, *arrays)
+    for i in np.flatnonzero(grid.bad):
+        try:
+            values[i] = formula(Grid(strict=True), *(a[i:i + 1] for a in arrays))[0]
+        except DomainError as err:
+            return values[:i], err
+    return values, None
 
 
 # ---------------------------------------------------------------- substitution

@@ -54,6 +54,8 @@ TOL_MIN = 1e-14
 TOL_MAX = 1e-2
 # tolerance ratio between the coarse and the fine run of a drift report
 REFINE = 16
+# points evaluated at once along a dense output; bounds the working arrays
+BLOCK = 1024
 
 
 class IntegrationError(Exception):
@@ -104,20 +106,28 @@ class Trajectory:
     def t_last(self) -> float:
         return float(self.ts[-1])
 
+    def sample(self, ts) -> np.ndarray:
+        """Dense-output states [x, v, u_0..] at the times ts inside the
+        integrated window, shape (len(ts), 2 + n_channels)."""
+        ts = np.asarray(ts, dtype=float)
+        grid = self.ts
+        outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
+        if outside.any():
+            raise IntegrationError(f"t={ts[outside][0]} outside integrated window "
+                                   f"[{grid[0]}, {grid[-1]}]")
+        if len(grid) < 2:
+            return np.tile(self.ys[-1], (len(ts), 1))
+        k = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, len(grid) - 2)
+        theta = ((ts - grid[k]) / (grid[k + 1] - grid[k]))[:, None]
+        r = self.conts[k]
+        y = r[:, 0] + theta * (r[:, 1] + (1 - theta) * (
+            r[:, 2] + theta * (r[:, 3] + (1 - theta) * r[:, 4])))
+        y[ts == grid[-1]] = self.ys[-1]
+        return y
+
     def state(self, t: float) -> AugmentedState:
         """Dense-output state at any t inside the integrated window."""
-        ts = self.ts
-        if not (ts[0] <= t <= ts[-1]):
-            raise IntegrationError(f"t={t} outside integrated window [{ts[0]}, {ts[-1]}]")
-        if t == ts[-1]:
-            y = self.ys[-1]
-        else:
-            k = int(np.searchsorted(ts, t, side="right")) - 1
-            k = min(max(k, 0), len(ts) - 2)
-            h = ts[k + 1] - ts[k]
-            theta = (t - ts[k]) / h
-            r = self.conts[k]
-            y = r[0] + theta * (r[1] + (1 - theta) * (r[2] + theta * (r[3] + (1 - theta) * r[4])))
+        y = self.sample([t])[0]
         return AugmentedState(t=float(t), x=float(y[0]), v=float(y[1]),
                               u=tuple(float(c) for c in y[2:]))
 
@@ -335,6 +345,23 @@ class DriftReport:
         }
 
 
+def in_blocks(traj: Trajectory, ts: np.ndarray, evaluate):
+    """Evaluate along the dense output at the times ts, BLOCK points at a
+    time.  ``evaluate(t, y)`` gets a block of times and their states (rows
+    of ``Trajectory.sample``) and returns (values, err) as
+    ``expr.on_grid`` does; the first block with an error ends the series.
+    Returns (values, err)."""
+    parts = []
+    err = None
+    for start in range(0, len(ts), BLOCK):
+        t = ts[start:start + BLOCK]
+        values, err = evaluate(t, traj.sample(t))
+        parts.append(values)
+        if err is not None:
+            break
+    return np.concatenate(parts), err
+
+
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     """Sample an invariant on a uniform dense-output grid.
 
@@ -346,21 +373,13 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     channels = [traj.channel_of(g) for g in spec.integrands]
     fn = spec.compiled(traj.problem.params)
     ts = np.linspace(traj.t0, traj.t_last, grid)
-    values = []
-    truncated = False
-    abort = None
-    for t in ts:
-        s = traj.state(float(t))
-        try:
-            values.append(fn(s.t, s.x, s.v, [s.u[c] for c in channels]))
-        except DomainError as err:
-            truncated = True
-            abort = (err.t, err.x)
-            break
+    values, err = in_blocks(traj, ts, lambda t, y: fn(
+        t, y[:, 0], y[:, 1], [y[:, 2 + c] for c in channels]))
     if len(values) < 2:
         raise IntegrationError(
             f"invariant {spec.name!r} undefined on the trajectory start")
-    return EvalSeries(ts[: len(values)], np.array(values), truncated, abort)
+    abort = None if err is None else (err.t, err.x)
+    return EvalSeries(ts[: len(values)], values, err is not None, abort)
 
 
 def _drift_report(name: str, ser_c: EvalSeries, ser_f: EvalSeries,
@@ -387,7 +406,7 @@ def _drift_report(name: str, ser_c: EvalSeries, ser_f: EvalSeries,
         rel_drift=max_c / scale,
         order=order,
         truncated=ser_c.truncated,
-        window=(traj_c.t0, traj_c.t_last),
+        window=(float(ser_c.ts[0]), float(ser_c.ts[-1])),
     )
 
 

@@ -18,8 +18,11 @@ never enter the integral terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import expr as ex
 from .expr import Expr, pprint, simplify, zero_check
@@ -95,28 +98,42 @@ class InvariantSpec:
     exp_closed_arg: Expr | None = None
 
     def compiled(self, params: dict[str, float] | None = None):
-        coeff_fns = [(d, ex.compile_fn(c, params)) for d, c in sorted(self.poly.items())]
-        closed_fn = (ex.compile_fn(self.exp_closed_arg, params)
+        """Evaluator over arrays of states: ``fn(t, x, v, u) -> (values,
+        err)`` with t, x, v equal-length float arrays and u one array per
+        channel of this spec.  Matches a point-by-point scalar loop: values
+        cover the points before the first one outside the domain, err is
+        that point's DomainError (None when every point evaluates)."""
+        coeff_fns = [(d, ex.compile_fn(c, params, True))
+                     for d, c in sorted(self.poly.items())]
+        closed_fn = (ex.compile_fn(self.exp_closed_arg, params, True)
                      if self.exp_closed_arg is not None else None)
         sign, ch = self.exp_sign, self.exp_channel
         linear = self.linear_channels
 
-        def fn(t: float, x: float, v: float, u) -> float:
-            val = 0.0
+        def formula(grid, t, x, v, *u):
+            val = np.zeros(len(t))
             for d, cf in coeff_fns:
-                val += cf(t, x) * v ** d
+                val = val + grid.fn(cf, t, x) * grid.map(operator.pow, v, d)
             if sign != 0:
-                val *= math.exp(sign * u[ch])
+                val = val * grid.map(math.exp, sign * u[ch])
             if closed_fn is not None:
-                val *= math.exp(closed_fn(t, x))
+                val = val * grid.map(math.exp, grid.fn(closed_fn, t, x))
             for c, i in linear:
-                val += float(c) * u[i]
+                val = val + float(c) * u[i]
             return val
+
+        def fn(t, x, v, u):
+            return ex.on_grid(formula, t, x, v, *u)
 
         return fn
 
     def value(self, t, x, v, u=(), params=None) -> float:
-        return self.compiled(params)(t, x, v, u)
+        values, err = self.compiled(params)(
+            np.array([t], dtype=float), np.array([x], dtype=float),
+            np.array([v], dtype=float), [np.array([c], dtype=float) for c in u])
+        if err is not None:
+            raise err
+        return float(values[0])
 
     def local_exprs(self) -> dict[int, Expr]:
         """Velocity-power coefficients with any closed exp factor folded in.

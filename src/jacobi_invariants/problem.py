@@ -39,6 +39,9 @@ class JacobiProblem:
     x0: float = 0.0
     v0: float = 0.0
     domain: tuple[float, float, float, float] | None = None
+    # classify() results by sample count; the problem is immutable
+    _classified: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if not self.t_end > self.t0:
@@ -97,7 +100,14 @@ class CheckReport:
 
 
 def classify(p: JacobiProblem, samples: int = 64) -> Classification:
-    """Split into the three regimes by whether phi_t and B_t vanish."""
+    """Split into the three regimes by whether phi_t and B_t vanish;
+    computed once per problem and sample count."""
+    if samples not in p._classified:
+        p._classified[samples] = _classify(p, samples)
+    return p._classified[samples]
+
+
+def _classify(p: JacobiProblem, samples: int) -> Classification:
     phi_t = ex.diff(p.phi, "t")
     zc_phi = zero_check(phi_t, p.domain, samples, p.params)
     warnings = []

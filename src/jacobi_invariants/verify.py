@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .integrate import DriftReport, EvalSeries, Trajectory, _drift_report
+from .integrate import DriftReport, EvalSeries, Trajectory, _drift_report, in_blocks
 from .problem import JacobiProblem, LagrangianData
 
 
@@ -47,10 +47,11 @@ def _prefix_simpson(fs: np.ndarray, h: float) -> np.ndarray:
     prefixes, a single trapezoid panel closing each odd prefix."""
     n = len(fs)
     out = np.zeros(n)
-    for k in range(2, n, 2):
-        out[k] = out[k - 2] + h / 3.0 * (fs[k - 2] + 4.0 * fs[k - 1] + fs[k])
-    for k in range(1, n, 2):
-        out[k] = out[k - 1] + h / 2.0 * (fs[k - 1] + fs[k])
+    m = (n - 1) // 2  # Simpson panels
+    panels = h / 3.0 * (fs[0:2 * m:2] + 4.0 * fs[1:2 * m:2] + fs[2:2 * m + 1:2])
+    # np.cumsum adds left to right, as a running sum from 0.0 does
+    out[0::2] = np.cumsum(np.concatenate(([0.0], panels)))
+    out[1::2] = out[0:n - 1:2] + h / 2.0 * (fs[0:n - 1:2] + fs[1::2])
     return out
 
 
@@ -65,34 +66,46 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
         raise ValueError("grid must be >= 8")
     params = p.params
     ephi = ex.Exp(p.phi)
-    dLdv_1 = ex.compile_fn(ex.simplify(ephi), params)
-    dLdv_0 = ex.compile_fn(ex.simplify(L.delta1), params)
-    dLdx_2 = ex.compile_fn(ex.simplify(ex.HALF * ex.diff(p.phi, "x") * ephi), params)
-    dLdx_1 = ex.compile_fn(ex.simplify(ex.diff(L.delta1, "x")), params)
-    dLdx_0 = ex.compile_fn(ex.simplify(ex.diff(L.delta2, "x")), params)
-    a_fn = ex.compile_fn(ex.simplify(fam.a), params)
-    at_fn = ex.compile_fn(ex.diff(fam.a, "t"), params)
-    ax_fn = ex.compile_fn(ex.diff(fam.a, "x"), params)
-    b_fn = ex.compile_fn(ex.simplify(fam.b), params)
+
+    def compiled(e: Expr):
+        return ex.compile_fn(e, params, True)
+
+    dLdv_1 = compiled(ex.simplify(ephi))
+    dLdv_0 = compiled(ex.simplify(L.delta1))
+    dLdx_2 = compiled(ex.simplify(ex.HALF * ex.diff(p.phi, "x") * ephi))
+    dLdx_1 = compiled(ex.simplify(ex.diff(L.delta1, "x")))
+    dLdx_0 = compiled(ex.simplify(ex.diff(L.delta2, "x")))
+    a_fn = compiled(ex.simplify(fam.a))
+    at_fn = compiled(ex.diff(fam.a, "t"))
+    ax_fn = compiled(ex.diff(fam.a, "x"))
+    b_fn = compiled(ex.simplify(fam.b))
     chan = traj.channel_of(fam.b) if fam.sign != 0 else None
+    sign = fam.sign
+
+    def terms(g, t, x, v, *u):
+        """Momentum term and perturbed-Lagrangian integrand, one row per
+        point; the calls run in the order of the scalar formula."""
+        factor = g.map(math.exp, sign * u[0]) if u else 1.0
+        a = g.fn(a_fn, t, x)
+        vf = a * factor
+        vfd = (g.fn(at_fn, t, x) + g.fn(ax_fn, t, x) * v
+               + sign * g.fn(b_fn, t, x) * a) * factor
+        dldv = g.fn(dLdv_1, t, x) * v + g.fn(dLdv_0, t, x)
+        dldx = (g.fn(dLdx_2, t, x) * v * v + g.fn(dLdx_1, t, x) * v
+                + g.fn(dLdx_0, t, x))
+        return np.stack([dldv * vf, dldx * vf + dldv * vfd], axis=1)
+
+    def evaluate(t, y):
+        u = (y[:, 2 + chan],) if chan is not None else ()
+        return ex.on_grid(terms, t, y[:, 0], y[:, 1], *u)
 
     ts = np.linspace(traj.t0, traj.t_last, grid)
-    mom = np.empty(grid)
-    dLeps = np.empty(grid)
-    for i, t in enumerate(ts):
-        s = traj.state(float(t))
-        factor = math.exp(fam.sign * s.u[chan]) if chan is not None else 1.0
-        vf = a_fn(s.t, s.x) * factor
-        vfd = (at_fn(s.t, s.x) + ax_fn(s.t, s.x) * s.v
-               + fam.sign * b_fn(s.t, s.x) * a_fn(s.t, s.x)) * factor
-        dldv = dLdv_1(s.t, s.x) * s.v + dLdv_0(s.t, s.x)
-        dldx = (dLdx_2(s.t, s.x) * s.v * s.v + dLdx_1(s.t, s.x) * s.v
-                + dLdx_0(s.t, s.x))
-        mom[i] = dldv * vf
-        dLeps[i] = dldx * vf + dldv * vfd
+    rows, err = in_blocks(traj, ts, evaluate)
+    if err is not None:
+        raise err
     h = ts[1] - ts[0]
-    work = _prefix_simpson(dLeps, h)
-    return EvalSeries(ts, mom - work)
+    work = _prefix_simpson(rows[:, 1], h)
+    return EvalSeries(ts, rows[:, 0] - work)
 
 
 def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> float:

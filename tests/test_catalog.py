@@ -92,7 +92,9 @@ def test_closed_form_invariant_constant_on_exact_solution(all_fixtures, construc
     spec = constructed["JAC_EXACT"][0]
     fn = spec.compiled(fx.problem.params)
     x, v = exact_solution(1.0, -2.0, 1.0)
-    values = [fn(t, x(t), v(t), []) for t in np.linspace(0, 4, 200)]
+    ts = np.linspace(0, 4, 200)
+    values, err = fn(ts, np.array([x(t) for t in ts]), np.array([v(t) for t in ts]), [])
+    assert err is None and len(values) == len(ts)
     assert values[0] == pytest.approx(-2.0, abs=1e-12)   # the constant is I~
     assert max(abs(u - values[0]) for u in values) < 1e-10
 

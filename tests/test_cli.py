@@ -1,5 +1,6 @@
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -158,6 +159,37 @@ def test_run_abort_before_ten_percent_exit_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["termination"]["status"] == "DomainAbort"
     assert report["termination"]["t"] < 0.1
+
+
+def test_run_invariant_undefined_at_t0_exit_2(tmp_path, capsys):
+    # psi = t*x + 2*ln(x) is undefined at x0 = -1, so the accumulator
+    # constant has no value at the start of its trajectory
+    data = {"phi": "0", "B": "t + 2/x", "eta": "t^2*x/2", "delta2": "-2*ln(x)",
+            "t0": 0, "t_end": 0.5, "x0": -1, "v0": 0}
+    code, out, err = run_main(["run", write(tmp_path, "u.json", data)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "undefined on the trajectory start" in err
+
+
+def test_run_domain_abort_detail_has_plain_floats(tmp_path, capsys):
+    data = {"phi": "0", "B": "-1", "delta2": "x", "domain": [0, 1, 1, 3],
+            "t0": 0, "t_end": 1, "x0": -1, "v0": 0}
+    code, out, _ = run_main(["run", write(tmp_path, "d.json", data)], capsys)
+    assert code == 3
+    detail = json.loads(out)["termination"]["detail"]
+    assert "np.float64" not in out
+    assert detail.endswith("at (t=0.0, x=-1.0)")
+
+
+GOLDEN_CATALOG = pathlib.Path(__file__).parent / "data" / "catalog_all.json"
+
+
+def test_catalog_run_all_matches_golden_report(capsys):
+    # the committed report pins every number of every fixture at the
+    # defaults; a change that moves any digit must regenerate it knowingly
+    code, out, _ = run_main(["catalog", "run", "--all"], capsys)
+    assert code == 0
+    assert out.encode() == GOLDEN_CATALOG.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

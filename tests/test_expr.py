@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,77 @@ def test_compile_fn_matches_evaluate():
         assert f(t, x) == pytest.approx(evaluate(e, t, x, {"k": 1.5}), rel=1e-15)
     with pytest.raises(DomainError):
         f(0.5, -1.0)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# points where the fast path meets zero denominators, non-positive
+# logarithms, negative radicands and bases, and exp/pow overflow
+HOSTILE_T = [0.0, 0.3, -1.25, 2.0, 700.0, -0.0, 1e-300, 3.5, -800.0, 1e8]
+HOSTILE_X = [0.0, -0.7, 1.5, -2.0, 0.8, 750.0, -1e-300, 1.0, 2.5, -1e8]
+
+
+def test_compile_fn_array_matches_scalar_pointwise():
+    rng = random.Random(11)
+    t, x = np.array(HOSTILE_T), np.array(HOSTILE_X)
+    flagged = 0
+    for _ in range(400):
+        e = random_tree(rng, 4)
+        fn, afn = compile_fn(e, SAFE_ENV), compile_fn(e, SAFE_ENV, True)
+        values, bad = afn(t, x)
+        flagged += int(bad.sum())
+        for i in range(len(t)):
+            try:
+                want, raised = fn(float(t[i]), float(x[i])), None
+            except (DomainError, ValueError, OverflowError) as err:
+                want, raised = None, err
+            if not bad[i]:
+                assert raised is None and _bits(values[i]) == _bits(want), pprint(e)
+            # a strict one-point call reproduces the scalar outcome exactly
+            if raised is None:
+                got, still_bad = afn(t[i:i + 1], x[i:i + 1], True)
+                assert _bits(got[0]) == _bits(want) and not still_bad.any()
+            else:
+                with pytest.raises(type(raised)) as info:
+                    afn(t[i:i + 1], x[i:i + 1], True)
+                assert str(info.value) == str(raised)
+    assert flagged > 100  # the hostile points are exercised
+
+
+@pytest.mark.parametrize("text, x", [
+    ("1/x", 0.0), ("ln(x)", 0.0), ("ln(x)", -1.0), ("sqrt(x)", -1e-300),
+    ("x^(-2)", 0.0), ("x^(1/2)", -1.0), ("exp(x)", 710.0), ("x^3", 1e103),
+    ("sin(exp(x))", 710.0),
+])
+def test_compile_fn_array_flags_each_domain_failure(text, x):
+    afn = compile_fn(parse(text), {}, True)
+    values, bad = afn(np.zeros(3), np.array([0.5, x, 2.0]))
+    assert bad.tolist() == [False, True, False]
+    with pytest.raises(DomainError) as info:
+        afn(np.zeros(1), np.array([x]), True)
+    with pytest.raises(DomainError) as scalar:
+        compile_fn(parse(text), {})(0.0, x)
+    assert str(info.value) == str(scalar.value)
+
+
+def test_compile_fn_array_takes_the_slow_path_value_where_it_exists():
+    # 1 + x - 1 rounds to 0 left to right but not under fsum, so the fast
+    # path divides by zero and the slow evaluator returns a value
+    e = ex.Expr(ex.DIV, (ex.ONE, ex.Expr(ex.ADD, (ex.ONE, X, Rat(-1)))))
+    want = compile_fn(e)(0.0, 1e-17)
+    assert want == pytest.approx(1e17)
+    values, bad = compile_fn(e, {}, True)(np.zeros(2), np.array([0.5, 1e-17]))
+    assert bad.tolist() == [False, True]
+    values, bad = compile_fn(e, {}, True)(np.zeros(2), np.array([0.5, 1e-17]), True)
+    assert _bits(values[1]) == _bits(want) and not bad.any()
+
+
+def test_domain_error_point_is_plain_floats():
+    err = DomainError(X, np.float64(0.5), np.float64(-1.0), "test")
+    assert type(err.t) is float and type(err.x) is float
+    assert "np.float64" not in str(err) and "x=-1.0" in str(err)
 
 
 # ------------------------------------------------------------------- diff

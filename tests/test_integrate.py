@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,3 +189,20 @@ def test_drift_report_orders(constructed, trajectories, fine_trajectories):
     rep = drift_report(spec, trajectories["PG18"], fine_trajectories["PG18"], 256)
     assert rep.rel_drift < 1e-6
     assert rep.order >= 3.5
+
+
+def test_drift_report_window_is_the_evaluated_window():
+    # x = cos(t) turns negative at pi/2, where the ln(x) term of this
+    # energy-like constant leaves its domain and the series stops
+    p = JacobiProblem(phi=ex.ZERO, B=ex.X, t0=0.0, t_end=3.0, x0=1.0, v0=0.0,
+                      domain=(0.0, 3.0, 0.5, 1.5))
+    spec = first_integral_autonomous(p, parse("-x^2/2"))
+    spec = replace(spec, poly={**spec.poly, 0: ex.simplify(spec.poly[0] + parse("ln(x)"))})
+    coarse = integrate(p, (), (1e-8, 1e-8))
+    fine = integrate(p, (), (1e-8 / 16, 1e-8 / 16))
+    series = evaluate_along(coarse, spec, 1024)
+    rep = drift_report(spec, coarse, fine, 1024)
+    assert rep.truncated and series.truncated
+    assert rep.window == (float(series.ts[0]), float(series.ts[-1]))
+    assert rep.window[0] == 0.0 and rep.window[1] == pytest.approx(math.pi / 2, abs=3e-3)
+    assert rep.window[1] < coarse.t_last

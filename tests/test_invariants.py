@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from jacobi_invariants import expr as ex
@@ -136,9 +137,11 @@ def test_product_first_integral_identity(pg18, trajectories):
     fi = first_integral_autonomous(pg18.problem, pg18.delta2)
     f_fi = fi.compiled(pg18.problem.params)
     f_pr = prod.compiled(pg18.problem.params)
-    for s in trajectories["PG18"].states():
-        a, b = f_fi(s.t, s.x, s.v, []), f_pr(s.t, s.x, s.v, [])
-        assert abs(a - b) < 1e-9 * (1 + abs(a))
+    traj = trajectories["PG18"]
+    states = (traj.ts, traj.ys[:, 0], traj.ys[:, 1], [])
+    (a, err_a), (b, err_b) = f_fi(*states), f_pr(*states)
+    assert err_a is None and err_b is None and len(a) == len(traj.ts)
+    assert np.all(np.abs(a - b) < 1e-9 * (1 + np.abs(a)))
 
 
 def test_product_first_integral_free_particle():
@@ -190,8 +193,11 @@ def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
     fi = first_integral_autonomous(pg18.problem, pg18.delta2)
     f3 = spec3.compiled({})
     f1 = fi.compiled({})
-    for s in trajectories["PG18"].states():
-        assert abs(f3(s.t, s.x, s.v, [0.0]) - f1(s.t, s.x, s.v, [])) < 1e-12
+    traj = trajectories["PG18"]
+    t, x, v = traj.ts, traj.ys[:, 0], traj.ys[:, 1]
+    (a, err_a), (b, err_b) = f3(t, x, v, [np.zeros(len(t))]), f1(t, x, v, [])
+    assert err_a is None and err_b is None and len(a) == len(t)
+    assert np.all(np.abs(a - b) < 1e-12)
 
 
 def test_theorem3_drift(all_fixtures):
@@ -258,10 +264,11 @@ def test_general_sign_collapse(all_fixtures):
     fp, fm = sp.compiled(fx.problem.params), sm.compiled(fx.problem.params)
     cp = [traj.channel_of(g) for g in sp.integrands]
     cm = [traj.channel_of(g) for g in sm.integrands]
-    for s in traj.states():
-        a = fp(s.t, s.x, s.v, [s.u[c] for c in cp])
-        b = fm(s.t, s.x, s.v, [s.u[c] for c in cm])
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+    t, x, v = traj.ts, traj.ys[:, 0], traj.ys[:, 1]
+    a, err_a = fp(t, x, v, [traj.ys[:, 2 + c] for c in cp])
+    b, err_b = fm(t, x, v, [traj.ys[:, 2 + c] for c in cm])
+    assert err_a is None and err_b is None and len(a) == len(t)
+    assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(a)))
 
 
 def test_general_requires_nonzero_phi_t(pg18):
