@@ -16,6 +16,7 @@ from .invariants import (
     AuxiliaryFunctions,
     InvariantSpec,
     autonomous_aux,
+    check_accumulator,
     check_general_hypotheses,
     check_y_ode,
     first_integral_autonomous,
@@ -51,6 +52,7 @@ __all__ = [
     "PerturbationFamily",
     "Trajectory",
     "autonomous_aux",
+    "check_accumulator",
     "check_general_hypotheses",
     "check_y_ode",
     "classify",

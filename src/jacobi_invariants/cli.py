@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 from . import catalog
 from . import expr as ex
@@ -29,23 +30,21 @@ from .integrate import (
     evaluate_along,
     integrate,
 )
+from . import invariants as inv
 from .invariants import (
     FIRST_INTEGRAL,
-    autonomous_aux,
+    check_accumulator,
     check_general_hypotheses,
     check_y_ode,
-    first_integral_autonomous,
+    general_aux,
     nonlocal_autonomous,
-    nonlocal_general,
-    nonlocal_timedep_phi0,
     HypothesisError,
     DegenerateDenominatorError,
+    InvariantSpec,
     NegativeRadicandError,
-    MismatchedAuxPairError,
 )
 from .problem import (
     AUTONOMOUS,
-    GENERAL,
     TIME_INDEPENDENT_PHI,
     CheckReport,
     JacobiProblem,
@@ -141,6 +140,9 @@ def load_problem(data: dict) -> tuple[JacobiProblem, dict[str, Expr]]:
             domain = (tmin, tmax, xmin, xmax)
         except (TypeError, ValueError):
             raise InputError("'domain' must be [tmin, tmax, xmin, xmax]") from None
+    bad = [k for k, v in (*nums.items(), *params.items()) if not math.isfinite(v)]
+    if bad or not all(map(math.isfinite, domain or ())):
+        raise InputError(f"{bad[0] if bad else 'domain'!r} must be finite")
     try:
         problem = JacobiProblem(phi=exprs["phi"], B=exprs["B"], params=params,
                                 domain=domain, **nums)
@@ -187,11 +189,38 @@ def _report_of(check: CheckReport) -> dict:
     return out
 
 
-def run_checks(problem: JacobiProblem, exprs: dict[str, Expr]) -> tuple[dict, list]:
-    """Classification plus every hypothesis check the input data allows."""
+@dataclass(frozen=True)
+class Construction:
+    """What the hypothesis checks of a run admit: the invariant specs, the
+    one the oracle compares to, the Lagrangian data and, when the oracle
+    is requested, its perturbation family."""
+
+    specs: tuple[InvariantSpec, ...]
+    closed: InvariantSpec | None
+    lagrangian: LagrangianData | None
+    family: PerturbationFamily | None
+
+    @property
+    def integrands(self) -> tuple[Expr, ...]:
+        """Accumulator channels of the run: every spec's, then the family's
+        exponent integrand if it has one; simplified, first occurrence kept."""
+        regs = [g for spec in self.specs for g in spec.integrands]
+        if self.family is not None and self.family.sign != 0:
+            regs.append(self.family.b)
+        return tuple(dict.fromkeys(ex.simplify(g) for g in regs))
+
+
+def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
+               oracle: bool = False) -> tuple[dict, Construction]:
+    """Classification, every hypothesis check the input data allows (each
+    once), and the construction they admit; the one dispatch on the regime.
+    With ``oracle`` the oracle's family is built too, once every
+    hypothesis has passed."""
     cls = classify(problem)
     hypotheses: list[dict] = []
-    specs = []
+    specs: list[InvariantSpec] = []
+    closed = family = None
+    L = _lagrangian_from(exprs)
 
     def add(check: CheckReport):
         hypotheses.append(_report_of(check))
@@ -201,60 +230,59 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr]) -> tuple[dict, li
             if "delta2" not in exprs:
                 raise InputError("autonomous problems need 'delta2' "
                                  "(symbolic input preferred; see README)")
-            L = _lagrangian_from(exprs) or LagrangianData(ex.ZERO, exprs["delta2"])
             for check in validate_lagrangian(problem, L):
                 add(check)
-            aux_p, aux_m = autonomous_aux(problem, exprs["delta2"])
+            aux_p, aux_m = inv._autonomous_aux(problem, exprs["delta2"])
             add(check_y_ode(problem, aux_p.bbar))
-            specs.append(first_integral_autonomous(problem, exprs["delta2"]))
-            specs.append(nonlocal_autonomous(problem, aux_p))
-            specs.append(nonlocal_autonomous(problem, aux_m))
+            specs.append(inv._energy_integral(problem, exprs["delta2"]))
+            closed = nonlocal_autonomous(problem, aux_p)
+            specs += [closed, nonlocal_autonomous(problem, aux_m)]
+            family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
         elif cls.tag == TIME_INDEPENDENT_PHI:
             if "eta" not in exprs or "delta2" not in exprs:
                 raise InputError("problems with time-free phi need 'eta' and 'delta2'")
-            L = _lagrangian_from(exprs)
-            if L is not None:
-                for check in validate_lagrangian(problem, L):
-                    add(check)
-            psi = ex.simplify(ex.diff(exprs["eta"], "t") - exprs["delta2"])
-            resid = ex.simplify(ex.Exp(problem.phi) * problem.B - ex.diff(psi, "x"))
-            add(CheckReport.from_zero_check(
-                "accumulator_hypothesis", resid,
-                ex.zero_check(resid, problem.domain, params=problem.params)))
-            specs.append(nonlocal_timedep_phi0(problem, exprs["eta"], exprs["delta2"]))
+            for check in validate_lagrangian(problem, L):
+                add(check)
+            check = check_accumulator(problem, exprs["eta"], exprs["delta2"])
+            add(check)
+            closed = inv._accumulator_constant(problem, exprs["eta"], exprs["delta2"],
+                                               check, autonomous=False)
+            specs.append(closed)
+            family = PerturbationFamily(a=ex.ONE, b=ex.ZERO, sign=0)
         else:
             if "rho1" not in exprs:
                 raise InputError("general problems need 'rho1' (and optionally 'rho2')")
-            rho1 = exprs["rho1"]
-            rho2 = exprs.get("rho2", ex.ZERO)
-            for check in check_general_hypotheses(problem, rho1, rho2):
+            rho1, rho2 = exprs["rho1"], exprs.get("rho2", ex.ZERO)
+            checks = check_general_hypotheses(problem, rho1, rho2)
+            for check in checks:
                 add(check)
-            spec = nonlocal_general(problem, rho1, rho2)
-            specs.append(spec)
-            fi_check = {
-                "name": "first_integral_condition",
-                "passed": spec.kind == FIRST_INTEGRAL,
-                "structural": True,
-                "residual": "",
-            }
-            if spec.exp_closed_arg is not None:
-                fi_check["closed_form_exponent"] = ex.pprint(spec.exp_closed_arg)
+            closed = inv._general_constant(problem, rho1, rho2, checks)
+            specs.append(closed)
+            fi_check = {"name": "first_integral_condition",
+                        "passed": closed.kind == FIRST_INTEGRAL,
+                        "structural": True, "residual": ""}
+            if closed.exp_closed_arg is not None:
+                fi_check["closed_form_exponent"] = ex.pprint(closed.exp_closed_arg)
             hypotheses.append(fi_check)
-    except (HypothesisError, NegativeRadicandError,
-            DegenerateDenominatorError, MismatchedAuxPairError) as err:
-        hypotheses.append({
-            "name": type(err).__name__,
-            "passed": False,
-            "structural": False,
-            "residual": str(err),
-        })
+            if oracle and fi_check["passed"]:  # every other check passed above
+                try:
+                    aux_p, _ = general_aux(problem, rho1, rho2)
+                except (HypothesisError, NegativeRadicandError,
+                        DegenerateDenominatorError) as err:
+                    raise InputError(f"oracle family unavailable: {err}") from err
+                family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
+    except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
+        hypotheses.append({"name": type(err).__name__, "passed": False,
+                           "structural": False, "residual": str(err)})
 
-    report = {
-        "classification": {"tag": cls.tag, "warnings": list(cls.warnings)},
-        "hypotheses": hypotheses,
-        "pass": all(h["passed"] for h in hypotheses),
-    }
-    return report, specs
+    passed = all(h["passed"] for h in hypotheses)
+    if oracle and passed and L is None:
+        raise InputError("--oracle needs Lagrangian data "
+                         "(delta1/delta2, or eta and delta2)")
+    report = {"classification": {"tag": cls.tag, "warnings": list(cls.warnings)},
+              "hypotheses": hypotheses, "pass": passed}
+    return report, Construction(tuple(specs), closed, L,
+                                family if oracle and passed else None)
 
 
 def _problem_echo(data: dict) -> dict:
@@ -268,46 +296,18 @@ def _problem_echo(data: dict) -> dict:
     return echo
 
 
-def _oracle_family_for(problem, exprs, tag) -> PerturbationFamily | None:
-    if tag == AUTONOMOUS:
-        aux_p, _ = autonomous_aux(problem, exprs["delta2"])
-        return PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
-    if tag == GENERAL:
-        from .invariants import general_aux
-
-        aux_p, _ = general_aux(problem, exprs["rho1"], exprs.get("rho2", ex.ZERO))
-        return PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
-    return PerturbationFamily(a=ex.ONE, b=ex.ZERO, sign=0)
-
-
-def registered_integrands(specs, family: PerturbationFamily | None) -> tuple[Expr, ...]:
-    """Accumulator integrands of a run: every spec's, then the family's
-    exponent integrand if it has one; simplified, first occurrence kept."""
-    regs = [g for spec in specs for g in spec.integrands]
-    if family is not None and family.sign != 0:
-        regs.append(family.b)
-    return tuple(dict.fromkeys(ex.simplify(g) for g in regs))
-
-
 def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
                  tol: float = 1e-10, grid: int = 1024, oracle: bool = False,
                  threshold: float = 1e-6) -> tuple[dict, int, object]:
     """Full pipeline; returns (report, exit_code, trajectory)."""
-    report, specs = run_checks(problem, exprs)
+    report, built = run_checks(problem, exprs, oracle)
     report = {"schema": SCHEMA_VERSION, "problem": _problem_echo(data), **report}
     report["settings"] = {"tol": tol, "grid": grid, "oracle": oracle,
                           "threshold": threshold}
     if not report["pass"]:
         return report, EXIT_FAIL, None
 
-    fam = None
-    if oracle:
-        try:
-            fam = _oracle_family_for(problem, exprs, report["classification"]["tag"])
-        except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
-            raise InputError(f"oracle family unavailable: {err}") from err
-    registered = registered_integrands(specs, fam)
-
+    registered = built.integrands
     traj = integrate(problem, registered, (tol, tol))
     term = traj.termination
     report["termination"] = {"status": term.status, "t": term.t}
@@ -320,7 +320,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     fine = integrate(problem, registered, (tol / REFINE, tol / REFINE))
     all_pass = True
     inv_reports = []
-    for spec in specs:
+    for spec in built.specs:
         rep = drift_report(spec, traj, fine, grid)
         gate = drift_gate(rep, threshold)
         all_pass = all_pass and gate
@@ -331,14 +331,10 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     report["invariants"] = inv_reports
 
     if oracle:
-        L = _lagrangian_from(exprs)
-        if L is None:
-            raise InputError("--oracle needs Lagrangian data "
-                             "(delta1/delta2, or eta and delta2)")
+        L, fam = built.lagrangian, built.family
         o_grid = max(grid, 4096)
-        closed_spec = specs[1] if len(specs) > 1 else specs[0]
         ser_oracle = oracle_constant(problem, L, fam, traj, o_grid)
-        ser_closed = evaluate_along(traj, closed_spec, o_grid)
+        ser_closed = evaluate_along(traj, built.closed, o_grid)
         disc = oracle_vs_closed(ser_oracle, ser_closed)
         # constancy gate in a regime where trajectory error dominates the
         # quadrature floor: finer prefix grid, moderate tolerance
@@ -352,7 +348,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
             "family": {"a": ex.pprint(ex.simplify(fam.a)),
                        "b": ex.pprint(ex.simplify(fam.b)),
                        "sign": fam.sign},
-            "compared_to": closed_spec.name,
+            "compared_to": built.closed.name,
             "max_discrepancy": disc,
             "drift": o_rep.to_jsonable(),
             "gate": o_gate,

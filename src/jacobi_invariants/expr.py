@@ -225,9 +225,11 @@ def is_constant(e: Expr) -> bool:
 _KNOWN_FUNCS = {"exp": EXP, "ln": LN, "sqrt": SQRT, "sin": SIN, "cos": COS}
 
 
-# Nesting levels (parentheses, unary minus, exponents) the recursive-descent
-# parser accepts.  Each level costs about five Python frames, so this stays
-# well inside the interpreter's default recursion limit of 1000.
+# Nesting levels (parentheses, unary minus, exponents, and one per operator
+# of a chain such as x+x+...+x, whose left-deep tree the recursive
+# evaluator, printer and simplifier walk) the recursive-descent parser
+# accepts.  Each level costs about five Python frames, so this stays well
+# inside the interpreter's default recursion limit of 1000.
 _MAX_PARSE_DEPTH = 100
 
 
@@ -298,24 +300,35 @@ def parse(text: str) -> Expr:
     return e
 
 
+def _descend(tz, off: int):
+    if tz.depth >= _MAX_PARSE_DEPTH:
+        raise ParseError(f"expression nested deeper than {_MAX_PARSE_DEPTH} levels", off)
+    tz.depth += 1
+
+
 def _parse_sum(tz) -> Expr:
+    depth = tz.depth
     e = _parse_term(tz)
     while True:
-        kind, val, _ = tz.peek()
+        kind, val, off = tz.peek()
         if kind == "op" and val in "+-":
             tz.next()
+            _descend(tz, off)  # a binary chain is one tree level per operator
             rhs = _parse_term(tz)
             e = Expr(ADD if val == "+" else SUB, (e, rhs))
         else:
+            tz.depth = depth
             return e
 
 
 def _parse_term(tz) -> Expr:
+    depth = tz.depth
     e = _parse_unary(tz)
     while True:
-        kind, val, _ = tz.peek()
+        kind, val, off = tz.peek()
         if kind == "op" and val in "*/":
             tz.next()
+            _descend(tz, off)
             rhs = _parse_unary(tz)
             if val == "/" and e.kind == RAT and rhs.kind == RAT and rhs.value != 0:
                 e = Rat(e.value / rhs.value)
@@ -324,14 +337,13 @@ def _parse_term(tz) -> Expr:
             else:
                 e = Expr(MUL if val == "*" else DIV, (e, rhs))
         else:
+            tz.depth = depth
             return e
 
 
 def _parse_unary(tz) -> Expr:
     kind, val, off = tz.peek()
-    if tz.depth >= _MAX_PARSE_DEPTH:
-        raise ParseError(f"expression nested deeper than {_MAX_PARSE_DEPTH} levels", off)
-    tz.depth += 1
+    _descend(tz, off)
     if kind == "op" and val == "-":
         tz.next()
         inner = _parse_unary(tz)
@@ -361,7 +373,10 @@ def _parse_power(tz) -> Expr:
 def _parse_atom(tz) -> Expr:
     kind, val, off = tz.next()
     if kind == "num":
-        return Rat(Fraction(val))
+        try:
+            return Rat(Fraction(val))
+        except ValueError as err:  # beyond the int-from-string digit limit
+            raise ParseError(str(err), off) from None
     if kind == "ident":
         nkind, nval, noff = tz.peek()
         if nkind == "op" and nval == "(":
@@ -906,13 +921,25 @@ def _c_add(args: list[Expr]) -> Expr:
     return Expr(ADD, tuple(out))
 
 
+# Bit length above which exact powers stay symbolic: 2^(10^7) would fold to
+# a 10-Mbit integer, and folded integers must still print within Python's
+# 4300-digit int-to-string limit.
+_MAX_FOLD_BITS = 4096
+
+
+def _too_big(base: Fraction, n: int) -> bool:
+    size = max(abs(base.numerator), base.denominator).bit_length()
+    return size > 1 and size * abs(n) > _MAX_FOLD_BITS
+
+
 def _rat_pow(base: Fraction, expo: Fraction) -> Fraction | None:
-    """Exact rational power, or None when not exactly representable."""
+    """Exact rational power, or None when not exactly representable or
+    larger than _MAX_FOLD_BITS."""
     if expo.denominator == 1:
         n = expo.numerator
         if base == 0:
             return Fraction(0) if n > 0 else (Fraction(1) if n == 0 else None)
-        return base ** n
+        return None if _too_big(base, n) else base ** n
     if base == 0:
         return Fraction(0) if expo > 0 else None
     q = expo.denominator
@@ -922,7 +949,8 @@ def _rat_pow(base: Fraction, expo: Fraction) -> Fraction | None:
     rd = _exact_root(base.denominator, q)
     if rn is None or rd is None:
         return None
-    return Fraction(rn, rd) ** expo.numerator
+    root = Fraction(rn, rd)
+    return None if _too_big(root, expo.numerator) else root ** expo.numerator
 
 
 def _exact_root(n: int, q: int) -> int | None:
@@ -931,7 +959,14 @@ def _exact_root(n: int, q: int) -> int | None:
             return None
         r = _exact_root(-n, q)
         return None if r is None else -r
-    r = round(n ** (1.0 / q))
+    if n < 2:
+        return n
+    if q >= n.bit_length():  # 1 < root < 2; and 2**q would be huge
+        return None
+    try:
+        r = round(n ** (1.0 / q))
+    except OverflowError:  # n beyond the float range
+        return None
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** q == n:
             return cand
@@ -1132,6 +1167,9 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
 
 # ---------------------------------------------------------------- zero check
 
+# sample points of every identically-zero test and sampled hypothesis check
+SAMPLES = 64
+
 def _halton(i: int, base: int) -> float:
     f, r = 1.0, 0.0
     while i > 0:
@@ -1167,7 +1205,7 @@ class ZeroCheck:
 
 
 def zero_check(e: Expr, domain: tuple[float, float, float, float],
-               samples: int = 64, params: dict[str, float] | None = None) -> ZeroCheck:
+               samples: int = SAMPLES, params: dict[str, float] | None = None) -> ZeroCheck:
     """Structural-then-numeric test of e == 0 on the domain rectangle.
 
     Numeric fallback: |e| < 1e-12 * (1 + scale) at every sample point, where
@@ -1211,5 +1249,5 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
 
 
 def is_identically_zero(e: Expr, domain: tuple[float, float, float, float],
-                        samples: int = 64, params: dict[str, float] | None = None) -> bool:
+                        samples: int = SAMPLES, params: dict[str, float] | None = None) -> bool:
     return zero_check(e, domain, samples, params).is_zero

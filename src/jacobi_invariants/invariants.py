@@ -180,21 +180,32 @@ class InvariantSpec:
 
 
 # ------------------------------------------------------------ autonomous
+# A public constructor guards its regime and hands over to a private
+# builder, which cli.run_checks calls directly after its own checks.
 
-def autonomous_aux(p: JacobiProblem, delta2: Expr,
-                   samples: int = 64) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
+def _require(p: JacobiProblem, regime: str) -> None:
+    tag = classify(p).tag
+    if tag != regime:
+        raise HypothesisError(f"problem is {tag}, not {regime}")
+
+
+def autonomous_aux(p: JacobiProblem,
+                   delta2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     """Factorization data for the autonomous dressed pair.
 
     Builds a = e^(-phi/2), bbar = sqrt(2*delta2*e^(-phi)) (principal root)
     and b = -(1/2)*phi_x*bbar - bbar_x, then verifies bbar*b == B.
     """
-    tag = classify(p, samples).tag
-    if tag != AUTONOMOUS:
-        raise HypothesisError(f"problem is {tag}, not {AUTONOMOUS}")
+    _require(p, AUTONOMOUS)
+    return _autonomous_aux(p, delta2)
+
+
+def _autonomous_aux(p: JacobiProblem,
+                    delta2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     # guard the radicand in its defining form: points where e^(-phi) itself
     # is undefined lie outside the problem domain and are skipped
     raw_radicand = ex.Rat(2) * delta2 * ex.Exp(-p.phi)
-    for (tv, xv) in ex.sample_points(p.domain, samples):
+    for (tv, xv) in ex.sample_points(p.domain, ex.SAMPLES):
         try:
             val = ex.evaluate(raw_radicand, tv, xv, p.params)
         except ex.DomainError:
@@ -206,7 +217,7 @@ def autonomous_aux(p: JacobiProblem, delta2: Expr,
     bbar = simplify(ex.Sqrt(radicand))
     b = simplify(ex.Rat(-1, 2) * ex.diff(p.phi, "x") * bbar - ex.diff(bbar, "x"))
     product_residual = simplify(bbar * b - p.B)
-    if not zero_check(product_residual, p.domain, samples, p.params).is_zero:
+    if not zero_check(product_residual, p.domain, params=p.params).is_zero:
         raise HypothesisError("factorization bbar*b == B fails", product_residual)
     return (
         AuxiliaryFunctions(a=a, bbar=bbar, b=b, sign=+1),
@@ -214,29 +225,27 @@ def autonomous_aux(p: JacobiProblem, delta2: Expr,
     )
 
 
-def check_y_ode(p: JacobiProblem, bbar: Expr, samples: int = 64) -> CheckReport:
+def check_y_ode(p: JacobiProblem, bbar: Expr) -> CheckReport:
     """Residual of d_x(bbar^2) + phi_x*bbar^2 + 2B, an independent check."""
     y = simplify(bbar * bbar)
     resid = simplify(ex.diff(y, "x") + ex.diff(p.phi, "x") * y + ex.Rat(2) * p.B)
     return CheckReport.from_zero_check(
-        "square_factor_ode", resid, zero_check(resid, p.domain, samples, p.params))
+        "square_factor_ode", resid, zero_check(resid, p.domain, params=p.params))
 
 
-def first_integral_autonomous(p: JacobiProblem, delta2: Expr,
-                              samples: int = 64) -> InvariantSpec:
+def first_integral_autonomous(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
     """Energy-like first integral (1/2)*v^2*e^phi - delta2."""
-    tag = classify(p, samples).tag
-    if tag != AUTONOMOUS:
-        raise HypothesisError(f"problem is {tag}, not {AUTONOMOUS}")
-    reports = validate_lagrangian(p, LagrangianData(ex.ZERO, delta2), samples)
+    _require(p, AUTONOMOUS)
+    return _energy_integral(p, delta2)
+
+
+def _energy_integral(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
+    reports = validate_lagrangian(p, LagrangianData(ex.ZERO, delta2))
     if not reports[0].passed:
         raise HypothesisError(
             f"delta2 inconsistent with B: residual {reports[0].residual}")
-    return InvariantSpec(
-        name="energy_integral",
-        kind=FIRST_INTEGRAL,
-        poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: simplify(-delta2)},
-    )
+    return InvariantSpec(name="energy_integral", kind=FIRST_INTEGRAL,
+                         poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: simplify(-delta2)})
 
 
 def nonlocal_autonomous(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:
@@ -274,56 +283,67 @@ def product_first_integral(iplus: InvariantSpec, iminus: InvariantSpec) -> Invar
 
 # ------------------------------------------------- time-independent phi
 
-def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr,
-                          samples: int = 64) -> InvariantSpec:
+def check_accumulator(p: JacobiProblem, eta: Expr, delta2: Expr) -> CheckReport:
+    """Residual of e^phi*B - d_x(eta_t - delta2), the hypothesis of the
+    phi_t = 0 construction."""
+    psi = simplify(ex.diff(eta, "t") - delta2)
+    resid = simplify(ex.Exp(p.phi) * p.B - ex.diff(psi, "x"))
+    return CheckReport.from_zero_check(
+        "accumulator_hypothesis", resid, zero_check(resid, p.domain, params=p.params))
+
+
+def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr) -> InvariantSpec:
     """Accumulator constant for phi_t = 0:
     (1/2)*v^2*e^phi + (eta_t - delta2) - int d_t(eta_t - delta2) dt.
 
     Requires e^phi*B = d_x(eta_t - delta2); a true first integral only when
     the problem is autonomous (then the accumulator integrand vanishes).
     """
-    tag = classify(p, samples).tag
+    tag = classify(p).tag
     if tag not in (TIME_INDEPENDENT_PHI, AUTONOMOUS):
         raise HypothesisError(f"problem is {tag}; needs phi_t = 0")
+    return _accumulator_constant(p, eta, delta2, check_accumulator(p, eta, delta2),
+                                 tag == AUTONOMOUS)
+
+
+def _accumulator_constant(p: JacobiProblem, eta: Expr, delta2: Expr,
+                          check: CheckReport, autonomous: bool) -> InvariantSpec:
+    if not check.passed:
+        raise HypothesisError(
+            f"e^phi*B = d_x(eta_t - delta2) fails; residual {check.residual}")
     psi = simplify(ex.diff(eta, "t") - delta2)
-    resid = simplify(ex.Exp(p.phi) * p.B - ex.diff(psi, "x"))
-    if not zero_check(resid, p.domain, samples, p.params).is_zero:
-        raise HypothesisError("e^phi*B = d_x(eta_t - delta2) fails", resid)
-    integrand = simplify(ex.diff(psi, "t"))
     return InvariantSpec(
         name="accumulator_constant",
-        kind=FIRST_INTEGRAL if tag == AUTONOMOUS else NONLOCAL_CONSTANT,
+        kind=FIRST_INTEGRAL if autonomous else NONLOCAL_CONSTANT,
         poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: psi},
-        integrands=(integrand,),
+        integrands=(simplify(ex.diff(psi, "t")),),
         linear_channels=((Fraction(-1), 0),),
     )
 
 
 # ------------------------------------------------------------- general
 
-def general_aux(p: JacobiProblem, rho1: Expr, rho2: Expr,
-                samples: int = 64) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
+def general_aux(p: JacobiProblem, rho1: Expr,
+                rho2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     """Factorization for phi_t != 0:
     bbar(+/-) = +/- 4*(B_t + B*phi_t) / (2*phi_tt + phi_t^2),
     b(+/-)    = +/- (1/4)*(2*phi_tt + phi_t^2) / (d_t ln B + phi_t).
     """
-    tag = classify(p, samples).tag
-    if tag != GENERAL:
-        raise HypothesisError(f"problem is {tag}, not {GENERAL}")
-    if zero_check(rho1, p.domain, samples, p.params).is_zero:
+    _require(p, GENERAL)
+    if zero_check(rho1, p.domain, params=p.params).is_zero:
         raise HypothesisError("rho1 must not vanish identically")
     phi_t = ex.diff(p.phi, "t")
     den = simplify(ex.Rat(2) * ex.diff(phi_t, "t") + phi_t * phi_t)
-    if zero_check(den, p.domain, samples, p.params).is_zero:
+    if zero_check(den, p.domain, params=p.params).is_zero:
         raise DegenerateDenominatorError("2*phi_tt + phi_t^2 vanishes identically")
     den2 = simplify(ex.diff(ex.Ln(p.B), "t") + phi_t)
-    if zero_check(den2, p.domain, samples, p.params).is_zero:
+    if zero_check(den2, p.domain, params=p.params).is_zero:
         raise DegenerateDenominatorError("d_t ln B + phi_t vanishes identically")
     num = simplify(ex.diff(p.B, "t") + p.B * phi_t)
     bbar_plus = simplify(ex.Rat(4) * num / den)
     b_plus = simplify(ex.Rat(1, 4) * den / den2)
     product_residual = simplify(bbar_plus * b_plus - p.B)
-    if not zero_check(product_residual, p.domain, samples, p.params).is_zero:
+    if not zero_check(product_residual, p.domain, params=p.params).is_zero:
         raise HypothesisError("factorization bbar*b == B fails", product_residual)
     a = simplify(ex.Exp(ex.Rat(-1, 2) * p.phi))
     return (
@@ -332,32 +352,29 @@ def general_aux(p: JacobiProblem, rho1: Expr, rho2: Expr,
     )
 
 
-def check_general_hypotheses(p: JacobiProblem, rho1: Expr, rho2: Expr,
-                             samples: int = 64) -> list[CheckReport]:
+def check_general_hypotheses(p: JacobiProblem, rho1: Expr, rho2: Expr) -> list[CheckReport]:
     """Both structural hypotheses of the general construction:
     B*e^phi = rho1*e^(phi/2) + rho2 and
     rho1' = d_t(ln phi_t) * (e^(phi/2) + rho2/rho1),
     with rho1, rho2 functions of x alone and rho1 not identically zero.
     """
-    if zero_check(rho1, p.domain, samples, p.params).is_zero:
+    if zero_check(rho1, p.domain, params=p.params).is_zero:
         raise HypothesisError("rho1 must not vanish identically")
     reports = []
     for name, r in (("rho1_time_free", rho1), ("rho2_time_free", rho2)):
         dr = ex.diff(r, "t")
         reports.append(CheckReport.from_zero_check(
-            name, dr, zero_check(dr, p.domain, samples, p.params)))
+            name, dr, zero_check(dr, p.domain, params=p.params)))
     half_phi = simplify(ex.HALF * p.phi)
     resid1 = simplify(p.B * ex.Exp(p.phi) - rho1 * ex.Exp(half_phi) - rho2)
     reports.append(CheckReport.from_zero_check(
-        "forcing_decomposition", resid1,
-        zero_check(resid1, p.domain, samples, p.params)))
+        "forcing_decomposition", resid1, zero_check(resid1, p.domain, params=p.params)))
     phi_t = ex.diff(p.phi, "t")
     growth = simplify(ex.diff(ex.Ln(phi_t), "t"))
     resid2 = simplify(ex.diff(rho1, "x")
                       - growth * (ex.Exp(half_phi) + simplify(rho2 / rho1)))
     reports.append(CheckReport.from_zero_check(
-        "rho_compatibility", resid2,
-        zero_check(resid2, p.domain, samples, p.params)))
+        "rho_compatibility", resid2, zero_check(resid2, p.domain, params=p.params)))
     return reports
 
 
@@ -397,58 +414,42 @@ def _antiderivative_t(g: Expr) -> Expr | None:
     return simplify(out)
 
 
-def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr,
-                     samples: int = 64) -> InvariantSpec:
+def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr) -> InvariantSpec:
     """Dressed constant for phi_t != 0:
     (v*e^(phi/2) + 2*rho1/D) * exp(int (D/2)*(1 + (rho2/rho1)*e^(-phi/2)) dt)
     with D = d_t(2*ln(phi_t) + phi).  Downgraded to a first integral with a
     closed-form exponent when the integrand depends on t alone.
     """
-    tag = classify(p, samples).tag
-    if tag != GENERAL:
-        raise HypothesisError(f"problem is {tag}, not {GENERAL}")
-    reports = check_general_hypotheses(p, rho1, rho2, samples)
+    _require(p, GENERAL)
+    return _general_constant(p, rho1, rho2, check_general_hypotheses(p, rho1, rho2))
+
+
+def _general_constant(p: JacobiProblem, rho1: Expr, rho2: Expr,
+                      reports: list[CheckReport]) -> InvariantSpec:
     failed = [r for r in reports if not r.passed]
     if failed:
         raise HypothesisError(f"hypothesis {failed[0].name} fails "
                               f"(residual {failed[0].residual})")
     phi_t = ex.diff(p.phi, "t")
     D = simplify(ex.diff(simplify(ex.Rat(2) * ex.Ln(phi_t) + p.phi), "t"))
-    if zero_check(D, p.domain, samples, p.params).is_zero:
+    if zero_check(D, p.domain, params=p.params).is_zero:
         raise DegenerateDenominatorError("d_t(2*ln(phi_t) + phi) vanishes identically")
     half_phi = simplify(ex.HALF * p.phi)
     quotient = simplify(rho2 / rho1)
     integrand = simplify(ex.HALF * D * (ex.ONE + quotient * ex.Exp(-half_phi)))
     poly = {1: simplify(ex.Exp(half_phi)),
             0: simplify(ex.Rat(2) * rho1 / D)}
-    if not ex.depends_on(integrand, "x"):
-        F = _antiderivative_t(integrand)
-        if F is not None:
-            F0 = simplify(ex.substitute(F, "t", ex.Rat(Fraction(p.t0))))
-            return InvariantSpec(
-                name="general_constant",
-                kind=FIRST_INTEGRAL,
-                poly=poly,
-                exp_closed_arg=simplify(F - F0),
-            )
-        # integrand is a function of t alone, so still a point function of
-        # (t, x, v); keep the channel for evaluation
-        return InvariantSpec(
-            name="general_constant",
-            kind=FIRST_INTEGRAL,
-            poly=poly,
-            integrands=(integrand,),
-            exp_sign=+1,
-            exp_channel=0,
-        )
-    return InvariantSpec(
-        name="general_constant",
-        kind=NONLOCAL_CONSTANT,
-        poly=poly,
-        integrands=(integrand,),
-        exp_sign=+1,
-        exp_channel=0,
-    )
+    t_only = not ex.depends_on(integrand, "x")
+    F = _antiderivative_t(integrand) if t_only else None
+    if F is not None:
+        F0 = simplify(ex.substitute(F, "t", ex.Rat(Fraction(p.t0))))
+        return InvariantSpec(name="general_constant", kind=FIRST_INTEGRAL, poly=poly,
+                             exp_closed_arg=simplify(F - F0))
+    # an integrand of t alone still makes a point function of (t, x, v);
+    # the channel is kept for evaluation
+    return InvariantSpec(name="general_constant",
+                         kind=FIRST_INTEGRAL if t_only else NONLOCAL_CONSTANT,
+                         poly=poly, integrands=(integrand,), exp_sign=+1, exp_channel=0)
 
 
 def nonlocal_general_signed(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:

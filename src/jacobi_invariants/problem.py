@@ -39,9 +39,9 @@ class JacobiProblem:
     x0: float = 0.0
     v0: float = 0.0
     domain: tuple[float, float, float, float] | None = None
-    # classify() results by sample count; the problem is immutable
-    _classified: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # the classify() result; the problem is immutable
+    _classified: Classification | None = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t_end > self.t0:
@@ -99,24 +99,24 @@ class CheckReport:
         )
 
 
-def classify(p: JacobiProblem, samples: int = 64) -> Classification:
+def classify(p: JacobiProblem) -> Classification:
     """Split into the three regimes by whether phi_t and B_t vanish;
-    computed once per problem and sample count."""
-    if samples not in p._classified:
-        p._classified[samples] = _classify(p, samples)
-    return p._classified[samples]
+    computed once per problem."""
+    if p._classified is None:
+        object.__setattr__(p, "_classified", _classify(p))
+    return p._classified
 
 
-def _classify(p: JacobiProblem, samples: int) -> Classification:
+def _classify(p: JacobiProblem) -> Classification:
     phi_t = ex.diff(p.phi, "t")
-    zc_phi = zero_check(phi_t, p.domain, samples, p.params)
+    zc_phi = zero_check(phi_t, p.domain, params=p.params)
     warnings = []
     if zc_phi.warning:
         warnings.append("phi_t: " + zc_phi.warning)
     if not zc_phi.is_zero:
         return Classification(GENERAL, tuple(warnings))
     B_t = ex.diff(p.B, "t")
-    zc_B = zero_check(B_t, p.domain, samples, p.params)
+    zc_B = zero_check(B_t, p.domain, params=p.params)
     if zc_B.warning:
         warnings.append("B_t: " + zc_B.warning)
     if zc_B.is_zero:
@@ -143,18 +143,17 @@ def lagrangian_residual_expr(p: JacobiProblem, L: LagrangianData) -> Expr:
     )
 
 
-def validate_lagrangian(p: JacobiProblem, L: LagrangianData,
-                        samples: int = 64) -> list[CheckReport]:
+def validate_lagrangian(p: JacobiProblem, L: LagrangianData) -> list[CheckReport]:
     """Check the defining constraint, and delta1 = d_x(eta) when eta is given."""
     resid = lagrangian_residual_expr(p, L)
     reports = [CheckReport.from_zero_check(
         "lagrangian_constraint", resid,
-        zero_check(resid, p.domain, samples, p.params))]
+        zero_check(resid, p.domain, params=p.params))]
     if L.eta is not None:
         diff_eta = ex.simplify(L.delta1 - ex.diff(L.eta, "x"))
         reports.append(CheckReport.from_zero_check(
             "delta1_is_dx_eta", diff_eta,
-            zero_check(diff_eta, p.domain, samples, p.params)))
+            zero_check(diff_eta, p.domain, params=p.params)))
     return reports
 
 

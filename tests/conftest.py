@@ -5,7 +5,6 @@ import pytest
 
 from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
-from jacobi_invariants.cli import registered_integrands
 from jacobi_invariants.integrate import REFINE, integrate
 
 
@@ -16,45 +15,50 @@ def all_fixtures():
 
 @pytest.fixture(scope="session")
 def checked(all_fixtures):
-    """(problem, exprs, check report, specs) per fixture id, through the CLI path."""
+    """(problem, exprs, check report, construction) per fixture id, through
+    the CLI path with the oracle's family."""
     out = {}
     for fid, fx in all_fixtures.items():
         problem, exprs = cli.load_problem(cli._fixture_data(fx))
-        report, specs = cli.run_checks(problem, exprs)
-        out[fid] = (problem, exprs, report, specs)
+        report, built = cli.run_checks(problem, exprs, oracle=True)
+        out[fid] = (problem, exprs, report, built)
     return out
 
 
 @pytest.fixture(scope="session")
-def constructed(checked):
-    """Constructed invariant specs per fixture id."""
-    return {fid: specs for fid, (_, _, _, specs) in checked.items()}
+def constructions(checked):
+    """The ``cli.Construction`` of each fixture id."""
+    return {fid: built for fid, (_, _, _, built) in checked.items()}
 
 
 @pytest.fixture(scope="session")
-def families(checked):
-    return {fid: cli._oracle_family_for(problem, exprs, report["classification"]["tag"])
-            for fid, (problem, exprs, report, _) in checked.items()}
+def constructed(constructions):
+    """Constructed invariant specs per fixture id."""
+    return {fid: built.specs for fid, built in constructions.items()}
 
 
-def _integrate_all(all_fixtures, constructed, families, tol):
+@pytest.fixture(scope="session")
+def families(constructions):
+    return {fid: built.family for fid, built in constructions.items()}
+
+
+def _integrate_all(all_fixtures, constructions, tol):
     out = {}
     for fid, fx in all_fixtures.items():
-        regs = registered_integrands(constructed[fid], families[fid])
-        out[fid] = integrate(fx.problem, regs, (tol, tol))
+        out[fid] = integrate(fx.problem, constructions[fid].integrands, (tol, tol))
     return out
 
 
 @pytest.fixture(scope="session")
-def trajectories(all_fixtures, constructed, families):
+def trajectories(all_fixtures, constructions):
     """One tol-1e-10 trajectory per fixture with every needed channel."""
-    return _integrate_all(all_fixtures, constructed, families, 1e-10)
+    return _integrate_all(all_fixtures, constructions, 1e-10)
 
 
 @pytest.fixture(scope="session")
-def fine_trajectories(all_fixtures, constructed, families):
+def fine_trajectories(all_fixtures, constructions):
     """The refinement partners of ``trajectories``, at 1e-10 / REFINE."""
-    return _integrate_all(all_fixtures, constructed, families, 1e-10 / REFINE)
+    return _integrate_all(all_fixtures, constructions, 1e-10 / REFINE)
 
 
 # ---------------------------------------------------------------- helpers

@@ -29,7 +29,6 @@ from jacobi_invariants.problem import (
     rhs,
 )
 from jacobi_invariants.verify import oracle_constant, oracle_vs_closed
-from jacobi_invariants.cli import registered_integrands
 from conftest import SAFE_ENV, random_tree
 
 
@@ -157,18 +156,15 @@ def test_criterion_4_general_fixture(all_fixtures, constructed,
              f"drift closed-form={drift_cf:.1e}, ODE residual={worst_resid:.1e}")
 
 
-def test_criterion_5_oracle_equivalence(all_fixtures, constructed,
-                                        families, capsys):
+def test_criterion_5_oracle_equivalence(all_fixtures, constructions, capsys):
     """Oracle vs closed form after t0-offset matching: max discrepancy < 1e-5
     at grid 4096 and observed order >= 1.8 across grids 1024/2048/4096."""
     ok = True
     details = []
     for fid, fx in all_fixtures.items():
-        fam = families[fid]
-        specs = constructed[fid]
-        closed = specs[1] if len(specs) > 1 else specs[0]
-        regs = registered_integrands(specs, fam)
-        traj = integrate(fx.problem, regs, (1e-12, 1e-12))
+        built = constructions[fid]
+        fam, closed = built.family, built.closed
+        traj = integrate(fx.problem, built.integrands, (1e-12, 1e-12))
         disc = {}
         for grid in (1024, 2048, 4096):
             so = oracle_constant(fx.problem, fx.lagrangian, fam, traj, grid)

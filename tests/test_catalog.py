@@ -20,8 +20,8 @@ def test_every_fixture_passes_its_hypotheses(all_fixtures, checked):
     for fid, fx in all_fixtures.items():
         reports = validate_lagrangian(fx.problem, fx.lagrangian)
         assert all(r.passed for r in reports), fid
-        _, _, report, specs = checked[fid]
-        assert report["pass"] and specs, fid
+        _, _, report, built = checked[fid]
+        assert report["pass"] and built.specs, fid
 
 
 def test_expected_classifications(all_fixtures):

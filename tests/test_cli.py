@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from jacobi_invariants import catalog, cli
+from jacobi_invariants import expr as ex
+from jacobi_invariants import invariants as invariants_module
+from jacobi_invariants import problem as problem_module
 from jacobi_invariants.cli import dumps, load_problem, main
 
 # the package re-exports the function integrate under the module's name
@@ -100,11 +103,75 @@ def test_check_missing_key_exit_2(tmp_path, capsys):
 
 
 def test_check_parse_error_exit_2(tmp_path, capsys):
-    for B in ("4*x^^2", "-" * 5000 + "x"):
+    for B in ("4*x^^2", "-" * 5000 + "x", "+".join(["x"] * 3000)):
         bad = dict(PG18_FILE, B=B)
         code, _, err = run_main(["check", write(tmp_path, "p.json", bad)], capsys)
         assert code == 2
         assert "cannot parse 'B'" in err
+
+
+@pytest.mark.parametrize("command, change", [
+    ("run", {"t_end": "inf"}),
+    ("check", {"x0": "nan"}),
+    ("check", {"params": {"k": "-inf"}}),
+    ("check", {"domain": [0.0, 0.4, 0.4, "inf"]}),
+])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, change):
+    code, out, err = run_main(
+        [command, write(tmp_path, "p.json", dict(PG18_FILE, **change))], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
+    # Autonomous: phi_t, B_t, Lagrangian constraint, factorization,
+    # square-factor ODE, energy constraint; TimeIndependentPhi: phi_t, B_t,
+    # two Lagrangian checks, accumulator; General: phi_t, rho1 != 0, two
+    # time-free checks, forcing decomposition, rho compatibility, D != 0
+    original = ex.zero_check
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (problem_module, invariants_module):
+        monkeypatch.setattr(module, "zero_check", counting)
+    for fid, want in (("PG18", 6), ("PG4", 5), ("JAC_EXACT", 7)):
+        problem, exprs = load_problem(cli._fixture_data(catalog.get(fid)))
+        calls.clear()
+        report, _ = cli.run_checks(problem, exprs)
+        assert report["pass"] and len(calls) == want, (fid, len(calls))
+
+
+def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
+    # the Autonomous family reuses the checked factorization; the General
+    # one needs general_aux, which stays off the check path
+    calls = []
+    for module, name in ((invariants_module, "_autonomous_aux"), (cli, "general_aux")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    for fid, oracle, want in (("PG18", True, ["_autonomous_aux"]),
+                              ("JAC_EXACT", False, []),
+                              ("JAC_EXACT", True, ["general_aux"])):
+        problem, exprs = load_problem(cli._fixture_data(catalog.get(fid)))
+        calls.clear()
+        _, built = cli.run_checks(problem, exprs, oracle=oracle)
+        assert calls == want, (fid, oracle)
+        assert (built.family is not None) == oracle
+
+
+def test_run_oracle_without_lagrangian_exits_2_before_integrating(tmp_path, capsys,
+                                                                  monkeypatch):
+    data = {"phi": "t+x", "B": "rho*exp(-(t+x)/2)", "rho1": "rho",
+            "params": {"rho": 1}, "t0": 0, "t_end": 4, "x0": 1, "v0": 0}
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args))
+    code, out, err = run_main(["run", write(tmp_path, "g.json", data), "--oracle"], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("error: --oracle needs Lagrangian data "
+                   "(delta1/delta2, or eta and delta2)\n")
 
 
 def test_run_pg18(tmp_path, capsys):
@@ -190,6 +257,18 @@ def test_catalog_run_all_matches_golden_report(capsys):
     code, out, _ = run_main(["catalog", "run", "--all"], capsys)
     assert code == 0
     assert out.encode() == GOLDEN_CATALOG.read_bytes()
+
+
+GOLDEN_CHECKS = pathlib.Path(__file__).parent / "data" / "check_reports.json"
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CHECKS.read_text()),
+                         ids=lambda case: case["name"])
+def test_check_matches_golden_report(tmp_path, capsys, case):
+    # failing hypotheses of every regime, each with the HypothesisError
+    # entry its constructor adds, and a passing problem of each regime
+    code, out, _ = run_main(["check", write(tmp_path, "p.json", case["problem"])], capsys)
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 @pytest.mark.parametrize("argv", [

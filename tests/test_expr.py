@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,11 +88,32 @@ def test_parse_error_carries_offset():
 
 
 def test_parse_depth_limited():
-    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"):
+    # a flat chain builds a left-deep tree, one level per operator
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x",
+                 "+".join(["x"] * 3000), "/".join(["x"] * 3000)):
         with pytest.raises(ParseError):
             parse(text)
     assert parse("(" * 90 + "x" + ")" * 90) == parse("x")
     assert evaluate(parse("-" * 90 + "x"), 0.0, 2.0) == 2.0
+    assert evaluate(parse("+".join(["x"] * 90)), 0.0, 2.0) == 180.0
+
+
+def test_exact_folding_is_bounded():
+    # 2^(10^7) would fold to a 10-Mbit integer: it stays a power, in the
+    # parser and in simplify, and so does a root search that cannot succeed
+    big = parse("2^(10^7)")
+    assert big.kind == ex.POW and big.args == (Rat(2), Rat(10 ** 7))
+    assert simplify(Rat(3) ** Rat(10 ** 7)).kind == ex.POW
+    assert simplify(Rat(2) ** Rat(Fraction(1, 10 ** 10))).kind == ex.POW
+    assert simplify(parse("(10^400)^(1/2)")).kind == ex.POW  # beyond floats
+    assert pprint(parse("2^20000")) == "(2 ^ 20000)"
+    # small powers still fold exactly
+    assert parse("2^10") == Rat(1024)
+    assert parse("(2/3)^(-3)") == Rat(Fraction(27, 8))
+    assert simplify(parse("(8/27)^(2/3)")) == Rat(Fraction(4, 9))
+    assert simplify(parse("(-1)^(10^10 + 1)")) == Rat(-1)
+    with pytest.raises(ParseError):
+        parse("1" * 5000)  # past the interpreter's int-from-string limit
 
 
 def test_nonconstant_exponent_rejected():

@@ -1,7 +1,6 @@
 import pytest
 
 from jacobi_invariants import expr as ex
-from jacobi_invariants.cli import registered_integrands
 from jacobi_invariants.integrate import REFINE, DriftReport, evaluate_along, integrate
 from jacobi_invariants.invariants import autonomous_aux, nonlocal_autonomous
 from jacobi_invariants.problem import JacobiProblem, LagrangianData
@@ -79,10 +78,9 @@ def test_oracle_constant_series_on_plain_shift_pg4(all_fixtures):
     assert rel < 1e-6
 
 
-def test_oracle_drift_gate_on_fixtures(all_fixtures, constructed, families):
+def test_oracle_drift_gate_on_fixtures(all_fixtures, constructions):
     for fid, fx in all_fixtures.items():
-        fam = families[fid]
-        regs = registered_integrands(constructed[fid], fam)
+        fam, regs = constructions[fid].family, constructions[fid].integrands
         coarse = integrate(fx.problem, regs, (1e-8, 1e-8))
         fine = integrate(fx.problem, regs, (1e-8 / REFINE, 1e-8 / REFINE))
         rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, coarse, fine, 8192)
