@@ -36,7 +36,6 @@ from .invariants import (
     check_accumulator,
     check_general_hypotheses,
     check_y_ode,
-    general_aux,
     nonlocal_autonomous,
     HypothesisError,
     DegenerateDenominatorError,
@@ -266,9 +265,8 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
             hypotheses.append(fi_check)
             if oracle and fi_check["passed"]:  # every other check passed above
                 try:
-                    aux_p, _ = general_aux(problem, rho1, rho2)
-                except (HypothesisError, NegativeRadicandError,
-                        DegenerateDenominatorError) as err:
+                    aux_p, _ = inv._general_aux(problem)
+                except (HypothesisError, DegenerateDenominatorError) as err:
                     raise InputError(f"oracle family unavailable: {err}") from err
                 family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
     except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
@@ -393,33 +391,14 @@ def cmd_run(args) -> int:
     return code
 
 
-def _fixture_data(fx) -> dict:
-    data = {
-        "phi": ex.pprint(fx.problem.phi),
-        "B": ex.pprint(fx.problem.B),
-        "params": dict(fx.problem.params),
-        "t0": fx.problem.t0, "t_end": fx.problem.t_end,
-        "x0": fx.problem.x0, "v0": fx.problem.v0,
-        "domain": list(fx.problem.domain),
-    }
-    data["delta1"] = ex.pprint(fx.lagrangian.delta1)
-    data["delta2"] = ex.pprint(fx.lagrangian.delta2)
-    for key, val in (("delta2", fx.delta2), ("eta", fx.eta),
-                     ("rho1", fx.rho1), ("rho2", fx.rho2)):
-        if val is not None:
-            data[key] = ex.pprint(val)
-    return data
-
-
 def run_fixture(fixture_id: str, tol: float = 1e-10, grid: int = 1024,
                 oracle: bool = True) -> tuple[dict, int]:
+    """``run`` on a built-in fixture's problem file at its drift threshold."""
     fx = catalog.get(fixture_id)
-    data = _fixture_data(fx)
-    problem, exprs = load_problem(data)
-    report, code, _ = run_pipeline(problem, exprs, data, tol=tol, grid=grid,
+    problem, exprs = load_problem(fx.data)
+    report, code, _ = run_pipeline(problem, exprs, fx.data, tol=tol, grid=grid,
                                    oracle=oracle, threshold=fx.drift_threshold)
-    report = {"fixture": fixture_id, **report}
-    return report, code
+    return {"fixture": fixture_id, **report}, code
 
 
 def cmd_catalog(args) -> int:

@@ -236,7 +236,6 @@ _MAX_PARSE_DEPTH = 100
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.i = 0
@@ -1225,14 +1224,13 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
     ok = True
     for (tv, xv) in sample_points(domain, samples):
         try:
-            val = _eval(s, tv, xv, params)
-            scale = max(abs(_eval(term, tv, xv, params)) for term in terms)
+            vals = [_eval(term, tv, xv, params) for term in terms]
         except DomainError:
             skipped += 1
             continue
-        except UnboundParameterError:
-            raise
-        resid = abs(val)
+        # the fsum of the terms is what _eval computes for an ADD
+        resid = abs(math.fsum(vals) if s.kind == ADD else vals[0])
+        scale = max(abs(v) for v in vals)
         worst = max(worst, resid)
         if not resid < 1e-12 * (1.0 + scale):
             ok = False

@@ -168,8 +168,7 @@ def _norm_err(err_vec, y0, y1, atol, rtol):
 
 
 def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
-              tol: tuple[float, float] = (1e-10, 1e-10),
-              u0: tuple[float, ...] | None = None) -> Trajectory:
+              tol: tuple[float, float] = (1e-10, 1e-10)) -> Trajectory:
     """Integrate x'' = -(phi_x/2 v^2 + phi_t v + B) plus accumulator channels.
 
     tol is (absolute, relative), both in [TOL_MIN, TOL_MAX].  Termination is
@@ -184,10 +183,6 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
     accel = rhs(p)
     gs = [ex.compile_fn(g, p.params) for g in integrands]
     n = 2 + len(gs)
-    if u0 is None:
-        u0 = (0.0,) * len(gs)
-    elif len(u0) != len(gs):
-        raise AccumulatorMismatchError("u0 length does not match integrand count")
 
     def f(t, y):
         out = np.empty(n)
@@ -199,7 +194,8 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
 
     t0, t_end = p.t0, p.t_end
     hmin = 1e-12 * (t_end - t0)
-    y = np.array([p.x0, p.v0, *u0], dtype=float)
+    y = np.zeros(n)
+    y[:2] = p.x0, p.v0
 
     ts = [t0]
     ys = [y.copy()]
@@ -228,9 +224,11 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
     K = np.empty((7, n))
 
     while t < t_end:
-        h = min(h, t_end - t)
-        if h < hmin:
-            h = hmin
+        # floor first, then clamp: the last step ends exactly on t_end
+        h = max(h, hmin)
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
         K[0] = k1
         try:
             for i in range(1, 7):
@@ -260,7 +258,7 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
                 h * (_D_NP @ K),
             ])
             conts.append(cont)
-            t = t + h
+            t = t_end if last else t + h
             y = y_new
             ts.append(t)
             ys.append(y.copy())

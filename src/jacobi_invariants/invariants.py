@@ -236,14 +236,16 @@ def check_y_ode(p: JacobiProblem, bbar: Expr) -> CheckReport:
 def first_integral_autonomous(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
     """Energy-like first integral (1/2)*v^2*e^phi - delta2."""
     _require(p, AUTONOMOUS)
-    return _energy_integral(p, delta2)
-
-
-def _energy_integral(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
     reports = validate_lagrangian(p, LagrangianData(ex.ZERO, delta2))
     if not reports[0].passed:
         raise HypothesisError(
             f"delta2 inconsistent with B: residual {reports[0].residual}")
+    return _energy_integral(p, delta2)
+
+
+def _energy_integral(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
+    # its hypothesis -d_x(delta2) = e^phi*B is the factorization bbar*b == B
+    # times e^phi, which the dispatch has checked already
     return InvariantSpec(name="energy_integral", kind=FIRST_INTEGRAL,
                          poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: simplify(-delta2)})
 
@@ -332,6 +334,10 @@ def general_aux(p: JacobiProblem, rho1: Expr,
     _require(p, GENERAL)
     if zero_check(rho1, p.domain, params=p.params).is_zero:
         raise HypothesisError("rho1 must not vanish identically")
+    return _general_aux(p)
+
+
+def _general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     phi_t = ex.diff(p.phi, "t")
     den = simplify(ex.Rat(2) * ex.diff(phi_t, "t") + phi_t * phi_t)
     if zero_check(den, p.domain, params=p.params).is_zero:

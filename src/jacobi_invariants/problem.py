@@ -54,9 +54,6 @@ class JacobiProblem:
         if self.domain is None:
             object.__setattr__(self, "domain", default_domain(self.t0, self.t_end, self.x0))
 
-    def window(self) -> float:
-        return self.t_end - self.t0
-
 
 @dataclass(frozen=True)
 class Classification:

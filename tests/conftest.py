@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
 from jacobi_invariants.integrate import REFINE, integrate
+from jacobi_invariants.problem import JacobiProblem, LagrangianData
 
 
 @pytest.fixture(scope="session")
@@ -13,13 +15,29 @@ def all_fixtures():
     return {fid: catalog.get(fid) for fid in catalog.ids()}
 
 
+class Loaded(NamedTuple):
+    problem: JacobiProblem
+    exprs: dict[str, ex.Expr]
+    lagrangian: LagrangianData | None
+
+
 @pytest.fixture(scope="session")
-def checked(all_fixtures):
+def loaded(all_fixtures):
+    """Each fixture's problem file loaded as ``cli.run_fixture`` loads it:
+    the problem, its parsed expressions and its Lagrangian data."""
+    out = {}
+    for fid, fx in all_fixtures.items():
+        problem, exprs = cli.load_problem(fx.data)
+        out[fid] = Loaded(problem, exprs, cli._lagrangian_from(exprs))
+    return out
+
+
+@pytest.fixture(scope="session")
+def checked(loaded):
     """(problem, exprs, check report, construction) per fixture id, through
     the CLI path with the oracle's family."""
     out = {}
-    for fid, fx in all_fixtures.items():
-        problem, exprs = cli.load_problem(cli._fixture_data(fx))
+    for fid, (problem, exprs, _) in loaded.items():
         report, built = cli.run_checks(problem, exprs, oracle=True)
         out[fid] = (problem, exprs, report, built)
     return out
@@ -42,23 +60,21 @@ def families(constructions):
     return {fid: built.family for fid, built in constructions.items()}
 
 
-def _integrate_all(all_fixtures, constructions, tol):
-    out = {}
-    for fid, fx in all_fixtures.items():
-        out[fid] = integrate(fx.problem, constructions[fid].integrands, (tol, tol))
-    return out
+def _integrate_all(loaded, constructions, tol):
+    return {fid: integrate(ld.problem, constructions[fid].integrands, (tol, tol))
+            for fid, ld in loaded.items()}
 
 
 @pytest.fixture(scope="session")
-def trajectories(all_fixtures, constructions):
+def trajectories(loaded, constructions):
     """One tol-1e-10 trajectory per fixture with every needed channel."""
-    return _integrate_all(all_fixtures, constructions, 1e-10)
+    return _integrate_all(loaded, constructions, 1e-10)
 
 
 @pytest.fixture(scope="session")
-def fine_trajectories(all_fixtures, constructions):
+def fine_trajectories(loaded, constructions):
     """The refinement partners of ``trajectories``, at 1e-10 / REFINE."""
-    return _integrate_all(all_fixtures, constructions, 1e-10 / REFINE)
+    return _integrate_all(loaded, constructions, 1e-10 / REFINE)
 
 
 # ---------------------------------------------------------------- helpers

@@ -50,11 +50,10 @@ def test_criterion_1_autonomous_first_integrals(all_fixtures, constructed,
     for fid in ("PG18", "PG21", "PG22"):
         fx = all_fixtures[fid]
         spec = constructed[fid][0]
-        target = fx.expected[0]
-        doubled = {d: simplify(Rat(target.normalization) * c)
+        doubled = {d: simplify(Rat(fx.normalization) * c)
                    for d, c in spec.local_exprs().items()}
         structural = all(doubled[d] == simplify(parse(text))
-                         for d, text in target.poly_targets.items())
+                         for d, text in fx.poly_targets.items())
         series = evaluate_along(trajectories[fid], spec, 1024)
         rel = series.max_drift() / max(1.0, abs(series.initial()))
         ok = ok and structural and rel < 1e-6
@@ -63,11 +62,11 @@ def test_criterion_1_autonomous_first_integrals(all_fixtures, constructed,
              "; ".join(details))
 
 
-def test_criterion_2_nonlocal_pair_and_product(all_fixtures, constructed,
+def test_criterion_2_nonlocal_pair_and_product(loaded, constructed,
                                                trajectories, capsys):
     """PG18 dressed pair drifts < 1e-6; (1/2) I+ I- equals the energy form
     to 1e-9 relative at every accepted step."""
-    fx = all_fixtures["PG18"]
+    fx = loaded["PG18"]
     energy, iplus, iminus = constructed["PG18"]
     traj = trajectories["PG18"]
     rels = []
@@ -111,24 +110,22 @@ def test_criterion_3_time_free_phi_constants(all_fixtures, constructed,
     announce(capsys, 3, "PG4/PG20 nonlocal constants", ok, "; ".join(details))
 
 
-def test_criterion_4_general_fixture(all_fixtures, constructed,
+def test_criterion_4_general_fixture(all_fixtures, loaded, constructed,
                                      trajectories, capsys):
     """The general construction simplifies to e^(t/2)(xdot e^((t+x)/2)+2 rho);
     drift < 1e-8 along the numeric trajectory and the closed-form solution;
     closed-form ODE residual < 1e-10 at 200 points."""
-    fx = all_fixtures["JAC_EXACT"]
     spec = constructed["JAC_EXACT"][0]
-    target = fx.expected[0]
     le = spec.local_exprs()
     structural = all(le[d] == simplify(parse(text))
-                     for d, text in target.poly_targets.items())
+                     for d, text in all_fixtures["JAC_EXACT"].poly_targets.items())
 
     series = evaluate_along(trajectories["JAC_EXACT"], spec, 1024)
     drift_traj = series.max_drift()
 
     rho, itld, jtld = 1.0, -2.0, 1.0
     x_cf, v_cf = exact_solution(rho, itld, jtld)
-    fn = spec.compiled(fx.problem.params)
+    fn = spec.compiled(loaded["JAC_EXACT"].problem.params)
     ts = np.linspace(0, 4, 200)
     vals, err = fn(ts, np.array([x_cf(t) for t in ts]), np.array([v_cf(t) for t in ts]), [])
     assert err is None
@@ -156,12 +153,12 @@ def test_criterion_4_general_fixture(all_fixtures, constructed,
              f"drift closed-form={drift_cf:.1e}, ODE residual={worst_resid:.1e}")
 
 
-def test_criterion_5_oracle_equivalence(all_fixtures, constructions, capsys):
+def test_criterion_5_oracle_equivalence(loaded, constructions, capsys):
     """Oracle vs closed form after t0-offset matching: max discrepancy < 1e-5
     at grid 4096 and observed order >= 1.8 across grids 1024/2048/4096."""
     ok = True
     details = []
-    for fid, fx in all_fixtures.items():
+    for fid, fx in loaded.items():
         built = constructions[fid]
         fam, closed = built.family, built.closed
         traj = integrate(fx.problem, built.integrands, (1e-12, 1e-12))
@@ -183,17 +180,17 @@ def test_criterion_5_oracle_equivalence(all_fixtures, constructions, capsys):
              "; ".join(details))
 
 
-def test_criterion_6_hypothesis_gates(all_fixtures, capsys):
+def test_criterion_6_hypothesis_gates(loaded, capsys):
     """Structural gates pass on the fixtures and fail on mutated data."""
     results = []
 
     # constraint residual, autonomous fixtures (delta1 = 0)
     for fid in ("PG18", "PG21", "PG22"):
-        fx = all_fixtures[fid]
+        fx = loaded[fid]
         resid = lagrangian_residual_expr(fx.problem, fx.lagrangian)
         zc = zero_check(resid, fx.problem.domain, params=fx.problem.params)
         results.append((f"{fid} constraint", zc.is_zero and zc.structural))
-        mutated = simplify(fx.delta2 + ex.X)
+        mutated = simplify(fx.exprs["delta2"] + ex.X)
         resid_m = lagrangian_residual_expr(
             fx.problem, LagrangianData(ex.ZERO, mutated))
         zc_m = zero_check(resid_m, fx.problem.domain, params=fx.problem.params)
@@ -201,24 +198,25 @@ def test_criterion_6_hypothesis_gates(all_fixtures, capsys):
 
     # accumulator hypothesis, time-free-phi fixtures
     for fid in ("PG4", "PG20"):
-        fx = all_fixtures[fid]
-        psi = simplify(diff(fx.eta, "t") - fx.delta2)
+        fx = loaded[fid]
+        eta, delta2 = fx.exprs["eta"], fx.exprs["delta2"]
+        psi = simplify(diff(eta, "t") - delta2)
         resid = simplify(ex.Exp(fx.problem.phi) * fx.problem.B - diff(psi, "x"))
         zc = zero_check(resid, fx.problem.domain, params=fx.problem.params)
         results.append((f"{fid} hypothesis", zc.is_zero and zc.structural))
         try:
-            nonlocal_timedep_phi0(fx.problem, fx.eta, simplify(fx.delta2 + ex.X))
+            nonlocal_timedep_phi0(fx.problem, eta, simplify(delta2 + ex.X))
             results.append((f"{fid} mutated fails", False))
         except HypothesisError:
             results.append((f"{fid} mutated fails", True))
 
     # decomposition and compatibility, general fixture
-    fx = all_fixtures["JAC_EXACT"]
-    reports = check_general_hypotheses(fx.problem, fx.rho1, fx.rho2)
+    problem, exprs, _ = loaded["JAC_EXACT"]
+    rho1, rho2 = exprs["rho1"], exprs["rho2"]
+    reports = check_general_hypotheses(problem, rho1, rho2)
     results.append(("JAC_EXACT hypotheses",
                     all(r.passed and r.structural for r in reports)))
-    mutated = check_general_hypotheses(fx.problem, fx.rho1,
-                                       simplify(fx.rho2 + ex.X))
+    mutated = check_general_hypotheses(problem, rho1, simplify(rho2 + ex.X))
     results.append(("JAC_EXACT mutated fails",
                     any(not r.passed for r in mutated)))
 
@@ -228,7 +226,7 @@ def test_criterion_6_hypothesis_gates(all_fixtures, capsys):
              f"{len(results)} checks" + (f", failing: {failing}" if failing else ""))
 
 
-def test_criterion_7_numerics_hygiene(all_fixtures, constructed, trajectories,
+def test_criterion_7_numerics_hygiene(loaded, constructed, trajectories,
                                       fine_trajectories, capsys):
     """Derivatives vs finite differences < 1e-6 (100 points); drift order
     >= 3.5 on every fixture; EL residual < 1e-8 (1+|a|) along every
@@ -256,7 +254,7 @@ def test_criterion_7_numerics_hygiene(all_fixtures, constructed, trajectories,
 
     orders_ok = True
     worst_order = math.inf
-    for fid in all_fixtures:
+    for fid in loaded:
         for spec in constructed[fid]:
             rep = drift_report(spec, trajectories[fid], fine_trajectories[fid], 512)
             worst_order = min(worst_order, rep.order)
@@ -264,7 +262,7 @@ def test_criterion_7_numerics_hygiene(all_fixtures, constructed, trajectories,
 
     el_ok = True
     worst_el = 0.0
-    for fid, fx in all_fixtures.items():
+    for fid, fx in loaded.items():
         accel = rhs(fx.problem)
         residual = euler_lagrange_residual(fx.problem, fx.lagrangian)
         for s in trajectories[fid].states():

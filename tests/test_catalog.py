@@ -16,16 +16,16 @@ def test_ids_and_unknown():
         catalog.get("PG99")
 
 
-def test_every_fixture_passes_its_hypotheses(all_fixtures, checked):
-    for fid, fx in all_fixtures.items():
+def test_every_fixture_passes_its_hypotheses(loaded, checked):
+    for fid, fx in loaded.items():
         reports = validate_lagrangian(fx.problem, fx.lagrangian)
         assert all(r.passed for r in reports), fid
         _, _, report, built = checked[fid]
         assert report["pass"] and built.specs, fid
 
 
-def test_expected_classifications(all_fixtures):
-    tags = {fid: classify(fx.problem).tag for fid, fx in all_fixtures.items()}
+def test_expected_classifications(loaded):
+    tags = {fid: classify(fx.problem).tag for fid, fx in loaded.items()}
     assert tags == {
         "PG18": "Autonomous", "PG21": "Autonomous", "PG22": "Autonomous",
         "PG4": "TimeIndependentPhi", "PG20": "TimeIndependentPhi",
@@ -33,8 +33,8 @@ def test_expected_classifications(all_fixtures):
     }
 
 
-def test_safe_windows_stay_inside_escape_scan(all_fixtures):
-    for fid, fx in all_fixtures.items():
+def test_safe_windows_stay_inside_escape_scan(loaded):
+    for fid, fx in loaded.items():
         status, t_esc = catalog.blowup_scan(fx.problem, horizon=10.0)
         if status == "Completed":
             continue
@@ -42,10 +42,8 @@ def test_safe_windows_stay_inside_escape_scan(all_fixtures):
 
 
 def test_pg18_doubled_expected_form(all_fixtures, constructed):
-    fx = all_fixtures["PG18"]
     spec = constructed["PG18"][0]
-    target = fx.expected[0]
-    assert target.normalization == 2
+    assert all_fixtures["PG18"].normalization == 2
     doubled = {d: simplify(ex.Rat(2) * c) for d, c in spec.local_exprs().items()}
     assert doubled[2] == simplify(parse("x^(-1)"))
     assert doubled[0] == simplify(parse("-4*x^2"))
@@ -87,8 +85,8 @@ def test_exact_solution_guards_log_domain():
         x(0.0)
 
 
-def test_closed_form_invariant_constant_on_exact_solution(all_fixtures, constructed):
-    fx = all_fixtures["JAC_EXACT"]
+def test_closed_form_invariant_constant_on_exact_solution(loaded, constructed):
+    fx = loaded["JAC_EXACT"]
     spec = constructed["JAC_EXACT"][0]
     fn = spec.compiled(fx.problem.params)
     x, v = exact_solution(1.0, -2.0, 1.0)

@@ -125,7 +125,7 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, change):
 
 def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
     # Autonomous: phi_t, B_t, Lagrangian constraint, factorization,
-    # square-factor ODE, energy constraint; TimeIndependentPhi: phi_t, B_t,
+    # square-factor ODE; TimeIndependentPhi: phi_t, B_t,
     # two Lagrangian checks, accumulator; General: phi_t, rho1 != 0, two
     # time-free checks, forcing decomposition, rho compatibility, D != 0
     original = ex.zero_check
@@ -137,8 +137,8 @@ def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
 
     for module in (problem_module, invariants_module):
         monkeypatch.setattr(module, "zero_check", counting)
-    for fid, want in (("PG18", 6), ("PG4", 5), ("JAC_EXACT", 7)):
-        problem, exprs = load_problem(cli._fixture_data(catalog.get(fid)))
+    for fid, want in (("PG18", 5), ("PG4", 5), ("JAC_EXACT", 7)):
+        problem, exprs = load_problem(catalog.get(fid).data)
         calls.clear()
         report, _ = cli.run_checks(problem, exprs)
         assert report["pass"] and len(calls) == want, (fid, len(calls))
@@ -146,16 +146,17 @@ def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
 
 def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
     # the Autonomous family reuses the checked factorization; the General
-    # one needs general_aux, which stays off the check path
+    # one needs _general_aux, which stays off the check path
     calls = []
-    for module, name in ((invariants_module, "_autonomous_aux"), (cli, "general_aux")):
+    for module, name in ((invariants_module, "_autonomous_aux"),
+                         (invariants_module, "_general_aux")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, f=original, n=name: calls.append(n) or f(*args))
     for fid, oracle, want in (("PG18", True, ["_autonomous_aux"]),
                               ("JAC_EXACT", False, []),
-                              ("JAC_EXACT", True, ["general_aux"])):
-        problem, exprs = load_problem(cli._fixture_data(catalog.get(fid)))
+                              ("JAC_EXACT", True, ["_general_aux"])):
+        problem, exprs = load_problem(catalog.get(fid).data)
         calls.clear()
         _, built = cli.run_checks(problem, exprs, oracle=oracle)
         assert calls == want, (fid, oracle)
@@ -301,6 +302,20 @@ def test_catalog_run_pg20(capsys):
     assert code == 0
     assert report["fixture"] == "PG20"
     assert report["pass"] is True
+
+
+@pytest.mark.parametrize("fid", catalog.ids())
+def test_run_on_a_fixture_file_reports_what_catalog_run_does(tmp_path, capsys, fid):
+    # a fixture is a problem file: run at its drift threshold prints the
+    # catalog report less its first key
+    fx = catalog.get(fid)
+    path = write(tmp_path, f"{fid}.json", fx.data)
+    code, out, _ = run_main(
+        ["run", path, "--oracle", "--threshold", repr(fx.drift_threshold)], capsys)
+    cat_code, cat_out, _ = run_main(["catalog", "run", fid], capsys)
+    fixture_line = f'  "fixture": "{fid}",\n'
+    assert cat_out.count(fixture_line) == 1
+    assert (code, out) == (cat_code, cat_out.replace(fixture_line, "", 1))
 
 
 def test_catalog_run_unknown_exit_2(capsys):

@@ -104,8 +104,8 @@ def test_prefix_simpson_matches_running_loop():
     assert same_bits(_prefix_simpson(zeros, 0.5), ref.prefix_simpson(zeros, 0.5))
 
 
-def test_oracle_constant_matches_pointwise_loop(all_fixtures, trajectories, families):
-    for fid, fx in all_fixtures.items():
+def test_oracle_constant_matches_pointwise_loop(loaded, trajectories, families):
+    for fid, fx in loaded.items():
         traj = trajectories[fid]
         series = oracle_constant(fx.problem, fx.lagrangian, families[fid], traj, 1024)
         want = ref.oracle_constant(fx.problem, fx.lagrangian, families[fid], traj, 1024)

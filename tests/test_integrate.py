@@ -18,7 +18,7 @@ from jacobi_invariants.integrate import (
     integrate,
 )
 from jacobi_invariants.invariants import first_integral_autonomous, nonlocal_autonomous
-from jacobi_invariants.problem import JacobiProblem
+from jacobi_invariants.problem import JacobiProblem, rhs
 
 
 def free_particle(t_end=1.0, x0=0.0, v0=1.0):
@@ -118,6 +118,39 @@ def test_step_failure_on_unreachable_singularity():
     assert traj.t_last == pytest.approx(0.5, abs=1e-2)
 
 
+@pytest.mark.parametrize("t0, t_end", [(-4.548, 12.711), (1.493, 27.715)])
+def test_last_step_lands_exactly_on_t_end(t0, t_end):
+    # the first window used to leave a gap below the minimum step, which
+    # the step floor pushed past t_end; in the second, t + h rounded above it
+    p = JacobiProblem(phi=ex.ZERO, B=ex.ZERO, t0=t0, t_end=t_end, x0=1.0, v0=0.3)
+    traj = integrate(p, (), (1e-6, 1e-6))
+    assert traj.termination.status == COMPLETED
+    assert traj.t_last == traj.termination.t == t_end
+    assert np.all(np.diff(traj.ts) > 0)
+
+
+def test_dense_output_matches_scipy_dop853(loaded, trajectories):
+    # an independent integrator on the same right-hand side, every
+    # accumulator channel included
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    for fid, fx in loaded.items():
+        p, traj = fx.problem, trajectories[fid]
+        accel = rhs(p)
+        gs = [ex.compile_fn(g, p.params) for g in traj.integrands]
+
+        def f(t, y):
+            return [y[1], accel(t, y[0], y[1]), *(g(t, y[0]) for g in gs)]
+
+        ref = solve_ivp(f, (p.t0, p.t_end), [p.x0, p.v0] + [0.0] * len(gs),
+                        method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True)
+        assert ref.success, fid
+        ts = np.linspace(p.t0, p.t_end, 257)
+        want = ref.sol(ts).T
+        got = traj.sample(ts)
+        assert got.shape == want.shape == (257, 2 + len(gs)), fid
+        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), fid
+
+
 def test_tolerance_validation():
     with pytest.raises(IntegrationError):
         integrate(free_particle(), (), (1e-15, 1e-10))
@@ -125,9 +158,9 @@ def test_tolerance_validation():
         integrate(free_particle(), (), (1e-10, 0.5))
 
 
-def test_step_doubling_consistency(all_fixtures, constructed):
+def test_step_doubling_consistency(loaded, constructed):
     # halving both tolerances never worsens max drift by more than 2x
-    for fid, fx in all_fixtures.items():
+    for fid, fx in loaded.items():
         spec = constructed[fid][-1]
         traj1 = integrate(fx.problem, spec.integrands, (1e-8, 1e-8))
         traj2 = integrate(fx.problem, spec.integrands, (5e-9, 5e-9))
@@ -146,13 +179,13 @@ def test_drift_convergence_under_refinement():
     assert coarse.max_drift() >= 8.0 * fine.max_drift()
 
 
-def test_evaluate_along_truncates_on_domain_error(all_fixtures):
+def test_evaluate_along_truncates_on_domain_error(loaded):
     # push PG22 past the singular contact so the dressed constant's
     # square root leaves its domain along the way
-    fx = all_fixtures["PG22"]
+    fx = loaded["PG22"]
     from jacobi_invariants.invariants import autonomous_aux
 
-    aux_p, _ = autonomous_aux(fx.problem, fx.delta2)
+    aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
     spec = nonlocal_autonomous(fx.problem, aux_p)
     from dataclasses import replace
 

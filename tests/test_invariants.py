@@ -28,8 +28,8 @@ from jacobi_invariants.problem import JacobiProblem
 
 
 @pytest.fixture
-def pg18(all_fixtures):
-    return all_fixtures["PG18"]
+def pg18(loaded):
+    return loaded["PG18"]
 
 
 def free_particle():
@@ -39,7 +39,7 @@ def free_particle():
 # ----------------------------------------------------------- autonomous aux
 
 def test_autonomous_aux_pg18(pg18):
-    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.delta2)
+    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     assert aux_p.bbar == simplify(parse("2*x^(3/2)"))
     assert aux_p.b == simplify(parse("-2*x^(1/2)"))
     assert aux_p.a == simplify(parse("x^(1/2)"))
@@ -66,23 +66,23 @@ def test_autonomous_aux_negative_radicand():
         autonomous_aux(p, parse("-k*x"))  # radicand -2kx < 0 for x > 0
 
 
-def test_autonomous_aux_wrong_regime(all_fixtures):
+def test_autonomous_aux_wrong_regime(loaded):
     with pytest.raises(HypothesisError):
-        autonomous_aux(all_fixtures["PG4"].problem, parse("t*x"))
+        autonomous_aux(loaded["PG4"].problem, parse("t*x"))
 
 
 # ----------------------------------------------------------------- y-ODE
 
 def test_check_y_ode_pg18(pg18):
-    aux_p, _ = autonomous_aux(pg18.problem, pg18.delta2)
+    aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     report = check_y_ode(pg18.problem, aux_p.bbar)
     assert report.passed and report.structural
 
 
-def test_check_y_ode_all_autonomous_aux(all_fixtures):
+def test_check_y_ode_all_autonomous_aux(loaded):
     for fid in ("PG18", "PG21", "PG22"):
-        fx = all_fixtures[fid]
-        aux_p, _ = autonomous_aux(fx.problem, fx.delta2)
+        fx = loaded[fid]
+        aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
         assert check_y_ode(fx.problem, aux_p.bbar).passed, fid
 
 
@@ -93,13 +93,13 @@ def test_check_y_ode_rejects_wrong_factor(pg18):
 
 # ------------------------------------------------------ autonomous specs
 
-def test_first_integral_autonomous_forms(all_fixtures):
+def test_first_integral_autonomous_forms(all_fixtures, loaded):
     # doubled, the energy form matches the classical one for each fixture
     for fid in ("PG18", "PG21", "PG22"):
-        fx = all_fixtures[fid]
-        spec = first_integral_autonomous(fx.problem, fx.delta2)
+        fx = loaded[fid]
+        spec = first_integral_autonomous(fx.problem, fx.exprs["delta2"])
         assert spec.kind == FIRST_INTEGRAL and not spec.integrands
-        target = fx.expected[0]
+        target = all_fixtures[fid]
         doubled = {d: simplify(Rat(target.normalization) * c)
                    for d, c in spec.local_exprs().items()}
         for d, text in target.poly_targets.items():
@@ -120,7 +120,7 @@ def test_nonlocal_autonomous_free_particle():
 
 
 def test_nonlocal_autonomous_pg18_values(pg18, trajectories):
-    aux_p, _ = autonomous_aux(pg18.problem, pg18.delta2)
+    aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     spec = nonlocal_autonomous(pg18.problem, aux_p)
     # at the initial state u = 0: I+ = (v + bbar) e^(phi/2) = (0 + 2)*1
     assert spec.value(0.0, 1.0, 0.0, [0.0]) == pytest.approx(2.0, rel=1e-14)
@@ -129,12 +129,12 @@ def test_nonlocal_autonomous_pg18_values(pg18, trajectories):
 
 
 def test_product_first_integral_identity(pg18, trajectories):
-    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.delta2)
+    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     ip = nonlocal_autonomous(pg18.problem, aux_p)
     im = nonlocal_autonomous(pg18.problem, aux_m)
     prod = product_first_integral(ip, im)
     assert prod.kind == FIRST_INTEGRAL and not prod.integrands
-    fi = first_integral_autonomous(pg18.problem, pg18.delta2)
+    fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
     f_fi = fi.compiled(pg18.problem.params)
     f_pr = prod.compiled(pg18.problem.params)
     traj = trajectories["PG18"]
@@ -152,8 +152,8 @@ def test_product_first_integral_free_particle():
     assert prod.value(0.0, 0.0, 2.0) == pytest.approx(2.0)  # (1/2) v^2
 
 
-def test_product_rejects_mismatched_pair(pg18, all_fixtures):
-    aux_p, _ = autonomous_aux(pg18.problem, pg18.delta2)
+def test_product_rejects_mismatched_pair(pg18):
+    aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     ip = nonlocal_autonomous(pg18.problem, aux_p)
     with pytest.raises(MismatchedAuxPairError):
         product_first_integral(ip, ip)  # same sign twice
@@ -161,9 +161,9 @@ def test_product_rejects_mismatched_pair(pg18, all_fixtures):
 
 # ----------------------------------------------------- time-free phi specs
 
-def test_theorem3_pg4_structure(all_fixtures):
-    fx = all_fixtures["PG4"]
-    spec = nonlocal_timedep_phi0(fx.problem, fx.eta, fx.delta2)
+def test_theorem3_pg4_structure(loaded):
+    fx = loaded["PG4"]
+    spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
     assert spec.kind == NONLOCAL_CONSTANT
     assert spec.poly[2] == Rat(1, 2)
     assert spec.poly[0] == simplify(parse("-2*x^3 - t*x"))
@@ -171,9 +171,9 @@ def test_theorem3_pg4_structure(all_fixtures):
     assert spec.linear_channels == ((-1, 0),)
 
 
-def test_theorem3_pg20_structure(all_fixtures):
-    fx = all_fixtures["PG20"]
-    spec = nonlocal_timedep_phi0(fx.problem, fx.eta, fx.delta2)
+def test_theorem3_pg20_structure(loaded):
+    fx = loaded["PG20"]
+    spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
     assert spec.poly[2] == simplify(parse("1/2 * x^(-1)"))
     assert spec.poly[0] == simplify(parse("-2*t*x - 2*x^2"))
     # d_t(eta_t - delta2) = -2x, entering as +2*Int[x] through the -w term
@@ -187,10 +187,10 @@ def test_theorem3_hypothesis_failure():
 
 
 def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
-    spec3 = nonlocal_timedep_phi0(pg18.problem, ex.ZERO, pg18.delta2)
+    spec3 = nonlocal_timedep_phi0(pg18.problem, ex.ZERO, pg18.exprs["delta2"])
     assert spec3.kind == FIRST_INTEGRAL
     assert simplify(spec3.integrands[0]) == Rat(0)
-    fi = first_integral_autonomous(pg18.problem, pg18.delta2)
+    fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
     f3 = spec3.compiled({})
     f1 = fi.compiled({})
     traj = trajectories["PG18"]
@@ -200,10 +200,10 @@ def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
     assert np.all(np.abs(a - b) < 1e-12)
 
 
-def test_theorem3_drift(all_fixtures):
+def test_theorem3_drift(loaded):
     for fid in ("PG4", "PG20"):
-        fx = all_fixtures[fid]
-        spec = nonlocal_timedep_phi0(fx.problem, fx.eta, fx.delta2)
+        fx = loaded[fid]
+        spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
         traj = integrate(fx.problem, spec.integrands, (1e-10, 1e-10))
         series = evaluate_along(traj, spec, 512)
         rel = series.max_drift() / max(1.0, abs(series.initial()))
@@ -212,9 +212,9 @@ def test_theorem3_drift(all_fixtures):
 
 # ------------------------------------------------------------ general specs
 
-def test_general_aux_exact_fixture(all_fixtures):
-    fx = all_fixtures["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem, fx.rho1, fx.rho2)
+def test_general_aux_exact_fixture(loaded):
+    fx = loaded["JAC_EXACT"]
+    aux_p, aux_m = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     assert aux_p.bbar == simplify(parse("2*rho*exp(-(t+x)/2)"))
     assert aux_p.b == Rat(1, 2)
     assert aux_m.bbar == simplify(parse("-2*rho*exp(-(t+x)/2)"))
@@ -222,23 +222,23 @@ def test_general_aux_exact_fixture(all_fixtures):
     assert simplify(aux_p.bbar * aux_p.b - fx.problem.B) == Rat(0)
 
 
-def test_general_hypotheses_pass_structurally(all_fixtures):
-    fx = all_fixtures["JAC_EXACT"]
-    reports = check_general_hypotheses(fx.problem, fx.rho1, fx.rho2)
+def test_general_hypotheses_pass_structurally(loaded):
+    fx = loaded["JAC_EXACT"]
+    reports = check_general_hypotheses(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     assert all(r.passed and r.structural for r in reports)
 
 
-def test_general_rejects_vanishing_rho1(all_fixtures):
-    fx = all_fixtures["JAC_EXACT"]
+def test_general_rejects_vanishing_rho1(loaded):
+    fx = loaded["JAC_EXACT"]
     with pytest.raises(HypothesisError):
         check_general_hypotheses(fx.problem, ex.ZERO, Rat(1))
     with pytest.raises(HypothesisError):
         general_aux(fx.problem, ex.ZERO, Rat(1))
 
 
-def test_general_constant_structure_and_downgrade(all_fixtures):
-    fx = all_fixtures["JAC_EXACT"]
-    spec = nonlocal_general(fx.problem, fx.rho1, fx.rho2)
+def test_general_constant_structure_and_downgrade(loaded):
+    fx = loaded["JAC_EXACT"]
+    spec = nonlocal_general(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     assert spec.kind == FIRST_INTEGRAL
     assert not spec.integrands  # closed-form exponent found
     assert simplify(spec.exp_closed_arg) == simplify(parse("t/2"))
@@ -247,17 +247,17 @@ def test_general_constant_structure_and_downgrade(all_fixtures):
     assert le[0] == simplify(parse("2*rho*exp(t/2)"))
 
 
-def test_general_constant_equals_itilde_on_trajectory(all_fixtures, trajectories):
-    fx = all_fixtures["JAC_EXACT"]
-    spec = nonlocal_general(fx.problem, fx.rho1, fx.rho2)
+def test_general_constant_equals_itilde_on_trajectory(loaded, trajectories):
+    fx = loaded["JAC_EXACT"]
+    spec = nonlocal_general(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     series = evaluate_along(trajectories["JAC_EXACT"], spec, 512)
     assert series.initial() == pytest.approx(-2.0, abs=1e-12)
     assert series.max_drift() < 1e-8
 
 
-def test_general_sign_collapse(all_fixtures):
-    fx = all_fixtures["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem, fx.rho1, fx.rho2)
+def test_general_sign_collapse(loaded):
+    fx = loaded["JAC_EXACT"]
+    aux_p, aux_m = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     sp = nonlocal_general_signed(fx.problem, aux_p)
     sm = nonlocal_general_signed(fx.problem, aux_m)
     traj = integrate(fx.problem, sp.integrands + sm.integrands, (1e-10, 1e-10))
@@ -287,7 +287,7 @@ def test_general_degenerate_denominator():
 
 # ------------------------------------------------------- drift invariants
 
-def test_every_constructed_invariant_drifts_below_1e6(all_fixtures, constructed,
+def test_every_constructed_invariant_drifts_below_1e6(loaded, constructed,
                                                       trajectories):
     for fid, specs in constructed.items():
         for spec in specs:
@@ -296,17 +296,17 @@ def test_every_constructed_invariant_drifts_below_1e6(all_fixtures, constructed,
             assert rel < 1e-6, (fid, spec.name, rel)
 
 
-def test_factorization_invariant_for_every_aux(all_fixtures):
+def test_factorization_invariant_for_every_aux(loaded):
     from jacobi_invariants.expr import is_identically_zero
 
     for fid in ("PG18", "PG21", "PG22"):
-        fx = all_fixtures[fid]
-        aux_p, _ = autonomous_aux(fx.problem, fx.delta2)
+        fx = loaded[fid]
+        aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
         assert is_identically_zero(
             simplify(aux_p.bbar * aux_p.b - fx.problem.B),
             fx.problem.domain, params=fx.problem.params)
-    fx = all_fixtures["JAC_EXACT"]
-    aux_p, _ = general_aux(fx.problem, fx.rho1, fx.rho2)
+    fx = loaded["JAC_EXACT"]
+    aux_p, _ = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     assert is_identically_zero(
         simplify(aux_p.bbar * aux_p.b - fx.problem.B),
         fx.problem.domain, params=fx.problem.params)

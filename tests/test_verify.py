@@ -36,9 +36,9 @@ def test_oracle_grid_minimum():
                         PerturbationFamily(ex.ONE, ex.ZERO, 0), traj, 4)
 
 
-def test_oracle_matches_closed_form_pg18(all_fixtures):
-    fx = all_fixtures["PG18"]
-    aux_p, _ = autonomous_aux(fx.problem, fx.delta2)
+def test_oracle_matches_closed_form_pg18(loaded):
+    fx = loaded["PG18"]
+    aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
     spec = nonlocal_autonomous(fx.problem, aux_p)
     fam = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
     regs = tuple(spec.integrands) + (fam.b,)
@@ -54,10 +54,10 @@ def test_oracle_matches_closed_form_pg18(all_fixtures):
     assert discrepancies[2048] / discrepancies[4096] >= 2 ** 1.8
 
 
-def test_oracle_offset_is_initial_dressing_pg18(all_fixtures):
+def test_oracle_offset_is_initial_dressing_pg18(loaded):
     # closed form absorbs bbar*e^(phi/2) at t0: offset = 2 exactly for PG18
-    fx = all_fixtures["PG18"]
-    aux_p, _ = autonomous_aux(fx.problem, fx.delta2)
+    fx = loaded["PG18"]
+    aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
     spec = nonlocal_autonomous(fx.problem, aux_p)
     fam = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
     regs = tuple(spec.integrands) + (fam.b,)
@@ -69,8 +69,8 @@ def test_oracle_offset_is_initial_dressing_pg18(all_fixtures):
     assert oracle_offset(so, sc) == pytest.approx(expected, abs=1e-10)
 
 
-def test_oracle_constant_series_on_plain_shift_pg4(all_fixtures):
-    fx = all_fixtures["PG4"]
+def test_oracle_constant_series_on_plain_shift_pg4(loaded):
+    fx = loaded["PG4"]
     fam = PerturbationFamily(ex.ONE, ex.ZERO, 0)
     traj = integrate(fx.problem, (), (1e-10, 1e-10))
     series = oracle_constant(fx.problem, fx.lagrangian, fam, traj, 4096)
@@ -78,8 +78,8 @@ def test_oracle_constant_series_on_plain_shift_pg4(all_fixtures):
     assert rel < 1e-6
 
 
-def test_oracle_drift_gate_on_fixtures(all_fixtures, constructions):
-    for fid, fx in all_fixtures.items():
+def test_oracle_drift_gate_on_fixtures(loaded, constructions):
+    for fid, fx in loaded.items():
         fam, regs = constructions[fid].family, constructions[fid].integrands
         coarse = integrate(fx.problem, regs, (1e-8, 1e-8))
         fine = integrate(fx.problem, regs, (1e-8 / REFINE, 1e-8 / REFINE))
