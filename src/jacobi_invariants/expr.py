@@ -565,7 +565,7 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None, array: bool = Fa
     if array:
         return _compile_array(e, params)
     src = "lambda t, x: " + _pysrc(e, params, _SCALAR_OPS)
-    fast = eval(src, {"math": math, "_pw": _fast_pow})
+    fast = eval(src, dict(_SCALAR_NAMESPACE))
 
     def fn(t: float, x: float) -> float:
         try:
@@ -574,6 +574,29 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None, array: bool = Fa
             return _eval(e, t, x, params)
 
     return fn
+
+
+def compile_fused(template: str, exprs, params: dict[str, float] | None = None):
+    """Compile several expressions and the arithmetic that combines them
+    into one function ``fn(t, x, v)``.
+
+    ``template`` is a Python expression in t, x and v whose i-th ``{}``
+    stands for ``exprs[i]``.  The fast path evaluates it with each field
+    replaced by that expression's fast-path source.  On any fast-path
+    failure it evaluates the template again over the ``compile_fn``
+    callables of the expressions, left to right, so values and the
+    DomainError raised are exactly those of the separate callables.
+    """
+    params = params or {}
+    fns = [compile_fn(e, params) for e in exprs]
+    fast = template.format(*(f"({_pysrc(e, params, _SCALAR_OPS)})" for e in exprs))
+    slow = template.format(*(f"_f{i}(t, x)" for i in range(len(fns))))
+    namespace = {**_SCALAR_NAMESPACE, "_FAST_ERRORS": _FAST_ERRORS,
+                 **{f"_f{i}": f for i, f in enumerate(fns)}}
+    exec(f"def fused(t, x, v):\n"
+         f"    try:\n        return {fast}\n"
+         f"    except _FAST_ERRORS:\n        return {slow}\n", namespace)
+    return namespace["fused"]
 
 
 def _compile_array(e: Expr, params: dict[str, float]):
@@ -679,6 +702,8 @@ _ARRAY_NAMESPACE = {
     "_sn": lambda a, m: _a_guarded(math.sin, a, np.isinf(a), m),
     "_cs": lambda a, m: _a_guarded(math.cos, a, np.isinf(a), m),
 }
+
+_SCALAR_NAMESPACE = {"math": math, "_pw": _fast_pow}
 
 # source templates of the operations that can leave the real domain
 _SCALAR_OPS = {

@@ -10,7 +10,9 @@ PI step controller and the standard quartic dense-output interpolant.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +39,6 @@ _D = (
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 )
-_A_NP = [np.array(row) for row in _A]
-_B_NP = np.array(_B)
-_E_NP = np.array(_E)
-_D_NP = np.array(_D)
 
 COMPLETED = "Completed"
 DOMAIN_ABORT = "DomainAbort"
@@ -131,11 +129,6 @@ class Trajectory:
         return AugmentedState(t=float(t), x=float(y[0]), v=float(y[1]),
                               u=tuple(float(c) for c in y[2:]))
 
-    def states(self) -> list[AugmentedState]:
-        return [AugmentedState(float(t), float(y[0]), float(y[1]),
-                               tuple(float(c) for c in y[2:]))
-                for t, y in zip(self.ts, self.ys)]
-
     def channel_of(self, integrand: Expr) -> int:
         """Index of a registered accumulator, matched structurally."""
         target = ex.simplify(integrand)
@@ -152,19 +145,58 @@ class Trajectory:
             lines.append(",".join("%.17g" % val for val in [t, *y]))
         return "\n".join(lines) + "\n"
 
-    def to_jsonable(self) -> dict:
-        n_u = self.ys.shape[1] - 2
-        return {
-            "t": [float(v) for v in self.ts],
-            "x": [float(y[0]) for y in self.ys],
-            "v": [float(y[1]) for y in self.ys],
-            **{f"u{i}": [float(y[2 + i]) for y in self.ys] for i in range(n_u)},
-        }
 
+@functools.cache
+def _step(n: int):
+    """One Dormand-Prince step on n components, unrolled over Python floats.
 
-def _norm_err(err_vec, y0, y1, atol, rtol):
-    sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+    Returns ``step(f, t, h, y, k1, atol, rtol) -> (err, y_new, k7, rows)``:
+    y and k1 are n-tuples, f is the fused right-hand side (t, x, v) ->
+    n-tuple, err the RMS of the error estimate over
+    atol + rtol*max(|y|, |y_new|), k7 the derivative at y_new (FSAL,
+    the next step's k1) and rows the 5 x n dense-output
+    coefficients, flat and row by row.  Stage inputs are formed for x and
+    v only: the right-hand side never reads the channels.
+    """
+    comps = range(n)
+
+    def k(s, i):
+        return f"k{s}_{i}"
+
+    def stage(s):
+        return ", ".join(k(s, i) for i in comps)
+
+    def combo(weights, i):
+        """Source of the weighted sum of stages 1.. of component i, left to
+        right, zero weights dropped."""
+        terms = [f"{w!r}*{k(s, i)}" for s, w in enumerate(weights, 1) if w != 0.0]
+        return " + ".join(terms).replace("+ -", "- ")
+
+    lines = ["def step(f, t, h, y, k1, atol, rtol):",
+             f"    {', '.join(f'y{i}' for i in comps)} = y",
+             f"    {stage(1)} = k1"]
+    for s in range(2, 7):
+        a = _A[s - 1]
+        lines.append(f"    {stage(s)} = f(t + {_C[s - 1]!r}*h, "
+                     f"y0 + h*({combo(a, 0)}), y1 + h*({combo(a, 1)}))")
+    lines += [f"    n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
+    lines += [f"    k7 = f(t + {_C[6]!r}*h, n0, n1)",
+              f"    {stage(7)} = k7"]
+    for i in comps:
+        lines += [f"    a{i} = abs(y{i}); b{i} = abs(n{i})",
+                  f"    q{i} = h*({combo(_E, i)})/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))",
+                  f"    d{i} = n{i} - y{i}",
+                  f"    p{i} = h*k1_{i} - d{i}"]
+    lines.append(f"    err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in comps)})/{n})")
+    # the quartic's coefficients as Trajectory.sample reads them, with
+    # d = y_new - y and p = h*k1 - d
+    rows = ([f"y{i}" for i in comps] + [f"d{i}" for i in comps] + [f"p{i}" for i in comps]
+            + [f"d{i} - h*k7_{i} - p{i}" for i in comps]
+            + [f"h*({combo(_D, i)})" for i in comps])
+    lines.append(f"    return err, ({', '.join(f'n{i}' for i in comps)}), k7, ({', '.join(rows)})")
+    namespace = {"_sqrt": math.sqrt}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["step"]
 
 
 def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
@@ -180,38 +212,31 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
         if not (TOL_MIN <= v <= TOL_MAX):
             raise IntegrationError(f"tolerance {v} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
     integrands = tuple(ex.simplify(g) for g in integrands)
-    accel = rhs(p)
-    gs = [ex.compile_fn(g, p.params) for g in integrands]
-    n = 2 + len(gs)
-
-    def f(t, y):
-        out = np.empty(n)
-        out[0] = y[1]
-        out[1] = accel(t, y[0], y[1])
-        for i, g in enumerate(gs):
-            out[2 + i] = g(t, y[0])
-        return out
+    f = rhs(p, integrands)
+    n = 2 + len(integrands)
+    step = _step(n)
 
     t0, t_end = p.t0, p.t_end
     hmin = 1e-12 * (t_end - t0)
-    y = np.zeros(n)
-    y[:2] = p.x0, p.v0
+    y = (float(p.x0), float(p.v0)) + (0.0,) * len(integrands)
 
-    ts = [t0]
-    ys = [y.copy()]
-    conts = []
+    # accepted samples and dense-output rows, flat; shaped once in finish
+    ts = array("d", [t0])
+    ys = array("d", y)
+    conts = array("d")
 
     def finish(status, t_at, point=None, detail=""):
+        steps = len(conts) // (5 * n)
         return Trajectory(
             problem=p, integrands=integrands,
-            ts=np.array(ts), ys=np.array(ys),
-            conts=(np.array(conts) if conts else np.zeros((0, 5, n))),
+            ts=np.frombuffer(ts), ys=np.frombuffer(ys).reshape(-1, n),
+            conts=np.frombuffer(conts).reshape(steps, 5, n),
             termination=Termination(status, t_at, point, detail),
-            mean_step=((ts[-1] - ts[0]) / max(len(conts), 1)),
+            mean_step=((ts[-1] - ts[0]) / max(steps, 1)),
         )
 
     try:
-        k1 = f(t0, y)
+        k1 = f(t0, y[0], y[1])
     except DomainError as err:
         return finish(DOMAIN_ABORT, t0, (err.t, err.x), str(err))
 
@@ -221,7 +246,6 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
     errprev = 1.0
     rejects = 0
     just_rejected = False
-    K = np.empty((7, n))
 
     while t < t_end:
         # floor first, then clamp: the last step ends exactly on t_end
@@ -229,11 +253,8 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
         last = h >= t_end - t
         if last:
             h = t_end - t
-        K[0] = k1
         try:
-            for i in range(1, 7):
-                yi = y + h * (_A_NP[i] @ K[:i])
-                K[i] = f(t + _C[i] * h, yi)
+            err, y_new, k7, rows = step(f, t, h, y, k1, atol, rtol)
         except DomainError as err:
             # a wide trial step may poke outside the domain; creep closer
             # before declaring the abort
@@ -243,29 +264,19 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
                 h *= 0.25
                 continue
             return finish(DOMAIN_ABORT, t, (err.t, err.x), str(err))
-        y_new = y + h * (_B_NP @ K[:6])  # equals the stage-7 input (FSAL)
-        err_vec = h * (_E_NP @ K)
-        err = _norm_err(err_vec, y, y_new, atol, rtol)
         if not math.isfinite(err):
             err = 10.0
 
         if err <= 1.0:
-            ydiff = y_new - y
-            bspl = h * K[0] - ydiff
-            cont = np.stack([
-                y, ydiff, bspl,
-                ydiff - h * K[6] - bspl,
-                h * (_D_NP @ K),
-            ])
-            conts.append(cont)
+            conts.extend(rows)
             t = t_end if last else t + h
             y = y_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.extend(y)
             if abs(y[0]) + abs(y[1]) > _BLOWUP_BOUND:
-                return finish(BLOW_UP, t, (t, float(y[0])),
+                return finish(BLOW_UP, t, (t, y[0]),
                               f"|x|+|v| exceeded {_BLOWUP_BOUND:g}")
-            k1 = K[6]
+            k1 = k7
             rejects = 0
             # PI controller, safety 0.9, exponents 0.7/4 and 0.4/4
             fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0
@@ -277,23 +288,31 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
             rejects += 1
             just_rejected = True
             if rejects >= _MAX_CONSECUTIVE_REJECTS and h <= hmin * 4.0:
-                return finish(STEP_FAILURE, t, (t, float(y[0])),
+                return finish(STEP_FAILURE, t, (t, y[0]),
                               f"{rejects} consecutive rejected steps at minimum step size")
             h *= max(0.2, 0.9 * err ** (-0.25))
 
     return finish(COMPLETED, t)
 
 
+def _rms(values, scales) -> float:
+    total = 0.0
+    for v, s in zip(values, scales):
+        q = v / s
+        total += q * q
+    return math.sqrt(total / len(values))
+
+
 def _initial_step(f, t0, y0, f0, t_end, atol, rtol) -> float:
     """Standard starting-step heuristic from the embedded-RK literature."""
-    sc = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    sc = [atol + rtol * abs(y) for y in y0]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     try:
-        f1 = f(t0 + h0, y0 + h0 * f0)
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
+        f1 = f(t0 + h0, y0[0] + h0 * f0[0], y0[1] + h0 * f0[1])
+        d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
     except DomainError:
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
     dm = max(d1, d2)

@@ -121,16 +121,14 @@ def _classify(p: JacobiProblem) -> Classification:
     return Classification(TIME_INDEPENDENT_PHI, tuple(warnings))
 
 
-def rhs(p: JacobiProblem):
-    """Acceleration closure (t, x, v) -> v'; derivatives taken once here."""
-    phi_x = ex.compile_fn(ex.diff(p.phi, "x"), p.params)
-    phi_t = ex.compile_fn(ex.diff(p.phi, "t"), p.params)
-    B = ex.compile_fn(ex.simplify(p.B), p.params)
-
-    def accel(t: float, x: float, v: float) -> float:
-        return -(0.5 * phi_x(t, x) * v * v + phi_t(t, x) * v + B(t, x))
-
-    return accel
+def rhs(p: JacobiProblem, integrands: tuple[Expr, ...] = ()):
+    """Right-hand side of the first-order system, one fused function
+    (t, x, v) -> (v, a, g_0(t, x), ..): the acceleration
+    a = -(phi_x/2 v^2 + phi_t v + B) and one integrand per accumulator
+    channel, compiled as given; derivatives taken once here."""
+    exprs = (ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B), *integrands)
+    template = "(v, -(0.5*{}*v*v + {}*v + {})" + ", {}" * len(integrands) + ")"
+    return ex.compile_fused(template, exprs, p.params)
 
 
 def lagrangian_residual_expr(p: JacobiProblem, L: LagrangianData) -> Expr:

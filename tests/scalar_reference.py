@@ -1,7 +1,8 @@
 """Point-by-point reference implementations of the whole-grid evaluation
 layer: one dense-output state, one compiled scalar call and one Python
 float operation at a time, as the library evaluated before it worked on
-arrays.  The parity tests hold the array code to these bit for bit."""
+arrays.  The parity tests hold the array code to these bit for bit, and
+the fused right-hand side of ``problem.rhs`` to ``rhs`` here."""
 
 import math
 
@@ -26,6 +27,19 @@ def state(traj, t: float) -> np.ndarray:
     theta = (t - ts[k]) / h
     r = traj.conts[k]
     return r[0] + theta * (r[1] + (1 - theta) * (r[2] + theta * (r[3] + (1 - theta) * r[4])))
+
+
+def rhs(p, integrands=()):
+    """(t, x, v) -> (v, a, g_0..) from separately compiled expressions,
+    in the order and with the arithmetic that ``problem.rhs`` fuses."""
+    phi_x, phi_t, B, *gs = (ex.compile_fn(e, p.params) for e in (
+        ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B), *integrands))
+
+    def f(t, x, v):
+        a = -(0.5 * phi_x(t, x) * v * v + phi_t(t, x) * v + B(t, x))
+        return (v, a, *(g(t, x) for g in gs))
+
+    return f
 
 
 def spec_fn(spec, params):

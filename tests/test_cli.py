@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -163,6 +164,50 @@ def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
         assert (built.family is not None) == oracle
 
 
+# (accepted steps, right-hand-side calls) of the four integrations of
+# run_fixture at its defaults: tol, tol / REFINE, then the oracle's pair at
+# 1e-8 and 1e-8 / REFINE; all Completed.  A catalog pass makes 1,406
+# accepted steps and 8,484 calls, so none is rejected.
+STEP_SEQUENCES = {
+    "PG18": ((35, 212), (59, 356), (15, 92), (25, 152)),
+    "PG21": ((76, 458), (132, 794), (30, 182), (52, 314)),
+    "PG22": ((33, 200), (55, 332), (15, 92), (24, 146)),
+    "PG4": ((84, 506), (145, 872), (34, 206), (58, 350)),
+    "PG20": ((86, 518), (150, 902), (34, 206), (60, 362)),
+    "JAC_EXACT": ((53, 320), (89, 536), (24, 146), (38, 230)),
+}
+
+
+def test_fixture_step_sequences_are_pinned(monkeypatch):
+    # counts every call of the function problem.rhs returns, as a tracer
+    # wrapping rhs does; one call for k1, one in the starting-step
+    # heuristic and six per attempted step
+    calls = []
+    original_rhs, original_integrate = integrate_module.rhs, integrate_module.integrate
+
+    def counting_rhs(p, integrands=()):
+        f = original_rhs(p, integrands)
+        return lambda t, x, v: calls.append(None) or f(t, x, v)
+
+    seen = []
+
+    def recording(p, integrands=(), tol=(1e-10, 1e-10)):
+        before = len(calls)
+        traj = original_integrate(p, integrands, tol)
+        seen.append((tol, len(traj.conts), traj.termination.status, len(calls) - before))
+        return traj
+
+    monkeypatch.setattr(integrate_module, "rhs", counting_rhs)
+    monkeypatch.setattr(cli, "integrate", recording)
+    tols = (1e-10, 1e-10 / integrate_module.REFINE, 1e-8, 1e-8 / integrate_module.REFINE)
+    for fid, want in STEP_SEQUENCES.items():
+        seen.clear()
+        _, code = cli.run_fixture(fid)
+        assert code == 0
+        assert seen == [((tol, tol), steps, integrate_module.COMPLETED, n)
+                        for tol, (steps, n) in zip(tols, want)], fid
+
+
 def test_run_oracle_without_lagrangian_exits_2_before_integrating(tmp_path, capsys,
                                                                   monkeypatch):
     data = {"phi": "t+x", "B": "rho*exp(-(t+x)/2)", "rho1": "rho",
@@ -258,6 +303,18 @@ def test_catalog_run_all_matches_golden_report(capsys):
     code, out, _ = run_main(["catalog", "run", "--all"], capsys)
     assert code == 0
     assert out.encode() == GOLDEN_CATALOG.read_bytes()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
+def test_catalog_report_does_not_depend_on_the_blas_kernel(coretype):
+    # OpenBLAS picks its CPU kernel when it loads, and its kernels round
+    # dot products differently; the variable forces an older kernel in the
+    # child only, and a numpy built without OpenBLAS ignores it
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    cmd = [sys.executable, "-m", "jacobi_invariants.cli", "catalog", "run", "--all"]
+    proc = subprocess.run(cmd, capture_output=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert proc.stdout == GOLDEN_CATALOG.read_bytes()
 
 
 GOLDEN_CHECKS = pathlib.Path(__file__).parent / "data" / "check_reports.json"

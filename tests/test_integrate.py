@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scalar_reference
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import Rat, parse
@@ -13,6 +14,13 @@ from jacobi_invariants.integrate import (
     STEP_FAILURE,
     AccumulatorMismatchError,
     IntegrationError,
+    Termination,
+    Trajectory,
+    _A,
+    _B,
+    _C,
+    _E,
+    _step,
     drift_report,
     evaluate_along,
     integrate,
@@ -62,20 +70,20 @@ def test_accumulator_exactness():
 
 def test_initial_sample_and_zero_accumulators():
     traj = integrate(free_particle(), (parse("t"), parse("x")), (1e-8, 1e-8))
-    first = traj.states()[0]
-    assert (first.t, first.x, first.v) == (0.0, 0.0, 1.0)
-    assert first.u == (0.0, 0.0)
+    t, (x, v, *u) = traj.ts[0], traj.ys[0].tolist()
+    assert (t, x, v) == (0.0, 0.0, 1.0)
+    assert tuple(u) == (0.0, 0.0)
     assert np.all(np.diff(traj.ts) > 0)
 
 
 def test_dense_output_matches_accepted_steps():
     p = JacobiProblem(phi=ex.ZERO, B=parse("x"), t0=0.0, t_end=3.0, x0=1.0, v0=0.0)
     traj = integrate(p, (parse("x"),), (1e-9, 1e-9))
-    for s in traj.states():
-        d = traj.state(s.t)
-        assert d.x == pytest.approx(s.x, abs=1e-14)
-        assert d.v == pytest.approx(s.v, abs=1e-14)
-        assert d.u[0] == pytest.approx(s.u[0], abs=1e-14)
+    for t, (x, v, u0) in zip(traj.ts.tolist(), traj.ys.tolist()):
+        d = traj.state(t)
+        assert d.x == pytest.approx(x, abs=1e-14)
+        assert d.v == pytest.approx(v, abs=1e-14)
+        assert d.u[0] == pytest.approx(u0, abs=1e-14)
 
 
 def test_accumulator_translation_consistency():
@@ -131,24 +139,72 @@ def test_last_step_lands_exactly_on_t_end(t0, t_end):
 
 def test_dense_output_matches_scipy_dop853(loaded, trajectories):
     # an independent integrator on the same right-hand side, every
-    # accumulator channel included
+    # accumulator channel included, built from separately compiled
+    # expressions so that it shares no generated code with the integrator
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     for fid, fx in loaded.items():
         p, traj = fx.problem, trajectories[fid]
-        accel = rhs(p)
-        gs = [ex.compile_fn(g, p.params) for g in traj.integrands]
+        separate = scalar_reference.rhs(p, traj.integrands)
 
         def f(t, y):
-            return [y[1], accel(t, y[0], y[1]), *(g(t, y[0]) for g in gs)]
+            return separate(t, y[0], y[1])
 
-        ref = solve_ivp(f, (p.t0, p.t_end), [p.x0, p.v0] + [0.0] * len(gs),
+        n_u = len(traj.integrands)
+        ref = solve_ivp(f, (p.t0, p.t_end), [p.x0, p.v0] + [0.0] * n_u,
                         method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True)
         assert ref.success, fid
         ts = np.linspace(p.t0, p.t_end, 257)
         want = ref.sol(ts).T
         got = traj.sample(ts)
-        assert got.shape == want.shape == (257, 2 + len(gs)), fid
+        assert got.shape == want.shape == (257, 2 + n_u), fid
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), fid
+
+
+@pytest.mark.parametrize("integrands", [(), ("x^2", "t*x", "exp(-x)")])
+def test_one_step_matches_scipy_rk45_tableau(integrands):
+    # the generated step against one built from scipy's own Dormand-Prince
+    # coefficients on the same right-hand side, with 2 and 5 components
+    RK45 = pytest.importorskip("scipy.integrate").RK45
+    assert np.array_equal(RK45.C, _C[:6]) and np.array_equal(RK45.B, _B)
+    assert all(np.array_equal(RK45.A[s, :s], _A[s]) for s in range(6))
+    assert np.array_equal(RK45.E, -np.array(_E))
+    p = JacobiProblem(phi=parse("x/2 + t/3"), B=parse("sin(x) + t*x"),
+                      t0=0.0, t_end=1.0, x0=0.7, v0=-0.4)
+    f = rhs(p, tuple(parse(g) for g in integrands))
+    n = 2 + len(integrands)
+    t, h, atol, rtol = 0.3, 0.05, 1e-9, 1e-6
+    y = (0.7, -0.4) + tuple(0.25 * (i + 1) for i in range(n - 2))
+    K = np.empty((7, n))
+    K[0] = k1 = f(t, y[0], y[1])
+    err, y_new, k7, rows = _step(n)(f, t, h, y, k1, atol, rtol)
+
+    for s in range(1, 6):
+        ys = np.array(y) + h * (K[:s].T @ RK45.A[s, :s])
+        K[s] = f(t + RK45.C[s] * h, ys[0], ys[1])
+    want = np.array(y) + h * (K[:6].T @ RK45.B)
+    K[6] = f(t + h, want[0], want[1])
+    assert np.allclose(y_new, want, rtol=1e-14, atol=0.0)
+    assert np.allclose(k7, K[6], rtol=1e-14, atol=0.0)
+
+    # the step returns the RMS of the scaled error vector; the estimate is
+    # a cancelling sum, so its rounding is bounded against the same norm of
+    # the magnitudes summed
+    sc = atol + rtol * np.maximum(np.abs(y), np.abs(want))
+
+    def rms(vec):
+        return float(np.sqrt(np.mean((vec / sc) ** 2)))
+
+    bound = 1e-14 * rms(h * (np.abs(K.T) @ np.abs(RK45.E)))
+    assert abs(err - rms(h * (K.T @ RK45.E))) <= bound
+
+    step = Trajectory(problem=p, integrands=(), ts=np.array([t, t + h]),
+                      ys=np.array([y, y_new]), conts=np.array(rows).reshape(1, 5, n),
+                      termination=Termination(COMPLETED, t + h), mean_step=h)
+    thetas = np.array([0.1, 0.5, 0.9])
+    got = step.sample(t + thetas * h)
+    powers = thetas[:, None] ** np.arange(1, 5)
+    dense = np.array(y) + h * (powers @ (K.T @ RK45.P).T)
+    assert np.allclose(got, dense, rtol=1e-14, atol=0.0)
 
 
 def test_tolerance_validation():
@@ -212,9 +268,6 @@ def test_csv_export_roundtrip():
     last = [float(v) for v in rows[-1].split(",")]
     assert last[0] == pytest.approx(1.0)
     assert last[1] == pytest.approx(1.0, abs=1e-12)
-    js = traj.to_jsonable()
-    assert set(js) == {"t", "x", "v", "u0"}
-    assert len(js["t"]) == len(rows)
 
 
 def test_drift_report_orders(constructed, trajectories, fine_trajectories):

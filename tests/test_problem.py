@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+import scalar_reference
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants import problem as problem_module
@@ -82,12 +84,49 @@ def test_classify_numeric_zero_attaches_warning():
 
 
 def test_rhs_examples(pg18):
-    assert rhs(pg18)(0.0, 1.0, 0.0) == pytest.approx(4.0, abs=1e-14)
+    assert rhs(pg18)(0.0, 1.0, 0.0)[1] == pytest.approx(4.0, abs=1e-14)
     free = JacobiProblem(phi=ex.ZERO, B=ex.ZERO, t0=0, t_end=1)
-    assert rhs(free)(0.3, 5.0, -2.0) == 0.0
+    assert rhs(free)(0.3, 5.0, -2.0)[1] == 0.0
     pj = JacobiProblem(phi=parse("t+x"), B=parse("rho*exp(-(t+x)/2)"),
                        params={"rho": 1.0}, t0=0, t_end=1, x0=0.0, v0=0.0)
-    assert rhs(pj)(0.0, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    assert rhs(pj)(0.0, 0.0, 0.0)[1] == pytest.approx(-1.0, abs=1e-14)
+
+
+def _outcome(f, t, x, v):
+    """The values of f bit for bit, or the type and text of its DomainError."""
+    try:
+        return tuple(float(value).hex() for value in f(t, x, v))
+    except ex.DomainError as err:
+        return type(err), str(err)
+
+
+def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, constructions):
+    rng = random.Random(2024)
+    for fid, fx in loaded.items():
+        p = fx.problem
+        integrands = tuple(ex.simplify(g) for g in constructions[fid].integrands)
+        fused, separate = rhs(p, integrands), scalar_reference.rhs(p, integrands)
+        t0, t1, x0, x1 = p.domain
+        values = 0
+        for _ in range(200):
+            t, x, v = rng.uniform(t0, t1), rng.uniform(x0, x1), rng.uniform(-3.0, 3.0)
+            want = _outcome(separate, t, x, v)
+            assert _outcome(fused, t, x, v) == want, (fid, t, x, v)
+            values += isinstance(want[0], str)
+        assert values > 100, fid
+
+
+def test_fused_rhs_raises_the_separate_domain_error():
+    # ln(x) in the forcing leaves its domain at x <= 0, the channel at x = 1
+    p = JacobiProblem(phi=ex.ZERO, B=parse("ln(x)"), t0=0, t_end=1, x0=0.5, v0=0.0)
+    integrands = (parse("t"), parse("1/(x - 1)"))
+    fused, separate = rhs(p, integrands), scalar_reference.rhs(p, integrands)
+    for x, reason in ((-0.5, "ln of non-positive value"), (0.0, "ln of non-positive value"),
+                      (1.0, "division by zero")):
+        want = _outcome(separate, 0.25, x, 2.0)
+        assert want[0] is ex.DomainError and want[1].startswith(reason)
+        assert _outcome(fused, 0.25, x, 2.0) == want
+    assert isinstance(_outcome(fused, 0.25, 2.0, 2.0)[0], str)
 
 
 def test_validate_lagrangian_autonomous(pg18):
@@ -122,8 +161,8 @@ def test_euler_lagrange_free_particle():
 
 
 def test_euler_lagrange_vanishes_on_rhs(pg18):
-    accel = rhs(pg18)
+    f = rhs(pg18)
     res = euler_lagrange_residual(pg18, LagrangianData(ex.ZERO, parse("2*x^2")))
     for (t, x, v) in [(0.0, 1.0, 0.0), (0.1, 1.2, 0.8), (0.3, 2.0, 3.0)]:
-        a = accel(t, x, v)
+        a = f(t, x, v)[1]
         assert abs(res(t, x, v, a)) < 1e-8 * (1 + abs(a))
