@@ -10,7 +10,7 @@ so initial data is fixed at x0 = 1, v0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -158,12 +158,3 @@ def exact_solution(rho: float, itilde: float, jtilde: float):
 
     return x, xdot
 
-
-def blowup_scan(p, horizon: float = 12.0, tol: float = 1e-6) -> tuple[str, float]:
-    """Loose-tolerance escape scan of a ``JacobiProblem``, used to choose
-    the safe windows; returns (termination status, termination time)."""
-    from .integrate import integrate
-
-    probe = replace(p, t_end=p.t0 + horizon)
-    traj = integrate(probe, (), (tol, tol))
-    return traj.termination.status, traj.t_last

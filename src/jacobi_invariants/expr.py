@@ -14,10 +14,7 @@ quasi-random sampling for whatever rewriting misses.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-
-import numpy as np
 
 # node kinds
 RAT = "rat"
@@ -462,9 +459,14 @@ def evaluate(e: Expr, t: float, x: float, params: dict[str, float] | None = None
 
 
 def _eval(e: Expr, t, x, params) -> float:
+    """Slow reference evaluator: every numeric failure is a DomainError
+    that names the node and the point."""
     k = e.kind
     if k == RAT:
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise DomainError(e, t, x, "constant beyond float range") from None
     if k == VAR:
         return t if e.name == "t" else x
     if k == PARAM:
@@ -473,7 +475,13 @@ def _eval(e: Expr, t, x, params) -> float:
         except KeyError:
             raise UnboundParameterError(e.name) from None
     if k == ADD:
-        return math.fsum(_eval(a, t, x, params) for a in e.args)
+        terms = [_eval(a, t, x, params) for a in e.args]
+        try:
+            return math.fsum(terms)
+        except OverflowError:
+            raise DomainError(e, t, x, "overflow in sum") from None
+        except ValueError:  # inf + -inf
+            raise DomainError(e, t, x, "sum of opposite infinities") from None
     if k == SUB:
         return _eval(e.args[0], t, x, params) - _eval(e.args[1], t, x, params)
     if k == MUL:
@@ -509,10 +517,12 @@ def _eval(e: Expr, t, x, params) -> float:
         if v < 0.0:
             raise DomainError(e, t, x, "sqrt of negative value")
         return math.sqrt(v)
-    if k == SIN:
-        return math.sin(_eval(e.args[0], t, x, params))
-    if k == COS:
-        return math.cos(_eval(e.args[0], t, x, params))
+    if k == SIN or k == COS:
+        v = _eval(e.args[0], t, x, params)
+        try:
+            return (math.sin if k == SIN else math.cos)(v)
+        except ValueError:  # an infinite argument
+            raise DomainError(e, t, x, f"{k} of infinite value") from None
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -544,28 +554,24 @@ def _fast_pow(base, expo):
     return base ** expo
 
 
-def compile_fn(e: Expr, params: dict[str, float] | None = None, array: bool = False):
+_NAMESPACE = {"math": math, "_pw": _fast_pow}
+
+
+def _check_bound(e: Expr, params: dict[str, float]) -> None:
+    for name in free_params(e):
+        if name not in params:
+            raise UnboundParameterError(name)
+
+
+def compile_fn(e: Expr, params: dict[str, float] | None = None):
     """Compile to a fast (t, x) -> float callable with params frozen in.
 
     The fast path uses plain math ops; on any numeric-domain failure the slow
     evaluator re-runs to raise a DomainError locating the offending node.
-
-    With ``array`` true the result is ``fn(t, x, strict=False) -> (values,
-    bad)`` over equal-length 1-D float arrays, bit for bit equal to the
-    scalar callable at every point that is not ``bad``.  ``bad`` marks the
-    points where the scalar fast path would have fallen back to the slow
-    evaluator; their values are meaningless.  With ``strict`` true the slow
-    evaluator runs at those points, in order, so the first one outside the
-    domain raises its DomainError, and ``bad`` comes back all false.
     """
     params = params or {}
-    for name in free_params(e):
-        if name not in params:
-            raise UnboundParameterError(name)
-    if array:
-        return _compile_array(e, params)
-    src = "lambda t, x: " + _pysrc(e, params, _SCALAR_OPS)
-    fast = eval(src, dict(_SCALAR_NAMESPACE))
+    _check_bound(e, params)
+    fast = eval("lambda t, x: " + _pysrc(e, params), dict(_NAMESPACE))
 
     def fn(t: float, x: float) -> float:
         try:
@@ -576,155 +582,118 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None, array: bool = Fa
     return fn
 
 
-def compile_fused(template: str, exprs, params: dict[str, float] | None = None):
-    """Compile several expressions and the arithmetic that combines them
-    into one function ``fn(t, x, v)``.
+def _define(name: str, args: str, body: list[str], namespace: dict):
+    """Execute a generated ``def`` in namespace and return the function."""
+    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace[name]
 
-    ``template`` is a Python expression in t, x and v whose i-th ``{}``
-    stands for ``exprs[i]``.  The fast path evaluates it with each field
-    replaced by that expression's fast-path source.  On any fast-path
-    failure it evaluates the template again over the ``compile_fn``
-    callables of the expressions, left to right, so values and the
-    DomainError raised are exactly those of the separate callables.
+
+def _value_lines(source: str, sink: str, indent: int = 0) -> list[str]:
+    """Template source as body lines: its statements, then ``sink``
+    applied to its last line, the value expression."""
+    *statements, value = source.splitlines()
+    return [" " * indent + line for line in (*statements, sink.format(value))]
+
+
+def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | None,
+           point: str):
+    """Fast-path source of ``template`` and the namespace it runs in.
+
+    ``template`` is Python source in the names of ``point`` (t, x, v and
+    channel values u0, u1..): statements, one a line, then the value
+    expression.  Each field ``{name}`` stands for ``exprs[name]``, and the
+    fast path inlines that expression's fast-path source.  The namespace's
+    ``_slow(point)`` evaluates the template at one point over each
+    expression's ``compile_fn`` callable instead; it is compiled on the
+    first fast-path failure, which most series never meet.
     """
     params = params or {}
-    fns = [compile_fn(e, params) for e in exprs]
-    fast = template.format(*(f"({_pysrc(e, params, _SCALAR_OPS)})" for e in exprs))
-    slow = template.format(*(f"_f{i}(t, x)" for i in range(len(fns))))
-    namespace = {**_SCALAR_NAMESPACE, "_FAST_ERRORS": _FAST_ERRORS,
-                 **{f"_f{i}": f for i, f in enumerate(fns)}}
-    exec(f"def fused(t, x, v):\n"
-         f"    try:\n        return {fast}\n"
-         f"    except _FAST_ERRORS:\n        return {slow}\n", namespace)
-    return namespace["fused"]
+    for e in exprs.values():
+        _check_bound(e, params)
+    compiled = []
+
+    def slow(*args):
+        if not compiled:
+            fns = [compile_fn(e, params) for e in exprs.values()]
+            source = template.format(**{name: f"_f[{i}](t, x)" for i, name in enumerate(exprs)})
+            compiled.append(_define("slow", point, _value_lines(source, "return {}"),
+                                    {**_NAMESPACE, "_f": fns}))
+        return compiled[0](*args)
+
+    fast = template.format(**{name: f"({_pysrc(e, params)})" for name, e in exprs.items()})
+    namespace = {**_NAMESPACE, "_FAST_ERRORS": _FAST_ERRORS, "DomainError": DomainError,
+                 "_slow": slow}
+    return fast, namespace
 
 
-def _compile_array(e: Expr, params: dict[str, float]):
-    fast = eval("lambda t, x, _m: " + _pysrc(e, params, _ARRAY_OPS), _ARRAY_NAMESPACE)
+def compile_fused(template: str, exprs: dict[str, Expr],
+                  params: dict[str, float] | None = None):
+    """Compile several expressions and the arithmetic that combines them
+    into one function ``fn(t, x, v)`` (see ``_fused`` for ``template``).
 
-    def fn(t, x, strict: bool = False):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        marks: list = []
-        try:
-            with np.errstate(all="ignore"):
-                values = np.array(np.broadcast_to(fast(t, x, marks), t.shape), dtype=float)
-            bad = np.zeros(t.shape, dtype=bool)
-            for mark in marks:
-                bad |= mark
-        except _FAST_ERRORS:
-            # raised by constant subexpressions, so at every point alike
-            values = np.full(t.shape, math.nan)
-            bad = np.ones(t.shape, dtype=bool)
-        if strict:
-            for i in np.flatnonzero(bad):
-                values[i] = _eval(e, float(t[i]), float(x[i]), params)
-            bad[:] = False
-        return values, bad
-
-    return fn
-
-
-def elementwise(f, *args, strict: bool = False):
-    """Apply the scalar float function f elementwise through Python floats.
-
-    numpy's own exp/log/power loops may differ from the C library in the
-    last bit; calling the math-module function per element keeps array
-    results identical to scalar code.  Returns (values, bad): bad marks the
-    elements where f raised, whose values are nan.  With ``strict`` true the
-    first such exception propagates instead.
+    On any fast-path failure the template runs again over the separate
+    ``compile_fn`` callables, in its own order, so values and the
+    DomainError raised are exactly those of the separate callables.
     """
-    arrays = [np.asarray(a, dtype=float) for a in args]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    size = math.prod(shape)
-    columns = [[float(a)] * size if a.ndim == 0 else np.broadcast_to(a, shape).ravel().tolist()
-               for a in arrays]
+    fast, namespace = _fused(template, exprs, params, "t, x, v")
+    body = ["try:", *_value_lines(fast, "return {}", 4),
+            "except _FAST_ERRORS:",
+            "    return _slow(t, x, v)"]
+    return _define("fused", "t, x, v", body, namespace)
+
+
+def compile_series(template: str, exprs: dict[str, Expr],
+                   params: dict[str, float] | None = None, channels: int = 0):
+    """``compile_fused`` as a loop over many points:
+    ``fn(T, X, V, U0, ..) -> (values, err)`` over equal-length sequences of
+    Python floats, one ``U`` per channel (``u0``.. in the template).
+
+    Every point runs the fused fast path, or the fallback where it fails.
+    The loop stops at the first point whose fallback raises a DomainError
+    and returns it with the values before it, as a point-by-point loop
+    over ``compile_fused`` would; other errors propagate.
+    """
+    point = ", ".join(["t", "x", "v", *(f"u{i}" for i in range(channels))])
+    fast, namespace = _fused(template, exprs, params, point)
+    body = ["out = []",
+            "append = out.append",
+            f"for {point} in zip({point.upper()}):",
+            "    try:", *_value_lines(fast, "append({})", 8),
+            "    except _FAST_ERRORS:",
+            "        try:",
+            f"            append(_slow({point}))",
+            "        except DomainError as err:",
+            "            return out, err",
+            "return out, None"]
+    return _define("series", point.upper(), body, namespace)
+
+
+def _literal(value) -> str | None:
+    """Source of the float nearest ``value``, parenthesized when negative;
+    None when it lies beyond float range.  float(Fraction) is the same
+    integer true division as the source ``(n/d)``, so the bits agree."""
     try:
-        out = list(map(f, *columns))
-        bad = np.zeros(shape, dtype=bool)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        if strict:
-            raise
-        out, flags = [], []
-        for point in zip(*columns):
-            try:
-                out.append(f(*point))
-                flags.append(False)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                out.append(math.nan)
-                flags.append(True)
-        bad = np.array(flags, dtype=bool).reshape(shape)
-    return np.array(out, dtype=float).reshape(shape), bad
+        text = repr(float(value))
+    except OverflowError:
+        return None
+    return f"({text})" if text[0] == "-" else text
 
 
-# Array counterparts of the fast path's operations: each one appends to the
-# list ``m`` a mask of the points where the scalar operation raises, and
-# computes the rest exactly as the scalar one does.
-
-def _a_div(a, b, m):
-    m.append(np.asarray(b) == 0.0)
-    return a / b
+_MATH_NAMES = {EXP: "exp", LN: "log", SQRT: "sqrt", SIN: "sin", COS: "cos"}
 
 
-def _a_pow(base, expo, m):
-    base = np.asarray(base, dtype=float)
-    expo = np.asarray(expo, dtype=float)
-    integral = np.isfinite(expo) & (np.floor(expo) == expo)
-    guard = ((base == 0.0) & (expo < 0.0)) | ((base < 0.0) & ~integral)
-    values, bad = elementwise(operator.pow, np.where(guard, 1.0, base), expo)
-    m.append(guard | bad)
-    return values
-
-
-def _a_exp(a, m):
-    values, bad = elementwise(math.exp, a)
-    m.append(bad)
-    return values
-
-
-def _a_sqrt(a, m):
-    # correctly rounded under IEEE 754, so numpy's loop agrees with libm
-    m.append(np.asarray(a) < 0.0)
-    return np.sqrt(a)
-
-
-def _a_guarded(f, a, guard, m):
-    m.append(guard)
-    return elementwise(f, np.where(guard, 1.0, a))[0]
-
-
-_ARRAY_NAMESPACE = {
-    "_dv": _a_div,
-    "_pw": _a_pow,
-    "_ex": _a_exp,
-    "_ln": lambda a, m: _a_guarded(math.log, a, np.asarray(a) <= 0.0, m),
-    "_sq": _a_sqrt,
-    "_sn": lambda a, m: _a_guarded(math.sin, a, np.isinf(a), m),
-    "_cs": lambda a, m: _a_guarded(math.cos, a, np.isinf(a), m),
-}
-
-_SCALAR_NAMESPACE = {"math": math, "_pw": _fast_pow}
-
-# source templates of the operations that can leave the real domain
-_SCALAR_OPS = {
-    DIV: "({}/{})", POW: "_pw({},{})", EXP: "math.exp({})", LN: "math.log({})",
-    SQRT: "math.sqrt({})", SIN: "math.sin({})", COS: "math.cos({})",
-}
-_ARRAY_OPS = {
-    DIV: "_dv({},{},_m)", POW: "_pw({},{},_m)", EXP: "_ex({},_m)", LN: "_ln({},_m)",
-    SQRT: "_sq({},_m)", SIN: "_sn({},_m)", COS: "_cs({},_m)",
-}
-
-
-def _pysrc(e: Expr, params, ops) -> str:
+def _pysrc(e: Expr, params) -> str:
+    """Fast-path source of e; the operations that can leave the real domain
+    raise one of _FAST_ERRORS."""
     k = e.kind
     if k == RAT:
-        return f"({e.value.numerator}/{e.value.denominator})"
+        # a constant beyond float range fails at run time, and _eval says so
+        return _literal(e.value) or f"({e.value.numerator}/{e.value.denominator})"
     if k == VAR:
         return e.name
     if k == PARAM:
-        return repr(float(params[e.name]))
-    args = [_pysrc(a, params, ops) for a in e.args]
+        return _literal(params[e.name])
+    args = [_pysrc(a, params) for a in e.args]
     if k == ADD:
         return "(" + "+".join(args) + ")"
     if k == SUB:
@@ -733,53 +702,22 @@ def _pysrc(e: Expr, params, ops) -> str:
         return "(" + "*".join(args) + ")"
     if k == NEG:
         return f"(-{args[0]})"
-    if k in ops:
-        return ops[k].format(*args)
+    if k == DIV:
+        return f"({args[0]}/{args[1]})"
+    if k == POW:
+        expo = e.args[1]
+        if expo.kind == RAT and _literal(expo.value) is not None:
+            # a constant exponent needs no guard call: ** and math.pow both
+            # reach the C library's pow for a non-negative base, and both
+            # raise where _fast_pow does for a finite one (math.pow takes
+            # a base of -inf to a fractional power, where _pw raises)
+            if expo.value.denominator == 1:
+                return f"({args[0]})**{args[1]}"
+            return f"math.pow({args[0]},{args[1]})"
+        return f"_pw({args[0]},{args[1]})"
+    if k in _FUNCS:
+        return f"math.{_MATH_NAMES[k]}({args[0]})"
     raise ExprError(f"unknown node kind {k!r}")
-
-
-class Grid:
-    """One evaluation of a formula over arrays of points.
-
-    ``fn`` and ``map`` evaluate a compiled array function or a math-module
-    function and collect in ``bad`` the points where scalar code would not
-    have taken the fast path.  A strict grid evaluates a single point the
-    way scalar code does: the slow evaluator runs where needed, and every
-    error is raised.
-    """
-
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.bad = False
-
-    def fn(self, afn, t, x):
-        values, bad = afn(t, x, self.strict)
-        self.bad = self.bad | bad
-        return values
-
-    def map(self, f, *args):
-        values, bad = elementwise(f, *args, strict=self.strict)
-        self.bad = self.bad | bad
-        return values
-
-
-def on_grid(formula, *arrays):
-    """Evaluate ``formula(grid, *arrays)`` over whole arrays of points, with
-    the outcome of a point-by-point scalar loop.
-
-    The points a ``Grid`` marks bad are re-evaluated one at a time, in
-    order, on a strict grid.  Returns (values, err): err is the DomainError
-    of the first point that leaves the domain, or None, and values cover
-    the points before it.  Any other error propagates.
-    """
-    grid = Grid()
-    values = formula(grid, *arrays)
-    for i in np.flatnonzero(grid.bad):
-        try:
-            values[i] = formula(Grid(strict=True), *(a[i:i + 1] for a in arrays))[0]
-        except DomainError as err:
-            return values[:i], err
-    return values, None
 
 
 # ---------------------------------------------------------------- substitution

@@ -365,9 +365,10 @@ class DriftReport:
 def in_blocks(traj: Trajectory, ts: np.ndarray, evaluate):
     """Evaluate along the dense output at the times ts, BLOCK points at a
     time.  ``evaluate(t, y)`` gets a block of times and their states (rows
-    of ``Trajectory.sample``) and returns (values, err) as
-    ``expr.on_grid`` does; the first block with an error ends the series.
-    Returns (values, err)."""
+    of ``Trajectory.sample``) and returns (values, err): the values before
+    the first point outside the domain and that point's DomainError, or
+    None.  The first block with an error ends the series.  Returns
+    (values, err)."""
     parts = []
     err = None
     for start in range(0, len(ts), BLOCK):
@@ -389,9 +390,13 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
         raise ValueError("grid must be >= 2")
     channels = [traj.channel_of(g) for g in spec.integrands]
     fn = spec.compiled(traj.problem.params)
+
+    def evaluate(t, y):
+        x, v, *u = y.T.tolist()
+        return fn(t.tolist(), x, v, *(u[c] for c in channels))
+
     ts = np.linspace(traj.t0, traj.t_last, grid)
-    values, err = in_blocks(traj, ts, lambda t, y: fn(
-        t, y[:, 0], y[:, 1], [y[:, 2 + c] for c in channels]))
+    values, err = in_blocks(traj, ts, evaluate)
     if len(values) < 2:
         raise IntegrationError(
             f"invariant {spec.name!r} undefined on the trajectory start")

@@ -17,12 +17,8 @@ never enter the integral terms.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import expr as ex
 from .expr import Expr, pprint, simplify, zero_check
@@ -98,55 +94,22 @@ class InvariantSpec:
     exp_closed_arg: Expr | None = None
 
     def compiled(self, params: dict[str, float] | None = None):
-        """Evaluator over arrays of states: ``fn(t, x, v, u) -> (values,
-        err)`` with t, x, v equal-length float arrays and u one array per
-        channel of this spec.  Matches a point-by-point scalar loop: values
-        cover the points before the first one outside the domain, err is
-        that point's DomainError (None when every point evaluates)."""
-        coeff_fns = [(d, ex.compile_fn(c, params, True))
-                     for d, c in sorted(self.poly.items())]
-        closed_fn = (ex.compile_fn(self.exp_closed_arg, params, True)
-                     if self.exp_closed_arg is not None else None)
-        sign, ch = self.exp_sign, self.exp_channel
-        linear = self.linear_channels
-
-        def formula(grid, t, x, v, *u):
-            val = np.zeros(len(t))
-            for d, cf in coeff_fns:
-                val = val + grid.fn(cf, t, x) * grid.map(operator.pow, v, d)
-            if sign != 0:
-                val = val * grid.map(math.exp, sign * u[ch])
-            if closed_fn is not None:
-                val = val * grid.map(math.exp, grid.fn(closed_fn, t, x))
-            for c, i in linear:
-                val = val + float(c) * u[i]
-            return val
-
-        def fn(t, x, v, u):
-            return ex.on_grid(formula, t, x, v, *u)
-
-        return fn
-
-    def value(self, t, x, v, u=(), params=None) -> float:
-        values, err = self.compiled(params)(
-            np.array([t], dtype=float), np.array([x], dtype=float),
-            np.array([v], dtype=float), [np.array([c], dtype=float) for c in u])
-        if err is not None:
-            raise err
-        return float(values[0])
-
-    def local_exprs(self) -> dict[int, Expr]:
-        """Velocity-power coefficients with any closed exp factor folded in.
-
-        Only meaningful when no live accumulator remains (pure point
-        function); used for structural comparisons against target formulas.
-        """
-        if self.exp_sign != 0 or self.linear_channels:
-            raise ValueError(f"{self.name} still depends on accumulator channels")
-        if self.exp_closed_arg is None:
-            return {d: simplify(c) for d, c in self.poly.items()}
-        factor = ex.Exp(self.exp_closed_arg)
-        return {d: simplify(c * factor) for d, c in self.poly.items()}
+        """Evaluator over many states: ``fn(T, X, V, U0, ..) -> (values,
+        err)`` with T, X, V equal-length sequences of Python floats and one
+        ``U`` per channel of this spec.  Matches a point-by-point scalar
+        loop: values cover the points before the first one outside the
+        domain, err is that point's DomainError (None when every point
+        evaluates)."""
+        exprs = {f"c{d}": c for d, c in sorted(self.poly.items())}
+        template = "0.0" + "".join(f" + {{c{d}}}*v**{d}" for d in sorted(self.poly))
+        if self.exp_sign != 0:
+            template = f"({template})*math.exp({self.exp_sign}*u{self.exp_channel})"
+        if self.exp_closed_arg is not None:
+            exprs["closed"] = self.exp_closed_arg
+            template = f"({template})*math.exp({{closed}})"
+        for c, i in self.linear_channels:
+            template += f" + ({float(c)!r})*u{i}"
+        return ex.compile_series(template, exprs, params, len(self.integrands))
 
     def printed(self) -> str:
         parts = []

@@ -126,8 +126,10 @@ def rhs(p: JacobiProblem, integrands: tuple[Expr, ...] = ()):
     (t, x, v) -> (v, a, g_0(t, x), ..): the acceleration
     a = -(phi_x/2 v^2 + phi_t v + B) and one integrand per accumulator
     channel, compiled as given; derivatives taken once here."""
-    exprs = (ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B), *integrands)
-    template = "(v, -(0.5*{}*v*v + {}*v + {})" + ", {}" * len(integrands) + ")"
+    exprs = {"phi_x": ex.diff(p.phi, "x"), "phi_t": ex.diff(p.phi, "t"),
+             "B": ex.simplify(p.B), **{f"g{i}": g for i, g in enumerate(integrands)}}
+    template = ("(v, -(0.5*{phi_x}*v*v + {phi_t}*v + {B})"
+                + "".join(f", {{g{i}}}" for i in range(len(integrands))) + ")")
     return ex.compile_fused(template, exprs, p.params)
 
 

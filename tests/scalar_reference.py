@@ -1,8 +1,8 @@
-"""Point-by-point reference implementations of the whole-grid evaluation
+"""Point-by-point reference implementations of the series evaluation
 layer: one dense-output state, one compiled scalar call and one Python
-float operation at a time, as the library evaluated before it worked on
-arrays.  The parity tests hold the array code to these bit for bit, and
-the fused right-hand side of ``problem.rhs`` to ``rhs`` here."""
+float operation at a time.  The parity tests hold the block sampling and
+the generated series loops to these bit for bit, and the fused
+right-hand side of ``problem.rhs`` to ``rhs`` here."""
 
 import math
 

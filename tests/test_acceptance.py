@@ -30,6 +30,7 @@ from jacobi_invariants.problem import (
 )
 from jacobi_invariants.verify import oracle_constant, oracle_vs_closed
 from conftest import SAFE_ENV, random_tree
+from helpers import local_exprs, on_states
 
 
 def announce(capsys, num: int, desc: str, ok: bool, detail: str = ""):
@@ -51,7 +52,7 @@ def test_criterion_1_autonomous_first_integrals(all_fixtures, constructed,
         fx = all_fixtures[fid]
         spec = constructed[fid][0]
         doubled = {d: simplify(Rat(fx.normalization) * c)
-                   for d, c in spec.local_exprs().items()}
+                   for d, c in local_exprs(spec).items()}
         structural = all(doubled[d] == simplify(parse(text))
                          for d, text in fx.poly_targets.items())
         series = evaluate_along(trajectories[fid], spec, 1024)
@@ -76,10 +77,10 @@ def test_criterion_2_nonlocal_pair_and_product(loaded, constructed,
     drift_ok = all(r < 1e-6 for r in rels)
 
     prod = product_first_integral(iplus, iminus)
-    f_e = energy.compiled(fx.problem.params)
-    f_p = prod.compiled(fx.problem.params)
-    fp = iplus.compiled(fx.problem.params)
-    fm = iminus.compiled(fx.problem.params)
+    f_e = on_states(energy, fx.problem.params)
+    f_p = on_states(prod, fx.problem.params)
+    fp = on_states(iplus, fx.problem.params)
+    fm = on_states(iminus, fx.problem.params)
     ch = [traj.channel_of(g) for g in iplus.integrands]
     # every accepted step at once
     t, x, v = traj.ts, traj.ys[:, 0], traj.ys[:, 1]
@@ -116,7 +117,7 @@ def test_criterion_4_general_fixture(all_fixtures, loaded, constructed,
     drift < 1e-8 along the numeric trajectory and the closed-form solution;
     closed-form ODE residual < 1e-10 at 200 points."""
     spec = constructed["JAC_EXACT"][0]
-    le = spec.local_exprs()
+    le = local_exprs(spec)
     structural = all(le[d] == simplify(parse(text))
                      for d, text in all_fixtures["JAC_EXACT"].poly_targets.items())
 
@@ -125,7 +126,7 @@ def test_criterion_4_general_fixture(all_fixtures, loaded, constructed,
 
     rho, itld, jtld = 1.0, -2.0, 1.0
     x_cf, v_cf = exact_solution(rho, itld, jtld)
-    fn = spec.compiled(loaded["JAC_EXACT"].problem.params)
+    fn = on_states(spec, loaded["JAC_EXACT"].problem.params)
     ts = np.linspace(0, 4, 200)
     vals, err = fn(ts, np.array([x_cf(t) for t in ts]), np.array([v_cf(t) for t in ts]), [])
     assert err is None

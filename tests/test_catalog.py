@@ -8,6 +8,7 @@ from jacobi_invariants import expr as ex
 from jacobi_invariants.catalog import exact_solution
 from jacobi_invariants.expr import parse, simplify
 from jacobi_invariants.problem import classify, validate_lagrangian
+from helpers import blowup_scan, local_exprs, on_states
 
 
 def test_ids_and_unknown():
@@ -35,7 +36,7 @@ def test_expected_classifications(loaded):
 
 def test_safe_windows_stay_inside_escape_scan(loaded):
     for fid, fx in loaded.items():
-        status, t_esc = catalog.blowup_scan(fx.problem, horizon=10.0)
+        status, t_esc = blowup_scan(fx.problem, horizon=10.0)
         if status == "Completed":
             continue
         assert fx.problem.t_end <= 0.6 * t_esc + 1e-9, (fid, t_esc)
@@ -44,7 +45,7 @@ def test_safe_windows_stay_inside_escape_scan(loaded):
 def test_pg18_doubled_expected_form(all_fixtures, constructed):
     spec = constructed["PG18"][0]
     assert all_fixtures["PG18"].normalization == 2
-    doubled = {d: simplify(ex.Rat(2) * c) for d, c in spec.local_exprs().items()}
+    doubled = {d: simplify(ex.Rat(2) * c) for d, c in local_exprs(spec).items()}
     assert doubled[2] == simplify(parse("x^(-1)"))
     assert doubled[0] == simplify(parse("-4*x^2"))
 
@@ -88,7 +89,7 @@ def test_exact_solution_guards_log_domain():
 def test_closed_form_invariant_constant_on_exact_solution(loaded, constructed):
     fx = loaded["JAC_EXACT"]
     spec = constructed["JAC_EXACT"][0]
-    fn = spec.compiled(fx.problem.params)
+    fn = on_states(spec, fx.problem.params)
     x, v = exact_solution(1.0, -2.0, 1.0)
     ts = np.linspace(0, 4, 200)
     values, err = fn(ts, np.array([x(t) for t in ts]), np.array([v(t) for t in ts]), [])

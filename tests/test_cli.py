@@ -124,6 +124,18 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, change):
     assert err.startswith("error: ") and "must be finite" in err
 
 
+@pytest.mark.parametrize("change, reason", [
+    ({"B": "x/2^2000"}, "constant beyond float range"),
+    ({"B": "sin(x*x*x)", "x0": 1e120}, "sin of infinite value"),
+    ({"B": "x+x", "x0": 1e308}, "overflow in sum"),
+])
+def test_values_beyond_float_range_exit_2(tmp_path, capsys, change, reason):
+    code, out, err = run_main(
+        ["check", write(tmp_path, "p.json", dict(PG18_FILE, **change))], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
 def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
     # Autonomous: phi_t, B_t, Lagrangian constraint, factorization,
     # square-factor ODE; TimeIndependentPhi: phi_t, B_t,

@@ -170,31 +170,42 @@ HOSTILE_T = [0.0, 0.3, -1.25, 2.0, 700.0, -0.0, 1e-300, 3.5, -800.0, 1e8]
 HOSTILE_X = [0.0, -0.7, 1.5, -2.0, 0.8, 750.0, -1e-300, 1.0, 2.5, -1e8]
 
 
+def _pointwise(fn, ts, xs):
+    """A point-by-point loop over a compile_fn callable: the values before
+    the first DomainError, and that error."""
+    values = []
+    for t, x in zip(ts, xs):
+        try:
+            values.append(fn(t, x))
+        except DomainError as err:
+            return values, err
+    return values, None
+
+
+def _series(e, params=None):
+    """The generated loop of the single expression e, over (t, x)."""
+    loop = ex.compile_series("{e}", {"e": e}, params)
+    return lambda ts, xs: loop(ts, xs, [0.0] * len(ts))
+
+
 def test_compile_fn_array_matches_scalar_pointwise():
+    # the generated loop over the hostile points, from every start point,
+    # against a point-by-point compile_fn loop: the same bits and the same
+    # stopping point and DomainError
     rng = random.Random(11)
-    t, x = np.array(HOSTILE_T), np.array(HOSTILE_X)
-    flagged = 0
+    stopped = 0
     for _ in range(400):
         e = random_tree(rng, 4)
-        fn, afn = compile_fn(e, SAFE_ENV), compile_fn(e, SAFE_ENV, True)
-        values, bad = afn(t, x)
-        flagged += int(bad.sum())
-        for i in range(len(t)):
-            try:
-                want, raised = fn(float(t[i]), float(x[i])), None
-            except (DomainError, ValueError, OverflowError) as err:
-                want, raised = None, err
-            if not bad[i]:
-                assert raised is None and _bits(values[i]) == _bits(want), pprint(e)
-            # a strict one-point call reproduces the scalar outcome exactly
-            if raised is None:
-                got, still_bad = afn(t[i:i + 1], x[i:i + 1], True)
-                assert _bits(got[0]) == _bits(want) and not still_bad.any()
-            else:
-                with pytest.raises(type(raised)) as info:
-                    afn(t[i:i + 1], x[i:i + 1], True)
-                assert str(info.value) == str(raised)
-    assert flagged > 100  # the hostile points are exercised
+        fn, loop = compile_fn(e, SAFE_ENV), _series(e, SAFE_ENV)
+        for start in range(len(HOSTILE_T)):
+            ts, xs = HOSTILE_T[start:], HOSTILE_X[start:]
+            values, err = loop(ts, xs)
+            want, want_err = _pointwise(fn, ts, xs)
+            assert [_bits(v) for v in values] == [_bits(v) for v in want], pprint(e)
+            assert all(type(v) is float for v in values)
+            assert str(err) == str(want_err), pprint(e)
+            stopped += want_err is not None
+    assert stopped > 100  # the hostile points are exercised
 
 
 @pytest.mark.parametrize("text, x", [
@@ -203,14 +214,11 @@ def test_compile_fn_array_matches_scalar_pointwise():
     ("sin(exp(x))", 710.0),
 ])
 def test_compile_fn_array_flags_each_domain_failure(text, x):
-    afn = compile_fn(parse(text), {}, True)
-    values, bad = afn(np.zeros(3), np.array([0.5, x, 2.0]))
-    assert bad.tolist() == [False, True, False]
-    with pytest.raises(DomainError) as info:
-        afn(np.zeros(1), np.array([x]), True)
+    values, err = _series(parse(text))([0.0] * 3, [0.5, x, 2.0])
+    assert values == [compile_fn(parse(text))(0.0, 0.5)]
     with pytest.raises(DomainError) as scalar:
         compile_fn(parse(text), {})(0.0, x)
-    assert str(info.value) == str(scalar.value)
+    assert isinstance(err, DomainError) and str(err) == str(scalar.value)
 
 
 def test_compile_fn_array_takes_the_slow_path_value_where_it_exists():
@@ -219,10 +227,8 @@ def test_compile_fn_array_takes_the_slow_path_value_where_it_exists():
     e = ex.Expr(ex.DIV, (ex.ONE, ex.Expr(ex.ADD, (ex.ONE, X, Rat(-1)))))
     want = compile_fn(e)(0.0, 1e-17)
     assert want == pytest.approx(1e17)
-    values, bad = compile_fn(e, {}, True)(np.zeros(2), np.array([0.5, 1e-17]))
-    assert bad.tolist() == [False, True]
-    values, bad = compile_fn(e, {}, True)(np.zeros(2), np.array([0.5, 1e-17]), True)
-    assert _bits(values[1]) == _bits(want) and not bad.any()
+    values, err = _series(e)([0.0, 0.0], [0.5, 1e-17])
+    assert err is None and _bits(values[1]) == _bits(want)
 
 
 def test_domain_error_point_is_plain_floats():

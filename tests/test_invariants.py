@@ -25,6 +25,7 @@ from jacobi_invariants.invariants import (
     product_first_integral,
 )
 from jacobi_invariants.problem import JacobiProblem
+from helpers import local_exprs, on_states, spec_value
 
 
 @pytest.fixture
@@ -101,7 +102,7 @@ def test_first_integral_autonomous_forms(all_fixtures, loaded):
         assert spec.kind == FIRST_INTEGRAL and not spec.integrands
         target = all_fixtures[fid]
         doubled = {d: simplify(Rat(target.normalization) * c)
-                   for d, c in spec.local_exprs().items()}
+                   for d, c in local_exprs(spec).items()}
         for d, text in target.poly_targets.items():
             assert doubled[d] == simplify(parse(text)), (fid, d)
 
@@ -116,14 +117,14 @@ def test_nonlocal_autonomous_free_particle():
     aux_p, aux_m = autonomous_aux(p, ex.ZERO)
     spec = nonlocal_autonomous(p, aux_p)
     assert simplify(spec.integrands[0]) == Rat(0)
-    assert spec.value(0.0, 0.0, 3.0, [0.0]) == pytest.approx(3.0)
+    assert spec_value(spec, 0.0, 0.0, 3.0, [0.0]) == pytest.approx(3.0)
 
 
 def test_nonlocal_autonomous_pg18_values(pg18, trajectories):
     aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
     spec = nonlocal_autonomous(pg18.problem, aux_p)
     # at the initial state u = 0: I+ = (v + bbar) e^(phi/2) = (0 + 2)*1
-    assert spec.value(0.0, 1.0, 0.0, [0.0]) == pytest.approx(2.0, rel=1e-14)
+    assert spec_value(spec, 0.0, 1.0, 0.0, [0.0]) == pytest.approx(2.0, rel=1e-14)
     series = evaluate_along(trajectories["PG18"], spec, 512)
     assert series.max_drift() < 1e-6 * max(1.0, abs(series.initial()))
 
@@ -135,8 +136,8 @@ def test_product_first_integral_identity(pg18, trajectories):
     prod = product_first_integral(ip, im)
     assert prod.kind == FIRST_INTEGRAL and not prod.integrands
     fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
-    f_fi = fi.compiled(pg18.problem.params)
-    f_pr = prod.compiled(pg18.problem.params)
+    f_fi = on_states(fi, pg18.problem.params)
+    f_pr = on_states(prod, pg18.problem.params)
     traj = trajectories["PG18"]
     states = (traj.ts, traj.ys[:, 0], traj.ys[:, 1], [])
     (a, err_a), (b, err_b) = f_fi(*states), f_pr(*states)
@@ -149,7 +150,7 @@ def test_product_first_integral_free_particle():
     aux_p, aux_m = autonomous_aux(p, ex.ZERO)
     prod = product_first_integral(nonlocal_autonomous(p, aux_p),
                                   nonlocal_autonomous(p, aux_m))
-    assert prod.value(0.0, 0.0, 2.0) == pytest.approx(2.0)  # (1/2) v^2
+    assert spec_value(prod, 0.0, 0.0, 2.0) == pytest.approx(2.0)  # (1/2) v^2
 
 
 def test_product_rejects_mismatched_pair(pg18):
@@ -191,8 +192,8 @@ def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
     assert spec3.kind == FIRST_INTEGRAL
     assert simplify(spec3.integrands[0]) == Rat(0)
     fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
-    f3 = spec3.compiled({})
-    f1 = fi.compiled({})
+    f3 = on_states(spec3, {})
+    f1 = on_states(fi, {})
     traj = trajectories["PG18"]
     t, x, v = traj.ts, traj.ys[:, 0], traj.ys[:, 1]
     (a, err_a), (b, err_b) = f3(t, x, v, [np.zeros(len(t))]), f1(t, x, v, [])
@@ -242,7 +243,7 @@ def test_general_constant_structure_and_downgrade(loaded):
     assert spec.kind == FIRST_INTEGRAL
     assert not spec.integrands  # closed-form exponent found
     assert simplify(spec.exp_closed_arg) == simplify(parse("t/2"))
-    le = spec.local_exprs()
+    le = local_exprs(spec)
     assert le[1] == simplify(parse("exp(t/2)*exp((t+x)/2)"))
     assert le[0] == simplify(parse("2*rho*exp(t/2)"))
 
@@ -261,7 +262,7 @@ def test_general_sign_collapse(loaded):
     sp = nonlocal_general_signed(fx.problem, aux_p)
     sm = nonlocal_general_signed(fx.problem, aux_m)
     traj = integrate(fx.problem, sp.integrands + sm.integrands, (1e-10, 1e-10))
-    fp, fm = sp.compiled(fx.problem.params), sm.compiled(fx.problem.params)
+    fp, fm = on_states(sp, fx.problem.params), on_states(sm, fx.problem.params)
     cp = [traj.channel_of(g) for g in sp.integrands]
     cm = [traj.channel_of(g) for g in sm.integrands]
     t, x, v = traj.ts, traj.ys[:, 0], traj.ys[:, 1]

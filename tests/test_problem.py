@@ -129,6 +129,22 @@ def test_fused_rhs_raises_the_separate_domain_error():
     assert isinstance(_outcome(fused, 0.25, 2.0, 2.0)[0], str)
 
 
+def test_rhs_compiles_its_fallback_only_on_a_fast_path_failure(monkeypatch, loaded):
+    original = ex.compile_fn
+    compiled = []
+    monkeypatch.setattr(ex, "compile_fn", lambda *args: compiled.append(args) or original(*args))
+    p = loaded["PG18"].problem
+    f = rhs(p, (parse("x^(1/2)"),))
+    assert f(0.0, 1.0, 0.0) == (0.0, 4.0, 1.0) and compiled == []
+    for _ in range(2):  # phi_x, phi_t, B and the channel, compiled once
+        with pytest.raises(ex.DomainError, match="negative base with fractional exponent"):
+            f(0.0, -1.0, 0.0)
+        assert len(compiled) == 4
+    # free parameters are still checked when the function is built
+    with pytest.raises(ex.UnboundParameterError):
+        rhs(p, (parse("k*x"),))
+
+
 def test_validate_lagrangian_autonomous(pg18):
     reports = validate_lagrangian(pg18, LagrangianData(ex.ZERO, parse("2*x^2")))
     assert reports[0].passed and reports[0].structural

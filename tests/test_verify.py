@@ -9,9 +9,9 @@ from jacobi_invariants.verify import (
     drift_gate,
     oracle_constant,
     oracle_drift_report,
-    oracle_offset,
     oracle_vs_closed,
 )
+from helpers import oracle_offset
 
 
 def test_family_sign_validation():
