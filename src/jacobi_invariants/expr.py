@@ -47,12 +47,21 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class DomainError(ExprError):
-    """Evaluation left the real domain (ln<=0, sqrt<0, division by zero...)."""
+# characters of the failing node a DomainError prints
+_MAX_NODE_TEXT = 80
 
-    def __init__(self, expr: "Expr", t: float, x: float, reason: str):
+
+class DomainError(ExprError):
+    """Evaluation left the real domain (ln<=0, sqrt<0, division by zero...).
+    ``expr`` is the failing node, or the source of a compiled template whose
+    own arithmetic overflowed."""
+
+    def __init__(self, expr: "Expr | str", t: float, x: float, reason: str):
         t, x = float(t), float(x)
-        super().__init__(f"{reason} in {expr} at (t={t!r}, x={x!r})")
+        node = str(expr)
+        if len(node) > _MAX_NODE_TEXT:
+            node = node[:_MAX_NODE_TEXT - 1] + "…"
+        super().__init__(f"{reason} in {node} at (t={t!r}, x={x!r})")
         self.expr = expr
         self.t = t
         self.x = x
@@ -564,7 +573,8 @@ def _check_bound(e: Expr, params: dict[str, float]) -> None:
 
 
 def compile_fn(e: Expr, params: dict[str, float] | None = None):
-    """Compile to a fast (t, x) -> float callable with params frozen in.
+    """Compile to a fast (t, x) -> float callable of finite t and x, with
+    params frozen in.
 
     The fast path uses plain math ops; on any numeric-domain failure the slow
     evaluator re-runs to raise a DomainError locating the offending node.
@@ -605,7 +615,10 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
     fast path inlines that expression's fast-path source.  The namespace's
     ``_slow(point)`` evaluates the template at one point over each
     expression's ``compile_fn`` callable instead; it is compiled on the
-    first fast-path failure, which most series never meet.
+    first fast-path failure, which most series never meet.  Those callables
+    raise only DomainError, so an OverflowError there comes from the
+    template's own arithmetic (the exp of a channel value, a power of v),
+    and ``_slow`` raises it as a DomainError of the template at that point.
     """
     params = params or {}
     for e in exprs.values():
@@ -618,7 +631,11 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
             source = template.format(**{name: f"_f[{i}](t, x)" for i, name in enumerate(exprs)})
             compiled.append(_define("slow", point, _value_lines(source, "return {}"),
                                     {**_NAMESPACE, "_f": fns}))
-        return compiled[0](*args)
+        try:
+            return compiled[0](*args)
+        except OverflowError:
+            shown = template.format(**{name: f"({e})" for name, e in exprs.items()})
+            raise DomainError(shown, args[0], args[1], "overflow") from None
 
     fast = template.format(**{name: f"({_pysrc(e, params)})" for name, e in exprs.items()})
     namespace = {**_NAMESPACE, "_FAST_ERRORS": _FAST_ERRORS, "DomainError": DomainError,
@@ -626,20 +643,35 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
     return fast, namespace
 
 
+def _point(channels: int) -> str:
+    """Argument list of a point: t, x, v and the channel values u0, u1.."""
+    return ", ".join(["t", "x", "v", *(f"u{i}" for i in range(channels))])
+
+
+def velocity_poly(fields: dict[int, str], sign: int = 0, channel: str = "") -> str:
+    """Template text of exp(sign*channel) * (c_0 + c_1*v + c_2*v^2 + ..),
+    where the field ``fields[d]`` stands for c_d; sign 0 drops the
+    exponential."""
+    text = "0.0" + "".join(f" + {{{name}}}*v**{d}" for d, name in sorted(fields.items()))
+    return f"({text})*math.exp({sign}*{channel})" if sign else text
+
+
 def compile_fused(template: str, exprs: dict[str, Expr],
-                  params: dict[str, float] | None = None):
+                  params: dict[str, float] | None = None, channels: int = 0):
     """Compile several expressions and the arithmetic that combines them
-    into one function ``fn(t, x, v)`` (see ``_fused`` for ``template``).
+    into one function ``fn(t, x, v, u0, ..)`` with one ``u`` per channel
+    (see ``_fused`` for ``template``).
 
     On any fast-path failure the template runs again over the separate
     ``compile_fn`` callables, in its own order, so values and the
     DomainError raised are exactly those of the separate callables.
     """
-    fast, namespace = _fused(template, exprs, params, "t, x, v")
+    point = _point(channels)
+    fast, namespace = _fused(template, exprs, params, point)
     body = ["try:", *_value_lines(fast, "return {}", 4),
             "except _FAST_ERRORS:",
-            "    return _slow(t, x, v)"]
-    return _define("fused", "t, x, v", body, namespace)
+            f"    return _slow({point})"]
+    return _define("fused", point, body, namespace)
 
 
 def compile_series(template: str, exprs: dict[str, Expr],
@@ -653,7 +685,7 @@ def compile_series(template: str, exprs: dict[str, Expr],
     and returns it with the values before it, as a point-by-point loop
     over ``compile_fused`` would; other errors propagate.
     """
-    point = ", ".join(["t", "x", "v", *(f"u{i}" for i in range(channels))])
+    point = _point(channels)
     fast, namespace = _fused(template, exprs, params, point)
     body = ["out = []",
             "append = out.append",
@@ -709,11 +741,15 @@ def _pysrc(e: Expr, params) -> str:
         if expo.kind == RAT and _literal(expo.value) is not None:
             # a constant exponent needs no guard call: ** and math.pow both
             # reach the C library's pow for a non-negative base, and both
-            # raise where _fast_pow does for a finite one (math.pow takes
-            # a base of -inf to a fractional power, where _pw raises)
+            # raise where _fast_pow does for a finite one
             if expo.value.denominator == 1:
                 return f"({args[0]})**{args[1]}"
-            return f"math.pow({args[0]},{args[1]})"
+            # math.pow takes a base of -inf (an overflowed intermediate) to
+            # a fractional power, where _pw raises, so that base alone goes
+            # to _pw; the base is evaluated once, into _b, and -1e999 is the
+            # literal -inf
+            return (f"(math.pow(_b,{args[1]}) if (_b:={args[0]}) != -1e999 "
+                    f"else _pw(_b,{args[1]}))")
         return f"_pw({args[0]},{args[1]})"
     if k in _FUNCS:
         return f"math.{_MATH_NAMES[k]}({args[0]})"

@@ -2,10 +2,12 @@
 accumulator channels.
 
 The state is [x, v, u_0..u_k] where each u_i integrates a registered
-integrand g_i(t, x) alongside the motion (u_i(t0) = 0), so nonlocal
-integral terms are produced under the same error control as the
-trajectory itself.  The pair is the classic Dormand-Prince 5(4) with a
-PI step controller and the standard quartic dense-output interpolant.
+integrand alongside the motion (u_i(t0) = 0), so nonlocal integral terms
+are produced under the same error control as the trajectory itself.  An
+integrand is a g(t, x), or a polynomial in v that may be dressed by the
+exponential of one other channel (``problem.Integrand``).  The pair is
+the classic Dormand-Prince 5(4) with a PI step controller and the
+standard quartic dense-output interpolant.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .expr import Expr, DomainError
-from .problem import JacobiProblem, rhs
+from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -89,7 +90,7 @@ class Trajectory:
     """Accepted-step samples plus per-step dense-output coefficients."""
 
     problem: JacobiProblem
-    integrands: tuple[Expr, ...]   # simplified, one per accumulator channel
+    integrands: tuple[Expr | Integrand, ...]   # canonical, one per channel
     ts: np.ndarray
     ys: np.ndarray          # shape (n_samples, 2 + n_channels)
     conts: np.ndarray       # shape (n_steps, 5, 2 + n_channels)
@@ -129,13 +130,13 @@ class Trajectory:
         return AugmentedState(t=float(t), x=float(y[0]), v=float(y[1]),
                               u=tuple(float(c) for c in y[2:]))
 
-    def channel_of(self, integrand: Expr) -> int:
+    def channel_of(self, integrand: Expr | Integrand) -> int:
         """Index of a registered accumulator, matched structurally."""
-        target = ex.simplify(integrand)
+        target = canonical(integrand)
         if target in self.integrands:
             return self.integrands.index(target)
         raise AccumulatorMismatchError(
-            f"integrand {ex.pprint(target)} is not registered on this trajectory")
+            f"integrand {target} is not registered on this trajectory")
 
     def to_csv(self) -> str:
         n_u = self.ys.shape[1] - 2
@@ -147,16 +148,17 @@ class Trajectory:
 
 
 @functools.cache
-def _step(n: int):
+def _step(n: int, inputs: tuple[int, ...] = (0, 1)):
     """One Dormand-Prince step on n components, unrolled over Python floats.
 
     Returns ``step(f, t, h, y, k1, atol, rtol) -> (err, y_new, k7, rows)``:
-    y and k1 are n-tuples, f is the fused right-hand side (t, x, v) ->
-    n-tuple, err the RMS of the error estimate over
+    y and k1 are n-tuples, f is the fused right-hand side (t, x, v[, u])
+    -> n-tuple, err the RMS of the error estimate over
     atol + rtol*max(|y|, |y_new|), k7 the derivative at y_new (FSAL,
     the next step's k1) and rows the 5 x n dense-output
-    coefficients, flat and row by row.  Stage inputs are formed for x and
-    v only: the right-hand side never reads the channels.
+    coefficients, flat and row by row.  Stage inputs are formed for the
+    components ``inputs`` only, the ones the right-hand side reads: x, v
+    and at most one channel.
     """
     comps = range(n)
 
@@ -177,10 +179,10 @@ def _step(n: int):
              f"    {stage(1)} = k1"]
     for s in range(2, 7):
         a = _A[s - 1]
-        lines.append(f"    {stage(s)} = f(t + {_C[s - 1]!r}*h, "
-                     f"y0 + h*({combo(a, 0)}), y1 + h*({combo(a, 1)}))")
+        args = ", ".join(f"y{i} + h*({combo(a, i)})" for i in inputs)
+        lines.append(f"    {stage(s)} = f(t + {_C[s - 1]!r}*h, {args})")
     lines += [f"    n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
-    lines += [f"    k7 = f(t + {_C[6]!r}*h, n0, n1)",
+    lines += [f"    k7 = f(t + {_C[6]!r}*h, {', '.join(f'n{i}' for i in inputs)})",
               f"    {stage(7)} = k7"]
     for i in comps:
         lines += [f"    a{i} = abs(y{i}); b{i} = abs(n{i})",
@@ -199,7 +201,8 @@ def _step(n: int):
     return namespace["step"]
 
 
-def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
+def integrate(p: JacobiProblem,
+              integrands: list[Expr | Integrand] | tuple[Expr | Integrand, ...] = (),
               tol: tuple[float, float] = (1e-10, 1e-10)) -> Trajectory:
     """Integrate x'' = -(phi_x/2 v^2 + phi_t v + B) plus accumulator channels.
 
@@ -211,10 +214,13 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
     for v in (atol, rtol):
         if not (TOL_MIN <= v <= TOL_MAX):
             raise IntegrationError(f"tolerance {v} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
-    integrands = tuple(ex.simplify(g) for g in integrands)
+    integrands = tuple(canonical(g) for g in integrands)
     f = rhs(p, integrands)
     n = 2 + len(integrands)
-    step = _step(n)
+    read = read_channel(integrands)
+    # the state components the right-hand side reads
+    inputs = (0, 1) if read is None else (0, 1, 2 + read)
+    step = _step(n, inputs)
 
     t0, t_end = p.t0, p.t_end
     hmin = 1e-12 * (t_end - t0)
@@ -236,11 +242,11 @@ def integrate(p: JacobiProblem, integrands: list[Expr] | tuple[Expr, ...] = (),
         )
 
     try:
-        k1 = f(t0, y[0], y[1])
+        k1 = f(t0, *(y[i] for i in inputs))
     except DomainError as err:
         return finish(DOMAIN_ABORT, t0, (err.t, err.x), str(err))
 
-    h = _initial_step(f, t0, y, k1, t_end, atol, rtol)
+    h = _initial_step(f, inputs, t0, y, k1, t_end, atol, rtol)
 
     t = t0
     errprev = 1.0
@@ -303,15 +309,16 @@ def _rms(values, scales) -> float:
     return math.sqrt(total / len(values))
 
 
-def _initial_step(f, t0, y0, f0, t_end, atol, rtol) -> float:
-    """Standard starting-step heuristic from the embedded-RK literature."""
+def _initial_step(f, inputs, t0, y0, f0, t_end, atol, rtol) -> float:
+    """Standard starting-step heuristic from the embedded-RK literature;
+    f reads the components ``inputs`` of the state."""
     sc = [atol + rtol * abs(y) for y in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     try:
-        f1 = f(t0 + h0, y0[0] + h0 * f0[0], y0[1] + h0 * f0[1])
+        f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in inputs))
         d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
     except DomainError:
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
@@ -404,24 +411,26 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     return EvalSeries(ts[: len(values)], values, err is not None, abort)
 
 
-def _drift_report(name: str, ser_c: EvalSeries, ser_f: EvalSeries,
-                  traj_c: Trajectory, traj_f: Trajectory) -> DriftReport:
-    """Drift metrics of the coarse series, with the observed order
-    log(drift ratio) / log(mean-step ratio) against the fine series;
-    drifts at the round-off floor report order inf."""
+def drift_report(spec, coarse: Trajectory, fine: Trajectory,
+                 grid: int = 1024) -> DriftReport:
+    """Drift metrics of spec along the coarse trajectory, with the observed
+    order log(drift ratio) / log(mean-step ratio) against the fine one
+    (integrated at tol / REFINE); drifts at the round-off floor report
+    order inf."""
+    ser_c = evaluate_along(coarse, spec, grid)
     dev = np.abs(ser_c.values - ser_c.values[0])
     max_c = float(np.max(dev))
-    max_f = ser_f.max_drift()
+    max_f = evaluate_along(fine, spec, grid).max_drift()
     scale = max(1.0, abs(ser_c.initial()))
     floor = 1e-14 * scale
     if max_f <= floor or max_c <= floor:
         order = math.inf
     else:
-        h_ratio = traj_c.mean_step / traj_f.mean_step
+        h_ratio = coarse.mean_step / fine.mean_step
         order = (math.log(max_c / max_f) / math.log(h_ratio)
                  if h_ratio > 1.0 and max_c > max_f else 0.0)
     return DriftReport(
-        name=name,
+        name=spec.name,
         initial_value=ser_c.initial(),
         max_abs_drift=max_c,
         mean_abs_drift=float(np.mean(dev)),
@@ -430,11 +439,3 @@ def _drift_report(name: str, ser_c: EvalSeries, ser_f: EvalSeries,
         truncated=ser_c.truncated,
         window=(float(ser_c.ts[0]), float(ser_c.ts[-1])),
     )
-
-
-def drift_report(spec, coarse: Trajectory, fine: Trajectory,
-                 grid: int = 1024) -> DriftReport:
-    """Drift metrics of spec along the coarse trajectory, with the order
-    estimated against the fine one (integrated at tol / REFINE)."""
-    return _drift_report(spec.name, evaluate_along(coarse, spec, grid),
-                         evaluate_along(fine, spec, grid), coarse, fine)

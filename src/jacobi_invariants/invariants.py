@@ -17,7 +17,7 @@ never enter the integral terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
@@ -92,6 +92,9 @@ class InvariantSpec:
     exp_channel: int = 0
     linear_channels: tuple[tuple[Fraction, int], ...] = ()
     exp_closed_arg: Expr | None = None
+    # the last evaluator compiled, as (params items, function); the spec is
+    # immutable
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def compiled(self, params: dict[str, float] | None = None):
         """Evaluator over many states: ``fn(T, X, V, U0, ..) -> (values,
@@ -99,11 +102,17 @@ class InvariantSpec:
         ``U`` per channel of this spec.  Matches a point-by-point scalar
         loop: values cover the points before the first one outside the
         domain, err is that point's DomainError (None when every point
-        evaluates)."""
+        evaluates).  Compiled once per params: the spec keeps the last
+        evaluator, which its coarse and fine series share."""
+        key = tuple(sorted((params or {}).items()))
+        if self._compiled is None or self._compiled[0] != key:
+            object.__setattr__(self, "_compiled", (key, self._compile(params)))
+        return self._compiled[1]
+
+    def _compile(self, params: dict[str, float] | None):
         exprs = {f"c{d}": c for d, c in sorted(self.poly.items())}
-        template = "0.0" + "".join(f" + {{c{d}}}*v**{d}" for d in sorted(self.poly))
-        if self.exp_sign != 0:
-            template = f"({template})*math.exp({self.exp_sign}*u{self.exp_channel})"
+        template = ex.velocity_poly({d: f"c{d}" for d in self.poly}, self.exp_sign,
+                                    f"u{self.exp_channel}")
         if self.exp_closed_arg is not None:
             exprs["closed"] = self.exp_closed_arg
             template = f"({template})*math.exp({{closed}})"

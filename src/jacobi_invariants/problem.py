@@ -39,9 +39,11 @@ class JacobiProblem:
     x0: float = 0.0
     v0: float = 0.0
     domain: tuple[float, float, float, float] | None = None
-    # the classify() result; the problem is immutable
+    # the classify() result and the last rhs() built, as (channels,
+    # function); the problem is immutable
     _classified: Classification | None = field(default=None, init=False,
                                                repr=False, compare=False)
+    _rhs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t_end > self.t0:
@@ -121,16 +123,84 @@ def _classify(p: JacobiProblem) -> Classification:
     return Classification(TIME_INDEPENDENT_PHI, tuple(warnings))
 
 
-def rhs(p: JacobiProblem, integrands: tuple[Expr, ...] = ()):
+@dataclass(frozen=True)
+class Integrand:
+    """An accumulator integrand polynomial in the velocity, optionally
+    dressed by the exponential of another channel:
+    exp(sign*u) * (c_0 + c_1*v + c_2*v^2 + ..) with coefficients c_d(t, x),
+    where u is the channel that integrates ``channel``.  sign 0 drops the
+    dressing.  A bare Expr g(t, x) is the undressed degree-0 case."""
+
+    coeffs: tuple[Expr, ...]
+    sign: int = 0
+    channel: Expr | None = None
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("an integrand needs at least one coefficient")
+        if self.sign not in (-1, 0, 1) or (self.sign != 0) == (self.channel is None):
+            raise ValueError("a dressing needs a sign of -1 or +1 and a channel")
+
+    def __str__(self):
+        body = " + ".join(f"{c} * xdot^{d}" for d, c in enumerate(self.coeffs))
+        if self.sign == 0:
+            return f"({body})"
+        return f"exp({self.sign} * Int[{self.channel}]) * ({body})"
+
+
+def canonical(g: Expr | Integrand) -> Expr | Integrand:
+    """A channel integrand with every expression simplified, the form in
+    which a trajectory registers and matches it."""
+    if isinstance(g, Expr):
+        return ex.simplify(g)
+    return Integrand(tuple(ex.simplify(c) for c in g.coeffs), g.sign,
+                     None if g.channel is None else ex.simplify(g.channel))
+
+
+def read_channel(integrands: tuple[Expr | Integrand, ...]) -> int | None:
+    """Index of the one channel whose value the dressed integrands read,
+    None when none is dressed."""
+    read = {g.channel for g in integrands if isinstance(g, Integrand) and g.sign != 0}
+    if not read:
+        return None
+    if len(read) > 1:
+        raise ProblemError("integrands read more than one channel")
+    channel = read.pop()
+    if channel not in integrands:
+        raise ProblemError(f"dressing channel {channel} is not registered")
+    return integrands.index(channel)
+
+
+def rhs(p: JacobiProblem, integrands: tuple[Expr | Integrand, ...] = ()):
     """Right-hand side of the first-order system, one fused function
-    (t, x, v) -> (v, a, g_0(t, x), ..): the acceleration
+    (t, x, v[, u]) -> (v, a, g_0, ..): the acceleration
     a = -(phi_x/2 v^2 + phi_t v + B) and one integrand per accumulator
-    channel, compiled as given; derivatives taken once here."""
-    exprs = {"phi_x": ex.diff(p.phi, "x"), "phi_t": ex.diff(p.phi, "t"),
-             "B": ex.simplify(p.B), **{f"g{i}": g for i, g in enumerate(integrands)}}
+    channel, compiled as given.  u is the value of the channel that
+    ``read_channel`` names, and is passed only when there is one.
+
+    Built once per problem and channel tuple: the problem keeps the last
+    function built, which every integration of a coarse/fine pair shares.
+    """
+    if p._rhs is None or p._rhs[0] != integrands:
+        object.__setattr__(p, "_rhs", (integrands, _fused_rhs(p, integrands)))
+    return p._rhs[1]
+
+
+def _fused_rhs(p: JacobiProblem, integrands: tuple[Expr | Integrand, ...]):
+    exprs = {"phi_x": ex.diff(p.phi, "x"), "phi_t": ex.diff(p.phi, "t"), "B": ex.simplify(p.B)}
+    channels = []
+    for i, g in enumerate(integrands):
+        if isinstance(g, Expr):
+            exprs[f"g{i}"] = g
+            channels.append(f"{{g{i}}}")
+            continue
+        terms = {d: f"g{i}_{d}" for d, c in enumerate(g.coeffs) if c != ex.ZERO}
+        exprs.update({name: g.coeffs[d] for d, name in terms.items()})
+        channels.append(ex.velocity_poly(terms, g.sign, "u0"))
     template = ("(v, -(0.5*{phi_x}*v*v + {phi_t}*v + {B})"
-                + "".join(f", {{g{i}}}" for i in range(len(integrands))) + ")")
-    return ex.compile_fused(template, exprs, p.params)
+                + "".join(f", {c}" for c in channels) + ")")
+    return ex.compile_fused(template, exprs, p.params,
+                            int(read_channel(integrands) is not None))
 
 
 def lagrangian_residual_expr(p: JacobiProblem, L: LagrangianData) -> Expr:

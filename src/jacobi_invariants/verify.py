@@ -11,19 +11,26 @@ evaluated on dense trajectory output with composite-Simpson prefix sums
 (trapezoid patch on odd prefixes).  Closed-form invariants absorb an
 integration-by-parts constant, so comparisons match the two series at t0
 first.
+
+The constancy gate reads the work integral W from an accumulator channel
+instead: its integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) is
+integrated with the motion, so the drift of dL/dv * v_fam - W measures the
+integrator and not the quadrature.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .integrate import DriftReport, EvalSeries, Trajectory, _drift_report, in_blocks
-from .problem import JacobiProblem, LagrangianData
+from .integrate import DriftReport, EvalSeries, Trajectory, drift_report, in_blocks
+from .invariants import NONLOCAL_CONSTANT, InvariantSpec
+from .problem import Integrand, JacobiProblem, LagrangianData
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,9 @@ class PerturbationFamily:
     a: Expr
     b: Expr
     sign: int
+    # the last integrated oracle built, as ((problem, Lagrangian data),
+    # spec); the family is immutable
+    _integrated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
@@ -55,6 +65,21 @@ def _prefix_simpson(fs: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _variational_exprs(p: JacobiProblem, L: LagrangianData,
+                       fam: PerturbationFamily) -> dict[str, Expr]:
+    """The family's shift a, its derivatives and exponent integrand b, and
+    the coefficients of dL/dv (dLdv_d) and dL/dx (dLdx_d) in powers of v."""
+    ephi = ex.Exp(p.phi)
+    return {
+        "a": ex.simplify(fam.a), "a_t": ex.diff(fam.a, "t"), "a_x": ex.diff(fam.a, "x"),
+        "b": ex.simplify(fam.b),
+        "dLdv_1": ex.simplify(ephi), "dLdv_0": ex.simplify(L.delta1),
+        "dLdx_2": ex.simplify(ex.HALF * ex.diff(p.phi, "x") * ephi),
+        "dLdx_1": ex.simplify(ex.diff(L.delta1, "x")),
+        "dLdx_0": ex.simplify(ex.diff(L.delta2, "x")),
+    }
+
+
 def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
                     traj: Trajectory, grid: int = 1024) -> EvalSeries:
     """The conserved series of the family along an integrated trajectory.
@@ -64,15 +89,7 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
     """
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    ephi = ex.Exp(p.phi)
-    exprs = {
-        "a": ex.simplify(fam.a), "a_t": ex.diff(fam.a, "t"), "a_x": ex.diff(fam.a, "x"),
-        "b": ex.simplify(fam.b),
-        "dLdv_1": ex.simplify(ephi), "dLdv_0": ex.simplify(L.delta1),
-        "dLdx_2": ex.simplify(ex.HALF * ex.diff(p.phi, "x") * ephi),
-        "dLdx_1": ex.simplify(ex.diff(L.delta1, "x")),
-        "dLdx_0": ex.simplify(ex.diff(L.delta2, "x")),
-    }
+    exprs = _variational_exprs(p, L, fam)
     chan = traj.channel_of(fam.b) if fam.sign != 0 else None
     # momentum term and perturbed-Lagrangian integrand at one point, in the
     # order of the scalar formula
@@ -112,13 +129,54 @@ def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> fl
     return float(np.max(np.abs(a - b)))
 
 
+def _integrated_oracle(p: JacobiProblem, L: LagrangianData,
+                       fam: PerturbationFamily) -> InvariantSpec:
+    """The oracle series dL/dv * v_fam - W as a spec over the channels
+    (b, W), or (W,) without an exponential factor.  With
+    v_fam = a*exp(sign*u_b) and v_fam' = (a_t + a_x*v + sign*b*a)*exp(sign*u_b),
+    W integrates dL/dx * v_fam + dL/dv * v_fam', expanded in powers of v.
+    Built once per problem: the family keeps the last spec built."""
+    if fam._integrated is None or fam._integrated[0] != (p, L):
+        object.__setattr__(fam, "_integrated", ((p, L), _build_integrated_oracle(p, L, fam)))
+    return fam._integrated[1]
+
+
+def _build_integrated_oracle(p: JacobiProblem, L: LagrangianData,
+                             fam: PerturbationFamily) -> InvariantSpec:
+    e = _variational_exprs(p, L, fam)
+    a, a_x = e["a"], e["a_x"]
+    # v_fam' over the exponential factor, less its a_x*v term
+    shift_t = e["a_t"] + ex.Rat(fam.sign) * e["b"] * a
+    coeffs = (e["dLdx_0"] * a + e["dLdv_0"] * shift_t,
+              e["dLdx_1"] * a + e["dLdv_1"] * shift_t + e["dLdv_0"] * a_x,
+              e["dLdx_2"] * a + e["dLdv_1"] * a_x)
+    dressed = fam.sign != 0
+    work = Integrand(tuple(ex.simplify(c) for c in coeffs), fam.sign,
+                     e["b"] if dressed else None)
+    channels = (e["b"], work) if dressed else (work,)
+    return InvariantSpec(
+        name="oracle", kind=NONLOCAL_CONSTANT,
+        poly={1: ex.simplify(e["dLdv_1"] * a), 0: ex.simplify(e["dLdv_0"] * a)},
+        integrands=channels, exp_sign=fam.sign, exp_channel=0,
+        linear_channels=((Fraction(-1), len(channels) - 1),))
+
+
+def oracle_channels(p: JacobiProblem, L: LagrangianData,
+                    fam: PerturbationFamily) -> tuple[Expr | Integrand, ...]:
+    """The accumulator channels of the oracle's constancy gate, in the
+    order to register them: the family's exponent integrand b when it has
+    an exponential factor, then the work integrand."""
+    return _integrated_oracle(p, L, fam).integrands
+
+
 def oracle_drift_report(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
                         coarse: Trajectory, fine: Trajectory,
                         grid: int = 4096) -> DriftReport:
-    """Constancy of the oracle series along the coarse trajectory, with the
-    order estimated against the fine one."""
-    return _drift_report("oracle", oracle_constant(p, L, fam, coarse, grid),
-                         oracle_constant(p, L, fam, fine, grid), coarse, fine)
+    """Constancy of the oracle series along the coarse trajectory at grid
+    points, with the order estimated against the fine one.  The work
+    integral is read from its channel, so both trajectories must carry
+    ``oracle_channels(p, L, fam)``."""
+    return drift_report(_integrated_oracle(p, L, fam), coarse, fine, grid)
 
 
 def drift_gate(report: DriftReport, threshold: float) -> bool:

@@ -30,16 +30,36 @@ def state(traj, t: float) -> np.ndarray:
 
 
 def rhs(p, integrands=()):
-    """(t, x, v) -> (v, a, g_0..) from separately compiled expressions,
-    in the order and with the arithmetic that ``problem.rhs`` fuses."""
-    phi_x, phi_t, B, *gs = (ex.compile_fn(e, p.params) for e in (
-        ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B), *integrands))
+    """(t, x, v[, u]) -> (v, a, g_0..) from separately compiled expressions,
+    in the order and with the arithmetic that ``problem.rhs`` fuses; u is
+    the value of the channel that a dressed integrand reads."""
+    phi_x, phi_t, B = (ex.compile_fn(e, p.params) for e in (
+        ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B)))
+    gs = [channel_fn(g, p.params) for g in integrands]
 
-    def f(t, x, v):
+    def f(t, x, v, *u):
         a = -(0.5 * phi_x(t, x) * v * v + phi_t(t, x) * v + B(t, x))
-        return (v, a, *(g(t, x) for g in gs))
+        return (v, a, *(g(t, x, v, *u) for g in gs))
 
     return f
+
+
+def channel_fn(g, params):
+    """(t, x, v[, u]) -> one channel's integrand: g(t, x) for an Expr; for
+    an Integrand, 0.0 plus its nonzero terms c_d*v**d left to right, times
+    exp(sign*u) when it is dressed, as an invariant's polynomial."""
+    if isinstance(g, ex.Expr):
+        fn = ex.compile_fn(g, params)
+        return lambda t, x, v, *u: fn(t, x)
+    terms = [(d, ex.compile_fn(c, params)) for d, c in enumerate(g.coeffs) if c != ex.ZERO]
+
+    def integrand(t, x, v, *u):
+        total = 0.0
+        for d, c in terms:
+            total += c(t, x) * v ** d
+        return total * math.exp(g.sign * u[0]) if g.sign else total
+
+    return integrand
 
 
 def spec_fn(spec, params):

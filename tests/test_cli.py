@@ -178,15 +178,16 @@ def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
 
 # (accepted steps, right-hand-side calls) of the four integrations of
 # run_fixture at its defaults: tol, tol / REFINE, then the oracle's pair at
-# 1e-8 and 1e-8 / REFINE; all Completed.  A catalog pass makes 1,406
-# accepted steps and 8,484 calls, so none is rejected.
+# 1e-8 and 1e-8 / REFINE, which carries the oracle's channels; all
+# Completed.  A catalog pass makes 1,423 accepted steps and 8,586 calls, so
+# none is rejected.
 STEP_SEQUENCES = {
-    "PG18": ((35, 212), (59, 356), (15, 92), (25, 152)),
-    "PG21": ((76, 458), (132, 794), (30, 182), (52, 314)),
-    "PG22": ((33, 200), (55, 332), (15, 92), (24, 146)),
-    "PG4": ((84, 506), (145, 872), (34, 206), (58, 350)),
-    "PG20": ((86, 518), (150, 902), (34, 206), (60, 362)),
-    "JAC_EXACT": ((53, 320), (89, 536), (24, 146), (38, 230)),
+    "PG18": ((35, 212), (59, 356), (16, 98), (25, 152)),
+    "PG21": ((76, 458), (132, 794), (31, 188), (53, 320)),
+    "PG22": ((33, 200), (55, 332), (17, 104), (28, 170)),
+    "PG4": ((84, 506), (145, 872), (37, 224), (63, 380)),
+    "PG20": ((86, 518), (150, 902), (35, 212), (60, 362)),
+    "JAC_EXACT": ((53, 320), (89, 536), (24, 146), (37, 224)),
 }
 
 
@@ -199,7 +200,7 @@ def test_fixture_step_sequences_are_pinned(monkeypatch):
 
     def counting_rhs(p, integrands=()):
         f = original_rhs(p, integrands)
-        return lambda t, x, v: calls.append(None) or f(t, x, v)
+        return lambda *point: calls.append(None) or f(*point)
 
     seen = []
 
@@ -306,6 +307,36 @@ def test_run_domain_abort_detail_has_plain_floats(tmp_path, capsys):
     assert detail.endswith("at (t=0.0, x=-1.0)")
 
 
+@pytest.mark.parametrize("name", ["free_oscillator_long", "forced_oscillator_long"])
+def test_run_oracle_gate_passes_over_long_windows(capsys, name):
+    # about 4 periods of a free oscillator and 15 of a forced one; a
+    # Simpson quadrature of the work integral on a fixed grid observed
+    # order 0.14 and 0.03 here, and failed the gate
+    path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+    code, out, _ = run_main(["run", str(path), "--oracle"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["oracle"]["gate"] is True
+    assert report["oracle"]["max_discrepancy"] < 1e-5
+
+
+def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
+    # the main pair shares one right-hand side and the oracle's pair
+    # another; the coarse and fine series of a spec share one evaluator,
+    # which the oracle's comparison reuses for the closed form
+    defined = []
+    original = ex._define
+    monkeypatch.setattr(ex, "_define", lambda name, args, body, namespace: defined.append(
+        (name, args, tuple(body))) or original(name, args, body, namespace))
+    fx = catalog.get("PG18")
+    problem, exprs = load_problem(fx.data)
+    _, code, _ = cli.run_pipeline(problem, exprs, fx.data, oracle=True,
+                                  threshold=fx.drift_threshold)
+    assert code == 0
+    # two right-hand sides; three specs, the oracle and its gate
+    assert sorted(name for name, _, _ in defined) == ["fused"] * 2 + ["series"] * 5
+    assert len(set(defined)) == len(defined)
+
+
 GOLDEN_CATALOG = pathlib.Path(__file__).parent / "data" / "catalog_all.json"
 
 
@@ -339,6 +370,19 @@ def test_check_matches_golden_report(tmp_path, capsys, case):
     # entry its constructor adds, and a passing problem of each regime
     code, out, _ = run_main(["check", write(tmp_path, "p.json", case["problem"])], capsys)
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_domain_error_prints_a_capped_node(tmp_path, capsys):
+    # the constant 2^2000 has 603 digits; the message keeps 80 characters
+    data = {"phi": "0", "B": "x/2^2000", "delta2": "0",
+            "t0": 0, "t_end": 1, "x0": 0.5, "v0": 0}
+    code, out, err = run_main(["check", write(tmp_path, "big.json", data)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coefficients undefined at the initial point: "
+                          "constant beyond float range in 1148130695")
+    node = err.split(" in ", 1)[1].rsplit(" at ", 1)[0]
+    assert len(node) == 80 and node.endswith("…")
+    assert err.endswith(" at (t=0.0, x=0.5)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,6 +467,14 @@ def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
             _, code = cli.run_fixture(fid, grid=64, oracle=oracle)
             assert code == 0
             assert tols == want, (fid, oracle)
+
+
+def test_oracle_gate_samples_at_least_the_default_grid():
+    # the order of PG21's oracle series, estimated from 2 to 4 points,
+    # reads 1.3-3.4
+    for grid in (2, 3, 4):
+        report, code = cli.run_fixture("PG21", grid=grid)
+        assert code == 0 and report["oracle"]["gate"] is True, grid
 
 
 def test_dumps_float_format():

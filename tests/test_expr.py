@@ -87,6 +87,20 @@ def test_parse_error_carries_offset():
     assert err.value.offset == 0
 
 
+# every character the tokenizer knows, and a few it does not
+PARSE_ALPHABET = "0123456789.+-*/^()tx abceklnopqrsinx_,@\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=PARSE_ALPHABET, max_size=60)))
+def test_parse_accepts_or_raises_parse_error(text):
+    # any text parses, or raises ParseError, never any other exception
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
 def test_parse_depth_limited():
     # a flat chain builds a left-deep tree, one level per operator
     for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x",
@@ -165,9 +179,10 @@ def _bits(value) -> bytes:
 
 
 # points where the fast path meets zero denominators, non-positive
-# logarithms, negative radicands and bases, and exp/pow overflow
-HOSTILE_T = [0.0, 0.3, -1.25, 2.0, 700.0, -0.0, 1e-300, 3.5, -800.0, 1e8]
-HOSTILE_X = [0.0, -0.7, 1.5, -2.0, 0.8, 750.0, -1e-300, 1.0, 2.5, -1e8]
+# logarithms, negative radicands and bases, exp/pow overflow, and products
+# that overflow to +-inf without an error
+HOSTILE_T = [0.0, 0.3, -1.25, 2.0, 700.0, -0.0, 1e-300, 3.5, -800.0, 1e8, 1e200, -1e200, 0.5]
+HOSTILE_X = [0.0, -0.7, 1.5, -2.0, 0.8, 750.0, -1e-300, 1.0, 2.5, -1e8, 1e200, 1e200, -1e200]
 
 
 def _pointwise(fn, ts, xs):
@@ -191,21 +206,41 @@ def _series(e, params=None):
 def test_compile_fn_array_matches_scalar_pointwise():
     # the generated loop over the hostile points, from every start point,
     # against a point-by-point compile_fn loop: the same bits and the same
-    # stopping point and DomainError
+    # stopping point and DomainError; and that loop stops where the
+    # reference evaluator does, with its DomainError.  Each tree is also
+    # tried under a square root of -x^3 times itself, whose base overflows
+    # to -inf at x = 1e200
     rng = random.Random(11)
-    stopped = 0
+    stopped = negative_inf = 0
     for _ in range(400):
-        e = random_tree(rng, 4)
-        fn, loop = compile_fn(e, SAFE_ENV), _series(e, SAFE_ENV)
-        for start in range(len(HOSTILE_T)):
-            ts, xs = HOSTILE_T[start:], HOSTILE_X[start:]
-            values, err = loop(ts, xs)
-            want, want_err = _pointwise(fn, ts, xs)
-            assert [_bits(v) for v in values] == [_bits(v) for v in want], pprint(e)
-            assert all(type(v) is float for v in values)
-            assert str(err) == str(want_err), pprint(e)
-            stopped += want_err is not None
-    assert stopped > 100  # the hostile points are exercised
+        tree = random_tree(rng, 4)
+        for e in (tree, (-(X * X * X * tree)) ** Rat(1, 2)):
+            fn, loop = compile_fn(e, SAFE_ENV), _series(e, SAFE_ENV)
+            for start in range(len(HOSTILE_T)):
+                ts, xs = HOSTILE_T[start:], HOSTILE_X[start:]
+                values, err = loop(ts, xs)
+                want, want_err = _pointwise(fn, ts, xs)
+                assert [_bits(v) for v in values] == [_bits(v) for v in want], pprint(e)
+                assert all(type(v) is float for v in values)
+                assert str(err) == str(want_err), pprint(e)
+                ref, ref_err = _pointwise(lambda t, x: evaluate(e, t, x, SAFE_ENV), ts, xs)
+                assert (len(ref), str(ref_err)) == (len(want), str(want_err)), pprint(e)
+                stopped += want_err is not None
+                negative_inf += "negative base" in str(want_err) and xs[len(want)] == 1e200
+    assert stopped > 100 and negative_inf > 100  # the hostile points are exercised
+
+
+def test_fractional_power_of_negative_infinity_raises():
+    # -(x*x*x) overflows to -inf without an error; math.pow would take it
+    # to inf
+    e = parse("(-(x*x*x))^(1/2)")
+    with pytest.raises(DomainError) as want:
+        evaluate(e, 0.0, 1e200)
+    assert want.value.reason == "negative base with fractional exponent"
+    with pytest.raises(DomainError) as got:
+        compile_fn(e)(0.0, 1e200)
+    assert str(got.value) == str(want.value)
+    assert compile_fn(e)(0.0, -1e200) == math.inf
 
 
 @pytest.mark.parametrize("text, x", [
@@ -231,10 +266,34 @@ def test_compile_fn_array_takes_the_slow_path_value_where_it_exists():
     assert err is None and _bits(values[1]) == _bits(want)
 
 
+def test_template_overflow_is_a_domain_error():
+    # the exp of a channel value is the template's own arithmetic, not a
+    # field's; where it overflows, that point fails with the template shown
+    template = "{g}*math.exp(u0)"
+    fused = ex.compile_fused(template, {"g": X}, channels=1)
+    want = "overflow in (x)*math.exp(u0) at (t=0.5, x=2.0)"
+    assert fused(0.0, 2.0, 0.0, 1.0) == 2.0 * math.exp(1.0)
+    with pytest.raises(DomainError) as caught:
+        fused(0.5, 2.0, 0.0, 800.0)
+    assert str(caught.value) == want
+    series = ex.compile_series(template, {"g": X}, channels=1)
+    values, err = series([0.0, 0.5, 1.0], [2.0] * 3, [0.0] * 3, [1.0, 800.0, 1.0])
+    assert values == [2.0 * math.exp(1.0)] and str(err) == want
+
+
 def test_domain_error_point_is_plain_floats():
     err = DomainError(X, np.float64(0.5), np.float64(-1.0), "test")
     assert type(err.t) is float and type(err.x) is float
     assert "np.float64" not in str(err) and "x=-1.0" in str(err)
+
+
+def test_domain_error_prints_at_most_80_characters_of_its_node():
+    node = simplify(parse("x/2^2000"))
+    err = DomainError(node, 0.0, 0.5, "test")
+    printed = str(err)[len("test in "):-len(" at (t=0.0, x=0.5)")]
+    assert len(printed) == 80 and printed.endswith("…")
+    assert printed[:-1] == pprint(node)[:79]
+    assert str(DomainError(X, 0.0, 0.5, "test")) == "test in x at (t=0.0, x=0.5)"
 
 
 # ------------------------------------------------------------------- diff

@@ -26,7 +26,8 @@ from jacobi_invariants.integrate import (
     integrate,
 )
 from jacobi_invariants.invariants import first_integral_autonomous, nonlocal_autonomous
-from jacobi_invariants.problem import JacobiProblem, rhs
+from jacobi_invariants.problem import Integrand, JacobiProblem, read_channel, rhs
+from jacobi_invariants.verify import oracle_channels
 
 
 def free_particle(t_end=1.0, x0=0.0, v0=1.0):
@@ -118,6 +119,18 @@ def test_domain_abort_status():
     assert traj.t_last == pytest.approx(0.5, abs=1e-3)
 
 
+def test_domain_abort_when_a_dressing_channel_overflows():
+    # the integrand exp(u) reads a channel u = 800*t, whose exponential
+    # leaves float range at t = 0.887; a trial stage past it is a domain
+    # failure like any other, so the run aborts there
+    b = parse("800")
+    p = free_particle(t_end=2.0)
+    traj = integrate(p, (b, Integrand((ex.ONE,), sign=1, channel=b)), (1e-8, 1e-8))
+    assert traj.termination.status == DOMAIN_ABORT
+    assert traj.termination.detail.startswith("overflow in ")
+    assert traj.t_last == pytest.approx(math.log(np.finfo(float).max) / 800, abs=1e-3)
+
+
 def test_step_failure_on_unreachable_singularity():
     p = JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
                       t0=0.0, t_end=1.0, x0=0.0, v0=0.0)
@@ -137,17 +150,16 @@ def test_last_step_lands_exactly_on_t_end(t0, t_end):
     assert np.all(np.diff(traj.ts) > 0)
 
 
-def test_dense_output_matches_scipy_dop853(loaded, trajectories):
-    # an independent integrator on the same right-hand side, every
-    # accumulator channel included, built from separately compiled
-    # expressions so that it shares no generated code with the integrator
+def _assert_matches_scipy_dop853(loaded, trajectory_of):
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     for fid, fx in loaded.items():
-        p, traj = fx.problem, trajectories[fid]
+        p, traj = fx.problem, trajectory_of(fid)
         separate = scalar_reference.rhs(p, traj.integrands)
+        read = read_channel(traj.integrands)
+        inputs = [0, 1] if read is None else [0, 1, 2 + read]
 
         def f(t, y):
-            return separate(t, y[0], y[1])
+            return separate(t, *y[inputs])
 
         n_u = len(traj.integrands)
         ref = solve_ivp(f, (p.t0, p.t_end), [p.x0, p.v0] + [0.0] * n_u,
@@ -160,29 +172,52 @@ def test_dense_output_matches_scipy_dop853(loaded, trajectories):
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), fid
 
 
-@pytest.mark.parametrize("integrands", [(), ("x^2", "t*x", "exp(-x)")])
+def test_dense_output_matches_scipy_dop853(loaded, trajectories):
+    # an independent integrator on the same right-hand side, every
+    # accumulator channel included, built from separately compiled
+    # expressions so that it shares no generated code with the integrator
+    _assert_matches_scipy_dop853(loaded, trajectories.get)
+
+
+def test_dense_output_on_the_oracle_channels_matches_scipy_dop853(loaded, families):
+    # the work channel reads the channel b where the family has one
+    _assert_matches_scipy_dop853(loaded, lambda fid: integrate(
+        loaded[fid].problem, oracle_channels(loaded[fid].problem, loaded[fid].lagrangian,
+                                             families[fid]), (1e-10, 1e-10)))
+
+
+DRESSED = (parse("x^2"), parse("t*x"),
+           Integrand((parse("exp(-x)"), parse("t"), parse("x")), sign=-1, channel=parse("t*x")))
+
+
+@pytest.mark.parametrize("integrands", [
+    (), tuple(parse(g) for g in ("x^2", "t*x", "exp(-x)")), DRESSED])
 def test_one_step_matches_scipy_rk45_tableau(integrands):
     # the generated step against one built from scipy's own Dormand-Prince
-    # coefficients on the same right-hand side, with 2 and 5 components
+    # coefficients on the same right-hand side, with 2 and 5 components;
+    # in the last case the right-hand side reads the channel of t*x
     RK45 = pytest.importorskip("scipy.integrate").RK45
     assert np.array_equal(RK45.C, _C[:6]) and np.array_equal(RK45.B, _B)
     assert all(np.array_equal(RK45.A[s, :s], _A[s]) for s in range(6))
     assert np.array_equal(RK45.E, -np.array(_E))
     p = JacobiProblem(phi=parse("x/2 + t/3"), B=parse("sin(x) + t*x"),
                       t0=0.0, t_end=1.0, x0=0.7, v0=-0.4)
-    f = rhs(p, tuple(parse(g) for g in integrands))
+    f = rhs(p, integrands)
     n = 2 + len(integrands)
+    read = read_channel(integrands)
+    inputs = (0, 1) if read is None else (0, 1, 2 + read)
     t, h, atol, rtol = 0.3, 0.05, 1e-9, 1e-6
     y = (0.7, -0.4) + tuple(0.25 * (i + 1) for i in range(n - 2))
     K = np.empty((7, n))
-    K[0] = k1 = f(t, y[0], y[1])
-    err, y_new, k7, rows = _step(n)(f, t, h, y, k1, atol, rtol)
+    K[0] = k1 = f(t, *(y[i] for i in inputs))
+    step = _step(n, inputs)
+    err, y_new, k7, rows = step(f, t, h, y, k1, atol, rtol)
 
     for s in range(1, 6):
         ys = np.array(y) + h * (K[:s].T @ RK45.A[s, :s])
-        K[s] = f(t + RK45.C[s] * h, ys[0], ys[1])
+        K[s] = f(t + RK45.C[s] * h, *(float(ys[i]) for i in inputs))
     want = np.array(y) + h * (K[:6].T @ RK45.B)
-    K[6] = f(t + h, want[0], want[1])
+    K[6] = f(t + h, *(float(want[i]) for i in inputs))
     assert np.allclose(y_new, want, rtol=1e-14, atol=0.0)
     assert np.allclose(k7, K[6], rtol=1e-14, atol=0.0)
 

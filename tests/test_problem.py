@@ -11,15 +11,19 @@ from jacobi_invariants.problem import (
     AUTONOMOUS,
     GENERAL,
     TIME_INDEPENDENT_PHI,
+    Integrand,
     JacobiProblem,
     LagrangianData,
     ProblemError,
+    canonical,
     classify,
     euler_lagrange_residual,
     lagrangian_residual_expr,
+    read_channel,
     rhs,
     validate_lagrangian,
 )
+from jacobi_invariants.verify import oracle_channels
 
 
 @pytest.fixture
@@ -92,28 +96,70 @@ def test_rhs_examples(pg18):
     assert rhs(pj)(0.0, 0.0, 0.0)[1] == pytest.approx(-1.0, abs=1e-14)
 
 
-def _outcome(f, t, x, v):
+def _outcome(f, *point):
     """The values of f bit for bit, or the type and text of its DomainError."""
     try:
-        return tuple(float(value).hex() for value in f(t, x, v))
+        return tuple(float(value).hex() for value in f(*point))
     except ex.DomainError as err:
         return type(err), str(err)
 
 
-def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, constructions):
+def _assert_fused_rhs_is_bit_identical(loaded, channels_of):
     rng = random.Random(2024)
     for fid, fx in loaded.items():
         p = fx.problem
-        integrands = tuple(ex.simplify(g) for g in constructions[fid].integrands)
+        integrands = tuple(map(canonical, channels_of(fid)))
+        reads = read_channel(integrands) is not None
         fused, separate = rhs(p, integrands), scalar_reference.rhs(p, integrands)
         t0, t1, x0, x1 = p.domain
         values = 0
         for _ in range(200):
-            t, x, v = rng.uniform(t0, t1), rng.uniform(x0, x1), rng.uniform(-3.0, 3.0)
-            want = _outcome(separate, t, x, v)
-            assert _outcome(fused, t, x, v) == want, (fid, t, x, v)
+            point = (rng.uniform(t0, t1), rng.uniform(x0, x1), rng.uniform(-3.0, 3.0),
+                     *([rng.uniform(-1.0, 1.0)] if reads else []))
+            want = _outcome(separate, *point)
+            assert _outcome(fused, *point) == want, (fid, point)
             values += isinstance(want[0], str)
         assert values > 100, fid
+
+
+def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, constructions):
+    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: constructions[fid].integrands)
+
+
+def test_fused_rhs_on_the_oracle_channels_is_bit_identical(loaded, families):
+    # the work channel is a polynomial in v, dressed by the channel b when
+    # the family has an exponential factor
+    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: oracle_channels(
+        loaded[fid].problem, loaded[fid].lagrangian, families[fid]))
+
+
+def test_rhs_reads_the_one_channel_a_dressed_integrand_names():
+    p = JacobiProblem(phi=ex.ZERO, B=parse("x"), t0=0, t_end=1, x0=0.5, v0=0.0)
+    b, g = parse("t"), parse("x^2")
+    work = Integrand((parse("x"), ex.ZERO, parse("t")), sign=-1, channel=b)
+    assert read_channel((g, b, work)) == 1 and read_channel((g, b)) is None
+    f = rhs(p, (g, b, work))
+    # exp(-u)*(x + t*v^2) with u = 0.5
+    want = math.exp(-0.5) * (3.0 + 2.0 * 0.5 * 0.5)
+    assert f(2.0, 3.0, 0.5, 0.5) == (0.5, -3.0, 9.0, 2.0, want)
+    assert rhs(p, (Integrand((parse("x"), parse("t")),),))(2.0, 3.0, 0.5) == (0.5, -3.0, 4.0)
+    with pytest.raises(ProblemError, match="not registered"):
+        read_channel((g, work))
+    other = Integrand((ex.ONE,), sign=1, channel=g)
+    with pytest.raises(ProblemError, match="more than one channel"):
+        read_channel((g, b, work, other))
+    for bad in (dict(coeffs=()), dict(coeffs=(ex.ONE,), sign=2, channel=b),
+                dict(coeffs=(ex.ONE,), sign=1), dict(coeffs=(ex.ONE,), channel=b)):
+        with pytest.raises(ValueError):
+            Integrand(**bad)
+
+
+def test_rhs_is_built_once_per_problem_and_channel_tuple(pg18):
+    g = (parse("x"),)
+    f = rhs(pg18, g)
+    assert rhs(pg18, (parse("x"),)) is f
+    assert rhs(pg18, ()) is not f
+    assert rhs(pg18, g) is not f  # only the last one built is kept
 
 
 def test_fused_rhs_raises_the_separate_domain_error():

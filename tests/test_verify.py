@@ -7,6 +7,7 @@ from jacobi_invariants.problem import JacobiProblem, LagrangianData
 from jacobi_invariants.verify import (
     PerturbationFamily,
     drift_gate,
+    oracle_channels,
     oracle_constant,
     oracle_drift_report,
     oracle_vs_closed,
@@ -78,12 +79,13 @@ def test_oracle_constant_series_on_plain_shift_pg4(loaded):
     assert rel < 1e-6
 
 
-def test_oracle_drift_gate_on_fixtures(loaded, constructions):
+def test_oracle_drift_gate_on_fixtures(loaded, families):
     for fid, fx in loaded.items():
-        fam, regs = constructions[fid].family, constructions[fid].integrands
+        fam = families[fid]
+        regs = oracle_channels(fx.problem, fx.lagrangian, fam)
         coarse = integrate(fx.problem, regs, (1e-8, 1e-8))
         fine = integrate(fx.problem, regs, (1e-8 / REFINE, 1e-8 / REFINE))
-        rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, coarse, fine, 8192)
+        rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, coarse, fine, 1024)
         assert drift_gate(rep, 1e-5), (fid, rep.rel_drift, rep.order)
 
 
