@@ -8,7 +8,10 @@ of ``^`` are restricted to constant (t,x-free) expressions.
 ``simplify`` rewrites to a canonical normal form: sums and products are
 flattened, sorted and collected, constants folded, exp/ln pairs cancelled.
 It is a fixed rewrite set, not a full CAS; ``zero_check`` backs it with
-quasi-random sampling for whatever rewriting misses.
+quasi-random sampling for whatever rewriting misses.  It is idempotent, so
+each node keeps its normal form, and a normal form its two partial
+derivatives, once computed: ``simplify`` and ``diff`` do a node's work once
+for as long as the node lives.
 """
 
 from __future__ import annotations
@@ -83,9 +86,16 @@ class NonConstantExponentError(ExprError):
 
 
 class Expr:
-    """A single expression-tree node.  Immutable and hashable."""
+    """A single expression-tree node.  Immutable and hashable.
 
-    __slots__ = ("kind", "args", "value", "name", "_hash", "_key")
+    The slots after ``name`` are filled on first use and take no part in
+    ``==`` or ``hash``: ``_canon`` is the node's normal form, or
+    ``_CANONICAL`` when the node is its own; ``_d_t`` and ``_d_x`` are the
+    partial derivatives of a normal form.
+    """
+
+    __slots__ = ("kind", "args", "value", "name", "_hash", "_key",
+                 "_canon", "_d_t", "_d_x")
 
     def __init__(self, kind, args=(), value=None, name=None):
         self.kind = kind
@@ -94,6 +104,9 @@ class Expr:
         self.name = name
         self._hash = None
         self._key = None
+        self._canon = None
+        self._d_t = None
+        self._d_x = None
 
     def __eq__(self, other):
         if self is other:
@@ -771,10 +784,17 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
 # ---------------------------------------------------------------- derivative
 
 def diff(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative with respect to 't' or 'x', simplified."""
+    """Symbolic partial derivative with respect to 't' or 'x', simplified;
+    the normal form of ``e`` keeps it."""
     if var not in ("t", "x"):
         raise ValueError("var must be 't' or 'x'")
-    return simplify(_diff(simplify(e), var))
+    s = simplify(e)
+    slot = "_d_" + var
+    d = getattr(s, slot)
+    if d is None:
+        d = simplify(_diff(s, var))
+        setattr(s, slot, d)
+    return d
 
 
 def _diff(e: Expr, var: str) -> Expr:
@@ -823,10 +843,31 @@ def simplify(e: Expr) -> Expr:
     return _norm(e)
 
 
+# what ``Expr._canon`` holds on a node that is its own normal form: a marker
+# rather than the node itself, so that no node refers to itself, and one
+# that a copied or unpickled node still holds
+_CANONICAL = True
+
+
 def _norm(e: Expr) -> Expr:
-    k = e.kind
-    if k in (RAT, PARAM, VAR):
+    """Normal form of e.  e keeps it, and it is marked as its own normal
+    form: simplify is idempotent."""
+    canon = e._canon
+    if canon is not None:
+        return e if canon is _CANONICAL else canon
+    if e.kind in (RAT, PARAM, VAR):
         return e
+    s = _rewrite(e)
+    if s is e:
+        e._canon = _CANONICAL
+    else:
+        e._canon = s
+        s._canon = _CANONICAL
+    return s
+
+
+def _rewrite(e: Expr) -> Expr:
+    k = e.kind
     if k == NEG:
         return _c_mul([MINUS_ONE, _norm(e.args[0])])
     if k == SUB:

@@ -21,14 +21,15 @@ integrator and not the quadrature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .integrate import DriftReport, EvalSeries, Trajectory, drift_report, in_blocks
+from .integrate import (DriftReport, EvalSeries, IntegrationError, Trajectory, drift_report,
+                        in_blocks)
 from .invariants import NONLOCAL_CONSTANT, InvariantSpec
 from .problem import Integrand, JacobiProblem, LagrangianData
 
@@ -43,9 +44,6 @@ class PerturbationFamily:
     a: Expr
     b: Expr
     sign: int
-    # the last integrated oracle built, as ((problem, Lagrangian data),
-    # spec); the family is immutable
-    _integrated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
@@ -85,7 +83,8 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
     """The conserved series of the family along an integrated trajectory.
 
     When the family carries an exponential factor, its integrand b must be
-    registered as an accumulator channel on the trajectory.
+    registered as an accumulator channel on the trajectory.  A series that
+    leaves the real domain inside the window raises IntegrationError.
     """
     if grid < 8:
         raise ValueError("grid must be >= 8")
@@ -114,7 +113,7 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
     ts = np.linspace(traj.t0, traj.t_last, grid)
     rows, err = in_blocks(traj, ts, evaluate)
     if err is not None:
-        raise err
+        raise IntegrationError(f"oracle undefined on the trajectory: {err}") from err
     h = ts[1] - ts[0]
     work = _prefix_simpson(rows[:, 1], h)
     return EvalSeries(ts, rows[:, 0] - work)
@@ -129,20 +128,12 @@ def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> fl
     return float(np.max(np.abs(a - b)))
 
 
-def _integrated_oracle(p: JacobiProblem, L: LagrangianData,
-                       fam: PerturbationFamily) -> InvariantSpec:
+def _build_integrated_oracle(p: JacobiProblem, L: LagrangianData,
+                             fam: PerturbationFamily) -> InvariantSpec:
     """The oracle series dL/dv * v_fam - W as a spec over the channels
     (b, W), or (W,) without an exponential factor.  With
     v_fam = a*exp(sign*u_b) and v_fam' = (a_t + a_x*v + sign*b*a)*exp(sign*u_b),
-    W integrates dL/dx * v_fam + dL/dv * v_fam', expanded in powers of v.
-    Built once per problem: the family keeps the last spec built."""
-    if fam._integrated is None or fam._integrated[0] != (p, L):
-        object.__setattr__(fam, "_integrated", ((p, L), _build_integrated_oracle(p, L, fam)))
-    return fam._integrated[1]
-
-
-def _build_integrated_oracle(p: JacobiProblem, L: LagrangianData,
-                             fam: PerturbationFamily) -> InvariantSpec:
+    W integrates dL/dx * v_fam + dL/dv * v_fam', expanded in powers of v."""
     e = _variational_exprs(p, L, fam)
     a, a_x = e["a"], e["a_x"]
     # v_fam' over the exponential factor, less its a_x*v term
@@ -166,7 +157,7 @@ def oracle_channels(p: JacobiProblem, L: LagrangianData,
     """The accumulator channels of the oracle's constancy gate, in the
     order to register them: the family's exponent integrand b when it has
     an exponential factor, then the work integrand."""
-    return _integrated_oracle(p, L, fam).integrands
+    return _build_integrated_oracle(p, L, fam).integrands
 
 
 def oracle_drift_report(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
@@ -176,7 +167,7 @@ def oracle_drift_report(p: JacobiProblem, L: LagrangianData, fam: PerturbationFa
     points, with the order estimated against the fine one.  The work
     integral is read from its channel, so both trajectories must carry
     ``oracle_channels(p, L, fam)``."""
-    return drift_report(_integrated_oracle(p, L, fam), coarse, fine, grid)
+    return drift_report(_build_integrated_oracle(p, L, fam), coarse, fine, grid)
 
 
 def drift_gate(report: DriftReport, threshold: float) -> bool:

@@ -1,6 +1,7 @@
 """Small functions only the tests need: a spec's compiled evaluator over
 arrays and at one point, its coefficients as point functions, the
-oracle's offset and the blow-up scan that chose the fixtures' windows."""
+oracle's offset, the blow-up scan that chose the fixtures' windows and a
+copy of an expression tree with no memo filled."""
 
 from dataclasses import replace
 
@@ -42,6 +43,12 @@ def local_exprs(spec) -> dict[int, ex.Expr]:
         return {d: ex.simplify(c) for d, c in spec.poly.items()}
     factor = ex.Exp(spec.exp_closed_arg)
     return {d: ex.simplify(c * factor) for d, c in spec.poly.items()}
+
+
+def fresh(e: ex.Expr) -> ex.Expr:
+    """A tree equal to e built from new nodes, so that no normal form or
+    derivative is kept on any of them yet."""
+    return ex.Expr(e.kind, tuple(fresh(a) for a in e.args), e.value, e.name)
 
 
 def oracle_offset(series_oracle, series_closed) -> float:

@@ -297,6 +297,15 @@ def test_run_invariant_undefined_at_t0_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "undefined on the trajectory start" in err
 
 
+def test_run_oracle_undefined_on_the_trajectory_exit_2(tmp_path, capsys):
+    # over a window of 1500 the oracle's exp(t + x) leaves float range at
+    # t = 709.89, inside the series it samples
+    data = {**catalog.get("JAC_EXACT").data, "t_end": 1500}
+    code, out, err = run_main(["run", write(tmp_path, "o.json", data), "--oracle"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: oracle undefined on the trajectory: overflow in exp")
+
+
 def test_run_domain_abort_detail_has_plain_floats(tmp_path, capsys):
     data = {"phi": "0", "B": "-1", "delta2": "x", "domain": [0, 1, 1, 3],
             "t0": 0, "t_end": 1, "x0": -1, "v0": 0}
