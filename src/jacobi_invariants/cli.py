@@ -105,6 +105,13 @@ _EXPR_KEYS = ("phi", "B", "delta1", "delta2", "eta", "rho1", "rho2")
 _NUM_KEYS = ("t0", "t_end", "x0", "v0")
 
 
+def _number(value) -> float:
+    """A JSON number as a float; true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a number")
+    return float(value)
+
+
 def load_problem(data: dict) -> tuple[JacobiProblem, dict[str, Expr]]:
     if not isinstance(data, dict):
         raise InputError("problem file must contain a JSON object")
@@ -123,20 +130,20 @@ def load_problem(data: dict) -> tuple[JacobiProblem, dict[str, Expr]]:
     nums = {}
     for key in _NUM_KEYS:
         try:
-            nums[key] = float(data[key])
+            nums[key] = _number(data[key])
         except (TypeError, ValueError):
             raise InputError(f"{key!r} must be a number") from None
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise InputError("'params' must be an object")
     try:
-        params = {str(k): float(v) for k, v in params.items()}
+        params = {str(k): _number(v) for k, v in params.items()}
     except (TypeError, ValueError):
         raise InputError("'params' values must be numbers") from None
     domain = None
     if data.get("domain") is not None:
         try:
-            tmin, tmax, xmin, xmax = (float(v) for v in data["domain"])
+            tmin, tmax, xmin, xmax = (_number(v) for v in data["domain"])
             domain = (tmin, tmax, xmin, xmax)
         except (TypeError, ValueError):
             raise InputError("'domain' must be [tmin, tmax, xmin, xmax]") from None
@@ -155,7 +162,7 @@ def read_problem_file(path: str) -> tuple[JacobiProblem, dict[str, Expr], dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err

@@ -16,6 +16,7 @@ for as long as the node lives.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -1218,13 +1219,17 @@ def _halton(i: int, base: int) -> float:
     return r
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_points(n: int) -> tuple[tuple[float, float], ...]:
+    """The first n Halton (2, 3) points of the unit square, computed once."""
+    return tuple((_halton(i, 2), _halton(i, 3)) for i in range(1, n + 1))
+
+
 def sample_points(domain: tuple[float, float, float, float], n: int):
     """n quasi-random (t, x) points in [tmin,tmax] x [xmin,xmax] (Halton 2,3)."""
     tmin, tmax, xmin, xmax = domain
-    return [
-        (tmin + _halton(i, 2) * (tmax - tmin), xmin + _halton(i, 3) * (xmax - xmin))
-        for i in range(1, n + 1)
-    ]
+    return [(tmin + ht * (tmax - tmin), xmin + hx * (xmax - xmin))
+            for ht, hx in _unit_points(n)]
 
 
 class ZeroCheck:

@@ -8,6 +8,10 @@ integrand is a g(t, x), or a polynomial in v that may be dressed by the
 exponential of one other channel (``problem.Integrand``).  The pair is
 the classic Dormand-Prince 5(4) with a PI step controller and the
 standard quartic dense-output interpolant.
+
+numpy is imported where an array is first built (the end of an
+integration and the evaluation helpers), so importing this module, and the
+package, loads none.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expr import Expr, DomainError
 from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -108,6 +114,8 @@ class Trajectory:
     def sample(self, ts) -> np.ndarray:
         """Dense-output states [x, v, u_0..] at the times ts inside the
         integrated window, shape (len(ts), 2 + n_channels)."""
+        import numpy as np
+
         ts = np.asarray(ts, dtype=float)
         grid = self.ts
         outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
@@ -232,6 +240,8 @@ def integrate(p: JacobiProblem,
     conts = array("d")
 
     def finish(status, t_at, point=None, detail=""):
+        import numpy as np
+
         steps = len(conts) // (5 * n)
         return Trajectory(
             problem=p, integrands=integrands,
@@ -337,6 +347,8 @@ class EvalSeries:
     abort_point: tuple[float, float] | None = None
 
     def max_drift(self) -> float:
+        import numpy as np
+
         return float(np.max(np.abs(self.values - self.values[0])))
 
     def initial(self) -> float:
@@ -376,6 +388,8 @@ def in_blocks(traj: Trajectory, ts: np.ndarray, evaluate):
     the first point outside the domain and that point's DomainError, or
     None.  The first block with an error ends the series.  Returns
     (values, err)."""
+    import numpy as np
+
     parts = []
     err = None
     for start in range(0, len(ts), BLOCK):
@@ -393,6 +407,8 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     Domain errors (e.g. the square-root factor leaving its region of
     validity) truncate the series at the failing point and flag it.
     """
+    import numpy as np
+
     if grid < 2:
         raise ValueError("grid must be >= 2")
     channels = [traj.channel_of(g) for g in spec.integrands]
@@ -417,6 +433,8 @@ def drift_report(spec, coarse: Trajectory, fine: Trajectory,
     order log(drift ratio) / log(mean-step ratio) against the fine one
     (integrated at tol / REFINE); drifts at the round-off floor report
     order inf."""
+    import numpy as np
+
     ser_c = evaluate_along(coarse, spec, grid)
     dev = np.abs(ser_c.values - ser_c.values[0])
     max_c = float(np.max(dev))

@@ -48,6 +48,13 @@ class JacobiProblem:
     def __post_init__(self):
         if not self.t_end > self.t0:
             raise ProblemError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
+        if self.domain is not None:
+            # every sample point of a degenerate rectangle shares a t or an
+            # x, so a sampled zero test there can pass a false identity
+            tmin, tmax, xmin, xmax = self.domain
+            if not (tmin < tmax and xmin < xmax):
+                raise ProblemError(f"domain {list(self.domain)} must have "
+                                   "tmin < tmax and xmin < xmax")
         try:
             ex.evaluate(self.phi, self.t0, self.x0, self.params)
             ex.evaluate(self.B, self.t0, self.x0, self.params)

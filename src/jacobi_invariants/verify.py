@@ -16,6 +16,8 @@ The constancy gate reads the work integral W from an accumulator channel
 instead: its integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) is
 integrated with the motion, so the drift of dL/dv * v_fam - W measures the
 integrator and not the quadrature.
+
+As in ``integrate``, numpy is imported by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr
@@ -32,6 +33,9 @@ from .integrate import (DriftReport, EvalSeries, IntegrationError, Trajectory, d
                         in_blocks)
 from .invariants import NONLOCAL_CONSTANT, InvariantSpec
 from .problem import Integrand, JacobiProblem, LagrangianData
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,8 @@ class PerturbationFamily:
 def _prefix_simpson(fs: np.ndarray, h: float) -> np.ndarray:
     """Running integral on a uniform grid: composite Simpson at even
     prefixes, a single trapezoid panel closing each odd prefix."""
+    import numpy as np
+
     n = len(fs)
     out = np.zeros(n)
     m = (n - 1) // 2  # Simpson panels
@@ -86,6 +92,8 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
     registered as an accumulator channel on the trajectory.  A series that
     leaves the real domain inside the window raises IntegrationError.
     """
+    import numpy as np
+
     if grid < 8:
         raise ValueError("grid must be >= 8")
     exprs = _variational_exprs(p, L, fam)
@@ -122,6 +130,8 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
 def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> float:
     """Max discrepancy after matching the two series at t0 (the closed form
     absorbs a constant of integration that the oracle does not)."""
+    import numpy as np
+
     n = min(len(series_oracle.values), len(series_closed.values))
     a = series_oracle.values[:n] - series_oracle.values[0]
     b = series_closed.values[:n] - series_closed.values[0]

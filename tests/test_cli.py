@@ -124,6 +124,38 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, change):
     assert err.startswith("error: ") and "must be finite" in err
 
 
+# B = x with delta2 = 1 - x^2/2 + (x-1/2)^2/2 violates the Lagrangian
+# condition by 1/2 - x: check exits 1 on the default domain, but every
+# sample point of the flat domain x = 1/2 misses the violation
+LINE_FILE = {"phi": "0", "B": "x", "delta2": "1 - x^2/2 + (x-1/2)^2/2",
+             "t0": 0, "t_end": 1, "x0": 0.5, "v0": 0}
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("check", {"domain": [0, 1, 0.5, 0.5]}, "must have tmin < tmax and xmin < xmax"),
+    ("check", {"domain": [0, 1, 2, 1]}, "must have tmin < tmax and xmin < xmax"),
+    ("run", {"domain": [1, 1, 0, 1]}, "must have tmin < tmax and xmin < xmax"),
+    ("check", {"x0": True}, "'x0' must be a number"),
+    ("run", {"t_end": True}, "'t_end' must be a number"),
+    ("check", {"params": {"k": False}}, "'params' values must be numbers"),
+    ("check", {"domain": [0, True, 0, 1]}, "'domain' must be [tmin, tmax, xmin, xmax]"),
+], ids=["line", "reversed", "instant", "x0", "t_end", "param", "domain"])
+def test_degenerate_domain_and_booleans_exit_2(tmp_path, capsys, command, change, message):
+    code, out, err = run_main(
+        [command, write(tmp_path, "p.json", dict(LINE_FILE, **change))], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_utf8_problem_file_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_main([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, reason", [
     ({"B": "x/2^2000"}, "constant beyond float range"),
     ({"B": "sin(x*x*x)", "x0": 1e120}, "sin of infinite value"),

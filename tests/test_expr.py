@@ -483,6 +483,26 @@ def test_zero_check_skips_bad_points_and_raises_when_ill_posed():
         zero_check(parse("ln(x) + 1"), (0, 1, -10.0, -0.1))
 
 
+@pytest.mark.parametrize("domain", [(0.0, 1.0, 0.0, 1.0), (0.0, 0.4, 0.35, 3.0),
+                                    (-2.5, 7.0, -1e3, 1e-3)])
+def test_sample_points_are_the_scaled_halton_sequence(domain):
+    def radical_inverse(i, base):
+        digits = []
+        while i:
+            i, d = divmod(i, base)
+            digits.append(d)
+        return sum(d / base ** (k + 1) for k, d in enumerate(digits))
+
+    tmin, tmax, xmin, xmax = domain
+    for n in (16, ex.SAMPLES):
+        want = [(tmin + radical_inverse(i, 2) * (tmax - tmin),
+                 xmin + radical_inverse(i, 3) * (xmax - xmin)) for i in range(1, n + 1)]
+        # the unit points are shared between calls; the result is a new list
+        first, second = ex.sample_points(domain, n), ex.sample_points(domain, n)
+        assert first == second == pytest.approx(want, rel=1e-15, abs=0)
+        assert first is not second
+
+
 def test_zero_check_requires_16_samples():
     with pytest.raises(ValueError):
         zero_check(Rat(0), (0, 1, 0, 1), samples=8)

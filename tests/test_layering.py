@@ -1,21 +1,76 @@
 """The symbolic layers stay free of numpy: parsing, checking and building
-invariants never need an array."""
+invariants never need an array, and the layers that do build arrays load
+numpy on first use, so the package, ``check`` and ``catalog list`` start
+without it."""
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import jacobi_invariants
+from jacobi_invariants import catalog
 
 SOURCE = pathlib.Path(jacobi_invariants.__file__).parent
+
+
+def _imported(nodes):
+    names = [alias.name for node in nodes if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in nodes
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+def _import_time_nodes(body):
+    """The statements of body that run when the module is imported: all of
+    them, less function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_nodes(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_nodes(getattr(node, field, []))
 
 
 @pytest.mark.parametrize("module", ["expr", "problem", "invariants", "catalog"])
 def test_symbolic_module_does_not_import_numpy(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text())
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module]
-    assert not [name for name in imported if name.split(".")[0] == "numpy"], module
+    assert not _imported(list(ast.walk(tree))), module
+
+
+@pytest.mark.parametrize("module", ["integrate", "verify", "cli", "__init__"])
+def test_module_imports_no_numpy_at_import_time(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
+    assert not _imported(list(_import_time_nodes(tree.body))), module
+
+
+def _numpy_loaded(code: str) -> bool:
+    """Whether a fresh interpreter has numpy loaded after running code."""
+    child = f"import sys\nsys.path.insert(0, {str(SOURCE.parent)!r})\n{code}\n" \
+            "print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_import_loads_no_numpy():
+    assert not _numpy_loaded("import jacobi_invariants")
+
+
+def test_check_and_catalog_list_load_no_numpy(tmp_path):
+    path = tmp_path / "pg18.json"
+    path.write_text(json.dumps(catalog.get("PG18").data))
+    code = (f"from jacobi_invariants import cli\n"
+            f"assert cli.main(['check', {str(path)!r}]) == 0\n"
+            f"assert cli.main(['catalog', 'list']) == 0")
+    assert not _numpy_loaded(code)
+    # the test sees numpy once an integration needs it
+    assert _numpy_loaded(code + f"\ncli.main(['run', {str(path)!r}])")
