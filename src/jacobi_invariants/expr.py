@@ -665,8 +665,11 @@ def _point(channels: int) -> str:
 def velocity_poly(fields: dict[int, str], sign: int = 0, channel: str = "") -> str:
     """Template text of exp(sign*channel) * (c_0 + c_1*v + c_2*v^2 + ..),
     where the field ``fields[d]`` stands for c_d; sign 0 drops the
-    exponential."""
-    text = "0.0" + "".join(f" + {{{name}}}*v**{d}" for d, name in sorted(fields.items()))
+    exponential.  c_0 and c_1*v are written without a power of v, which
+    changes no bit: v**0 is 1.0 and v**1 is v for every float v."""
+    powers = {0: "", 1: "*v"}
+    text = "0.0" + "".join(f" + {{{name}}}{powers.get(d, f'*v**{d}')}"
+                           for d, name in sorted(fields.items()))
     return f"({text})*math.exp({sign}*{channel})" if sign else text
 
 
@@ -1232,8 +1235,40 @@ def sample_points(domain: tuple[float, float, float, float], n: int):
             for ht, hx in _unit_points(n)]
 
 
+def _monomial(term: Expr) -> tuple[int, int] | None:
+    """(i, j) of a term c*t^i*x^j with rational c != 0 and natural i, j;
+    None for any other term."""
+    degree = {"t": 0, "x": 0}
+    for factor in term.args if term.kind == MUL else (term,):
+        if factor.kind == RAT:
+            if factor.value == 0:
+                return None
+            continue
+        base, expo = factor.args if factor.kind == POW else (factor, ONE)
+        if not (base.kind == VAR and expo.kind == RAT
+                and expo.value.denominator == 1 and expo.value > 0):
+            return None
+        degree[base.name] += int(expo.value)
+    return degree["t"], degree["x"]
+
+
+def _nonzero_polynomial(s: Expr) -> bool:
+    """Whether s is a sum of monomials c*t^i*x^j with rational c != 0 and
+    distinct (i, j): a nonzero polynomial, which no box of positive area
+    makes vanish.  A power of a sum, which the normal form does not
+    expand, is not a monomial, so such a residual is sampled."""
+    degrees = set()
+    for term in s.args if s.kind == ADD else (s,):
+        degree = _monomial(term)
+        if degree is None or degree in degrees:
+            return False
+        degrees.add(degree)
+    return True
+
+
 class ZeroCheck:
-    """Outcome of an identically-zero test."""
+    """Outcome of an identically-zero test; ``structural`` marks a zero
+    established by simplification alone."""
 
     __slots__ = ("is_zero", "structural", "skipped", "warning", "max_residual")
 
@@ -1252,16 +1287,20 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
                samples: int = SAMPLES, params: dict[str, float] | None = None) -> ZeroCheck:
     """Structural-then-numeric test of e == 0 on the domain rectangle.
 
-    Numeric fallback: |e| < 1e-12 * (1 + scale) at every sample point, where
-    scale is the largest magnitude among the un-cancelled top-level terms.
-    Sample points hitting domain errors are skipped; more than half skipped
-    raises IllPosedDomainError.
+    A normal form of 0 is zero (``structural``); one that is a sum of
+    distinct monomials c*t^i*x^j with rational c is a nonzero polynomial,
+    decided without sampling.  Numeric fallback: |e| < 1e-12 * (1 + scale)
+    at every sample point, where scale is the largest magnitude among the
+    un-cancelled top-level terms.  Sample points hitting domain errors are
+    skipped; more than half skipped raises IllPosedDomainError.
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
     s = simplify(e)
     if s.kind == RAT and s.value == 0:
         return ZeroCheck(True, structural=True)
+    if _nonzero_polynomial(s):
+        return ZeroCheck(False, structural=False)
     params = params or {}
     terms = s.args if s.kind == ADD else (s,)
     skipped = 0

@@ -46,6 +46,9 @@ _D = (
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 )
+# the stages an accepted step stores for its dense output: every one with a
+# nonzero weight in _D but k7, which is the next step's k1
+_STORED = (1, 3, 4, 5, 6)
 
 COMPLETED = "Completed"
 DOMAIN_ABORT = "DomainAbort"
@@ -156,15 +159,21 @@ class Trajectory:
 
 
 @functools.cache
-def _step(n: int, inputs: tuple[int, ...] = (0, 1)):
-    """One Dormand-Prince step on n components, unrolled over Python floats.
+def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
+    """The integration loop on n components, with the Dormand-Prince step
+    unrolled over Python floats.
 
-    Returns ``step(f, t, h, y, k1, atol, rtol) -> (err, y_new, k7, rows)``:
-    y and k1 are n-tuples, f is the fused right-hand side (t, x, v[, u])
-    -> n-tuple, err the RMS of the error estimate over
-    atol + rtol*max(|y|, |y_new|), k7 the derivative at y_new (FSAL,
-    the next step's k1) and rows the 5 x n dense-output
-    coefficients, flat and row by row.  Stage inputs are formed for the
+    Returns ``loop(f, t, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages)
+    -> (status, t, point, detail, k1)``.  It steps from t, trying the step
+    h first, until t_end or an early termination; y and k1 are the state
+    and its derivative at t (n-tuples), f the fused right-hand side
+    (t, x, v[, u]) -> n-tuple.  Each accepted step appends its end time to
+    ts, its end state to ys and (h, k1, k3, k4, k5, k6) to stages, from
+    which ``_dense_rows`` builds the dense output.  The k1 returned is the
+    derivative at the last accepted state (FSAL: the last step's k7).
+
+    The error norm is the RMS of the error estimate over
+    atol + rtol*max(|y|, |y_new|).  Stage inputs are formed for the
     components ``inputs`` only, the ones the right-hand side reads: x, v
     and at most one channel.
     """
@@ -182,31 +191,123 @@ def _step(n: int, inputs: tuple[int, ...] = (0, 1)):
         terms = [f"{w!r}*{k(s, i)}" for s, w in enumerate(weights, 1) if w != 0.0]
         return " + ".join(terms).replace("+ -", "- ")
 
-    lines = ["def step(f, t, h, y, k1, atol, rtol):",
-             f"    {', '.join(f'y{i}' for i in comps)} = y",
-             f"    {stage(1)} = k1"]
+    state = ", ".join(f"y{i}" for i in comps)
+    derivative = f"({stage(1)})"
+    stored = ", ".join(stage(s) for s in _STORED)
+    lines = ["def loop(f, t, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages):",
+             f"    {state} = y",
+             f"    {stage(1)} = k1",
+             "    ts_append, ys_extend, stages_extend = ts.append, ys.extend, stages.extend",
+             "    errprev = 1.0",
+             "    rejects = 0",
+             "    just_rejected = False",
+             "    while t < t_end:",
+             "        # floor first, then clamp: the last step ends exactly on t_end",
+             "        h = max(h, hmin)",
+             "        last = h >= t_end - t",
+             "        if last:",
+             "            h = t_end - t",
+             "        try:"]
     for s in range(2, 7):
-        a = _A[s - 1]
-        args = ", ".join(f"y{i} + h*({combo(a, i)})" for i in inputs)
-        lines.append(f"    {stage(s)} = f(t + {_C[s - 1]!r}*h, {args})")
-    lines += [f"    n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
-    lines += [f"    k7 = f(t + {_C[6]!r}*h, {', '.join(f'n{i}' for i in inputs)})",
-              f"    {stage(7)} = k7"]
+        args = ", ".join(f"y{i} + h*({combo(_A[s - 1], i)})" for i in inputs)
+        lines.append(f"            {stage(s)} = f(t + {_C[s - 1]!r}*h, {args})")
+    lines += [f"            n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
+    lines += [f"            {stage(7)} = f(t + {_C[6]!r}*h, {', '.join(f'n{i}' for i in inputs)})",
+              "        except DomainError as exc:",
+              "            # a wide trial step may poke outside the domain; creep",
+              "            # closer before declaring the abort",
+              f"            if h > 8.0*hmin and rejects < {_MAX_CONSECUTIVE_REJECTS}:",
+              "                rejects += 1",
+              "                just_rejected = True",
+              "                h *= 0.25",
+              "                continue",
+              f"            return {DOMAIN_ABORT!r}, t, (exc.t, exc.x), str(exc), {derivative}"]
     for i in comps:
-        lines += [f"    a{i} = abs(y{i}); b{i} = abs(n{i})",
-                  f"    q{i} = h*({combo(_E, i)})/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))",
-                  f"    d{i} = n{i} - y{i}",
-                  f"    p{i} = h*k1_{i} - d{i}"]
-    lines.append(f"    err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in comps)})/{n})")
-    # the quartic's coefficients as Trajectory.sample reads them, with
-    # d = y_new - y and p = h*k1 - d
-    rows = ([f"y{i}" for i in comps] + [f"d{i}" for i in comps] + [f"p{i}" for i in comps]
-            + [f"d{i} - h*k7_{i} - p{i}" for i in comps]
-            + [f"h*({combo(_D, i)})" for i in comps])
-    lines.append(f"    return err, ({', '.join(f'n{i}' for i in comps)}), k7, ({', '.join(rows)})")
-    namespace = {"_sqrt": math.sqrt}
+        lines += [f"        a{i} = abs(y{i}); b{i} = abs(n{i})",
+                  f"        q{i} = h*({combo(_E, i)})"
+                  f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
+    lines += [f"        err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in comps)})/{n})",
+              "        if not _isfinite(err):",
+              "            err = 10.0",
+              "        if err <= 1.0:",
+              f"            stages_extend((h, {stored}))",
+              "            t = t_end if last else t + h",
+              f"            {state} = {', '.join(f'n{i}' for i in comps)}",
+              "            ts_append(t)",
+              f"            ys_extend(({state}))",
+              f"            {stage(1)} = {stage(7)}",
+              f"            if abs(y0) + abs(y1) > {_BLOWUP_BOUND!r}:",
+              f"                return {BLOW_UP!r}, t, (t, y0), "
+              f"{f'|x|+|v| exceeded {_BLOWUP_BOUND:g}'!r}, {derivative}",
+              "            rejects = 0",
+              "            # PI controller, safety 0.9, exponents 0.7/4 and 0.4/4",
+              "            fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0",
+              "            fac = min(1.0 if just_rejected else 5.0, max(0.2, fac))",
+              "            errprev = max(err, 1e-4)",
+              "            just_rejected = False",
+              "            h *= fac",
+              "        else:",
+              "            rejects += 1",
+              "            just_rejected = True",
+              f"            if rejects >= {_MAX_CONSECUTIVE_REJECTS} and h <= hmin * 4.0:",
+              f"                return {STEP_FAILURE!r}, t, (t, y0), "
+              f"f'{{rejects}} consecutive rejected steps at minimum step size', {derivative}",
+              "            h *= max(0.2, 0.9 * err ** (-0.25))",
+              f"    return {COMPLETED!r}, t, None, '', {derivative}"]
+    namespace = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "DomainError": DomainError}
     exec("\n".join(lines) + "\n", namespace)
-    return namespace["step"]
+    return namespace["loop"]
+
+
+def _dense_rows(ys: array, stages: array, k7: tuple[float, ...], n: int) -> np.ndarray:
+    """The quartic dense-output coefficients of every accepted step, shape
+    (steps, 5, n), from the flat buffers of ``_loop``: the accepted states
+    and the stored stages; k7 is the derivative at the last accepted state.
+
+    With d = y_new - y and p = h*k1 - d, the rows are y, d, p,
+    d - h*k7 - p and h*(sum of _D[s]*k_s), as ``Trajectory.sample`` reads
+    them.  Each is formed element-wise in the order of its scalar formula,
+    the sum left to right over the nonzero weights, so every coefficient
+    is the Python float a per-step computation gives, inf and nan
+    included.  Everything is written into the one array returned; row 3
+    is the scratch space of row 4's sum before it is formed itself.
+    """
+    import numpy as np
+
+    width = 1 + n * len(_STORED)
+    steps = len(stages) // width
+    rows = np.empty((steps, 5, n))
+    if not steps:
+        return rows
+    stored = np.frombuffer(stages).reshape(steps, width)
+    h = stored[:, :1]
+    k = dict(zip(_STORED, (stored[:, 1 + j * n:1 + (j + 1) * n] for j in range(len(_STORED)))))
+    y = np.frombuffer(ys).reshape(-1, n)
+    y0, d, p, r3, r4 = (rows[:, j] for j in range(5))
+
+    # k7 of a step is the next step's k1, and the given k7 for the last
+    def times_k7(w_head, w_last, out):
+        np.multiply(w_head, k[1][1:], out=out[:-1])
+        np.multiply(w_last, k7, out=out[-1])
+
+    with np.errstate(all="ignore"):
+        np.copyto(y0, y[:-1])
+        np.subtract(y[1:], y[:-1], out=d)
+        np.multiply(h, k[1], out=p)
+        np.subtract(p, d, out=p)
+        first, *rest = (s for s, w in enumerate(_D, 1) if w != 0.0)
+        np.multiply(_D[first - 1], k[first], out=r4)
+        for s in rest:
+            if s == 7:
+                times_k7(_D[6], _D[6], r3)
+            else:
+                np.multiply(_D[s - 1], k[s], out=r3)
+            np.add(r4, r3, out=r4)
+        np.multiply(h, r4, out=r4)
+        times_k7(h[:-1], h[-1], r3)
+        np.subtract(d, r3, out=r3)
+        np.subtract(r3, p, out=r3)
+    return rows
 
 
 def integrate(p: JacobiProblem,
@@ -228,27 +329,23 @@ def integrate(p: JacobiProblem,
     read = read_channel(integrands)
     # the state components the right-hand side reads
     inputs = (0, 1) if read is None else (0, 1, 2 + read)
-    step = _step(n, inputs)
 
     t0, t_end = p.t0, p.t_end
-    hmin = 1e-12 * (t_end - t0)
     y = (float(p.x0), float(p.v0)) + (0.0,) * len(integrands)
-
-    # accepted samples and dense-output rows, flat; shaped once in finish
+    # accepted samples and step stages, flat; shaped once in finish
     ts = array("d", [t0])
     ys = array("d", y)
-    conts = array("d")
+    stages = array("d")
 
-    def finish(status, t_at, point=None, detail=""):
+    def finish(status, t_at, point=None, detail="", k7=()):
         import numpy as np
 
-        steps = len(conts) // (5 * n)
+        conts = _dense_rows(ys, stages, k7, n)
         return Trajectory(
             problem=p, integrands=integrands,
-            ts=np.frombuffer(ts), ys=np.frombuffer(ys).reshape(-1, n),
-            conts=np.frombuffer(conts).reshape(steps, 5, n),
+            ts=np.frombuffer(ts), ys=np.frombuffer(ys).reshape(-1, n), conts=conts,
             termination=Termination(status, t_at, point, detail),
-            mean_step=((ts[-1] - ts[0]) / max(steps, 1)),
+            mean_step=((ts[-1] - ts[0]) / max(len(conts), 1)),
         )
 
     try:
@@ -257,58 +354,8 @@ def integrate(p: JacobiProblem,
         return finish(DOMAIN_ABORT, t0, (err.t, err.x), str(err))
 
     h = _initial_step(f, inputs, t0, y, k1, t_end, atol, rtol)
-
-    t = t0
-    errprev = 1.0
-    rejects = 0
-    just_rejected = False
-
-    while t < t_end:
-        # floor first, then clamp: the last step ends exactly on t_end
-        h = max(h, hmin)
-        last = h >= t_end - t
-        if last:
-            h = t_end - t
-        try:
-            err, y_new, k7, rows = step(f, t, h, y, k1, atol, rtol)
-        except DomainError as err:
-            # a wide trial step may poke outside the domain; creep closer
-            # before declaring the abort
-            if h > 8.0 * hmin and rejects < _MAX_CONSECUTIVE_REJECTS:
-                rejects += 1
-                just_rejected = True
-                h *= 0.25
-                continue
-            return finish(DOMAIN_ABORT, t, (err.t, err.x), str(err))
-        if not math.isfinite(err):
-            err = 10.0
-
-        if err <= 1.0:
-            conts.extend(rows)
-            t = t_end if last else t + h
-            y = y_new
-            ts.append(t)
-            ys.extend(y)
-            if abs(y[0]) + abs(y[1]) > _BLOWUP_BOUND:
-                return finish(BLOW_UP, t, (t, y[0]),
-                              f"|x|+|v| exceeded {_BLOWUP_BOUND:g}")
-            k1 = k7
-            rejects = 0
-            # PI controller, safety 0.9, exponents 0.7/4 and 0.4/4
-            fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0
-            fac = min(1.0 if just_rejected else 5.0, max(0.2, fac))
-            errprev = max(err, 1e-4)
-            just_rejected = False
-            h *= fac
-        else:
-            rejects += 1
-            just_rejected = True
-            if rejects >= _MAX_CONSECUTIVE_REJECTS and h <= hmin * 4.0:
-                return finish(STEP_FAILURE, t, (t, y[0]),
-                              f"{rejects} consecutive rejected steps at minimum step size")
-            h *= max(0.2, 0.9 * err ** (-0.25))
-
-    return finish(COMPLETED, t)
+    return finish(*_loop(n, inputs)(f, t0, t_end, h, 1e-12 * (t_end - t0), y, k1,
+                                    atol, rtol, ts, ys, stages))
 
 
 def _rms(values, scales) -> float:

@@ -17,6 +17,9 @@ AUTONOMOUS = "Autonomous"
 TIME_INDEPENDENT_PHI = "TimeIndependentPhi"
 GENERAL = "General"
 
+# shortest side of a domain, relative to 1 + its largest |bound|
+MIN_SIDE = 1e-6
+
 
 class ProblemError(Exception):
     pass
@@ -62,6 +65,18 @@ class JacobiProblem:
             raise ProblemError(f"coefficients undefined at the initial point: {err}") from err
         if self.domain is None:
             object.__setattr__(self, "domain", default_domain(self.t0, self.t_end, self.x0))
+            return
+        # the sampled zero test compares with an absolute 1e-12, which a
+        # residual vanishing to second order at a point of the box stays
+        # under when a side is shorter than about 1e-6
+        if any(hi - lo < MIN_SIDE * (1.0 + max(abs(lo), abs(hi)))
+               for lo, hi in ((tmin, tmax), (xmin, xmax))):
+            raise ProblemError(
+                f"domain {list(self.domain)} is too thin for the zero test: each "
+                f"side must be at least {MIN_SIDE:g}*(1 + its largest |bound|)")
+        if not (tmin <= self.t0 <= tmax and xmin <= self.x0 <= xmax):
+            raise ProblemError(f"domain {list(self.domain)} must contain the "
+                               f"initial point (t0, x0) = ({self.t0}, {self.x0})")
 
 
 @dataclass(frozen=True)
@@ -194,7 +209,14 @@ def rhs(p: JacobiProblem, integrands: tuple[Expr | Integrand, ...] = ()):
 
 
 def _fused_rhs(p: JacobiProblem, integrands: tuple[Expr | Integrand, ...]):
-    exprs = {"phi_x": ex.diff(p.phi, "x"), "phi_t": ex.diff(p.phi, "t"), "B": ex.simplify(p.B)}
+    # the acceleration's terms, a structurally zero phi_x or phi_t one left out
+    exprs, accel = {}, []
+    for name, e, term in (("phi_x", ex.diff(p.phi, "x"), "0.5*{phi_x}*v*v"),
+                          ("phi_t", ex.diff(p.phi, "t"), "{phi_t}*v"),
+                          ("B", ex.simplify(p.B), "{B}")):
+        if e != ex.ZERO or name == "B":
+            exprs[name] = e
+            accel.append(term)
     channels = []
     for i, g in enumerate(integrands):
         if isinstance(g, Expr):
@@ -204,7 +226,7 @@ def _fused_rhs(p: JacobiProblem, integrands: tuple[Expr | Integrand, ...]):
         terms = {d: f"g{i}_{d}" for d, c in enumerate(g.coeffs) if c != ex.ZERO}
         exprs.update({name: g.coeffs[d] for d, name in terms.items()})
         channels.append(ex.velocity_poly(terms, g.sign, "u0"))
-    template = ("(v, -(0.5*{phi_x}*v*v + {phi_t}*v + {B})"
+    template = (f"(v, -({' + '.join(accel)})"
                 + "".join(f", {c}" for c in channels) + ")")
     return ex.compile_fused(template, exprs, p.params,
                             int(read_channel(integrands) is not None))

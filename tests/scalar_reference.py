@@ -1,16 +1,123 @@
-"""Point-by-point reference implementations of the series evaluation
-layer: one dense-output state, one compiled scalar call and one Python
-float operation at a time.  The parity tests hold the block sampling and
-the generated series loops to these bit for bit, and the fused
-right-hand side of ``problem.rhs`` to ``rhs`` here."""
+"""Point-by-point reference implementations of the integration and
+series evaluation layers: one step, one dense-output state, one compiled
+scalar call and one Python float operation at a time.  The parity tests
+hold the generated integration loop and its dense rows, the block
+sampling and the generated series loops to these bit for bit, and the
+fused right-hand side of ``problem.rhs`` to ``rhs`` here."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import DomainError
-from jacobi_invariants.integrate import IntegrationError
+from jacobi_invariants.integrate import (
+    _A, _BLOWUP_BOUND, _C, _D, _E, _MAX_CONSECUTIVE_REJECTS, BLOW_UP, COMPLETED,
+    DOMAIN_ABORT, STEP_FAILURE, IntegrationError, _initial_step)
+from jacobi_invariants.problem import read_channel
+
+
+def weighted(weights, ks, i):
+    """Sum of w*k[i] over the stages ks, left to right, zero weights
+    dropped, as the generated step writes it."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w != 0.0:
+            total = w * k[i] if total is None else total + w * k[i]
+    return total
+
+
+def integrate(problem, integrands, tol, f):
+    """The steps of ``integrate.integrate`` one at a time on the right-hand
+    side f, each with its quartic dense-output rows computed from its own
+    stages as Python floats.
+
+    Returns (ts, ys, rows, termination, counts): rows has shape
+    (steps, 5, n), termination is (status, t, point, detail) and counts
+    has the RHS calls, the attempted steps (``attempts``) and the stage
+    calls that attempts ended by a DomainError did not reach
+    (``unreached``)."""
+    atol, rtol = tol
+    n = 2 + len(integrands)
+    read = read_channel(integrands)
+    inputs = (0, 1) if read is None else (0, 1, 2 + read)
+    counts = Counter()
+
+    def call(*point):
+        counts["calls"] += 1
+        return f(*point)
+
+    t0, t_end = problem.t0, problem.t_end
+    hmin = 1e-12 * (t_end - t0)
+    y = (float(problem.x0), float(problem.v0)) + (0.0,) * (n - 2)
+    ts, ys, rows = [t0], [y], []
+
+    def finish(*termination):
+        return (np.array(ts), np.array(ys), np.array(rows).reshape(-1, 5, n),
+                termination, counts)
+
+    try:
+        k1 = call(t0, *(y[i] for i in inputs))
+    except DomainError as exc:
+        return finish(DOMAIN_ABORT, t0, (exc.t, exc.x), str(exc))
+    h = _initial_step(call, inputs, t0, y, k1, t_end, atol, rtol)
+    t, errprev, rejects, just_rejected = t0, 1.0, 0, False
+    while t < t_end:
+        h = max(h, hmin)
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
+        counts["attempts"] += 1
+        ks = [k1]
+        try:
+            for s in range(1, 7):
+                trial = [y[i] + h * weighted(_A[s], ks, i) for i in range(n)]
+                ks.append(call(t + _C[s] * h, *(trial[i] for i in inputs)))
+        except DomainError as exc:
+            counts["unreached"] += 6 - len(ks)
+            if h > 8.0 * hmin and rejects < _MAX_CONSECUTIVE_REJECTS:
+                rejects += 1
+                just_rejected = True
+                h *= 0.25
+                continue
+            return finish(DOMAIN_ABORT, t, (exc.t, exc.x), str(exc))
+        y_new = tuple(trial)
+        total = 0.0
+        for i in range(n):
+            a, b = abs(y[i]), abs(y_new[i])
+            q = h * weighted(_E, ks, i) / (atol + rtol * (a if a > b else b))
+            total += q * q
+        err = math.sqrt(total / n)
+        if not math.isfinite(err):
+            err = 10.0
+        if err <= 1.0:
+            d = [y_new[i] - y[i] for i in range(n)]
+            p = [h * k1[i] - d[i] for i in range(n)]
+            rows.append([list(y), d, p,
+                         [d[i] - h * ks[6][i] - p[i] for i in range(n)],
+                         [h * weighted(_D, ks, i) for i in range(n)]])
+            t = t_end if last else t + h
+            y = y_new
+            ts.append(t)
+            ys.append(y)
+            if abs(y[0]) + abs(y[1]) > _BLOWUP_BOUND:
+                return finish(BLOW_UP, t, (t, y[0]), f"|x|+|v| exceeded {_BLOWUP_BOUND:g}")
+            k1 = ks[6]
+            rejects = 0
+            fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0
+            fac = min(1.0 if just_rejected else 5.0, max(0.2, fac))
+            errprev = max(err, 1e-4)
+            just_rejected = False
+            h *= fac
+        else:
+            rejects += 1
+            just_rejected = True
+            if rejects >= _MAX_CONSECUTIVE_REJECTS and h <= hmin * 4.0:
+                return finish(STEP_FAILURE, t, (t, y[0]),
+                              f"{rejects} consecutive rejected steps at minimum step size")
+            h *= max(0.2, 0.9 * err ** (-0.25))
+    return finish(COMPLETED, t, None, "")
 
 
 def state(traj, t: float) -> np.ndarray:
@@ -31,15 +138,23 @@ def state(traj, t: float) -> np.ndarray:
 
 def rhs(p, integrands=()):
     """(t, x, v[, u]) -> (v, a, g_0..) from separately compiled expressions,
-    in the order and with the arithmetic that ``problem.rhs`` fuses; u is
-    the value of the channel that a dressed integrand reads."""
-    phi_x, phi_t, B = (ex.compile_fn(e, p.params) for e in (
-        ex.diff(p.phi, "x"), ex.diff(p.phi, "t"), ex.simplify(p.B)))
+    in the order and with the arithmetic that ``problem.rhs`` fuses, which
+    leaves out a structurally zero phi_x or phi_t term; u is the value of
+    the channel that a dressed integrand reads."""
+    phi_x, phi_t = (ex.diff(p.phi, var) for var in "xt")
+    phi_x = None if phi_x == ex.ZERO else ex.compile_fn(phi_x, p.params)
+    phi_t = None if phi_t == ex.ZERO else ex.compile_fn(phi_t, p.params)
+    B = ex.compile_fn(ex.simplify(p.B), p.params)
     gs = [channel_fn(g, p.params) for g in integrands]
 
     def f(t, x, v, *u):
-        a = -(0.5 * phi_x(t, x) * v * v + phi_t(t, x) * v + B(t, x))
-        return (v, a, *(g(t, x, v, *u) for g in gs))
+        a = None
+        if phi_x is not None:
+            a = 0.5 * phi_x(t, x) * v * v
+        if phi_t is not None:
+            a = phi_t(t, x) * v if a is None else a + phi_t(t, x) * v
+        a = B(t, x) if a is None else a + B(t, x)
+        return (v, -a, *(g(t, x, v, *u) for g in gs))
 
     return f
 

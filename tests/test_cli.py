@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -126,7 +127,8 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, change):
 
 # B = x with delta2 = 1 - x^2/2 + (x-1/2)^2/2 violates the Lagrangian
 # condition by 1/2 - x: check exits 1 on the default domain, but every
-# sample point of the flat domain x = 1/2 misses the violation
+# sample point of the flat domain x = 1/2 misses the violation, and so
+# does every one of a box 1e-13 wide, below the zero test's bound
 LINE_FILE = {"phi": "0", "B": "x", "delta2": "1 - x^2/2 + (x-1/2)^2/2",
              "t0": 0, "t_end": 1, "x0": 0.5, "v0": 0}
 
@@ -139,7 +141,12 @@ LINE_FILE = {"phi": "0", "B": "x", "delta2": "1 - x^2/2 + (x-1/2)^2/2",
     ("run", {"t_end": True}, "'t_end' must be a number"),
     ("check", {"params": {"k": False}}, "'params' values must be numbers"),
     ("check", {"domain": [0, True, 0, 1]}, "'domain' must be [tmin, tmax, xmin, xmax]"),
-], ids=["line", "reversed", "instant", "x0", "t_end", "param", "domain"])
+    ("check", {"domain": [0, 1, 0.5, 0.5000000000001]}, "is too thin for the zero test"),
+    ("run", {"domain": [0, 1e-7, 0, 1]}, "is too thin for the zero test"),
+    ("check", {"domain": [0, 1, 0.6, 1]}, "must contain the initial point (t0, x0) = (0.0, 0.5)"),
+    ("run", {"domain": [0.5, 1, 0, 1]}, "must contain the initial point (t0, x0) = (0.0, 0.5)"),
+], ids=["line", "reversed", "instant", "x0", "t_end", "param", "domain",
+        "thin_x", "thin_t", "outside_x", "outside_t"])
 def test_degenerate_domain_and_booleans_exit_2(tmp_path, capsys, command, change, message):
     code, out, err = run_main(
         [command, write(tmp_path, "p.json", dict(LINE_FILE, **change))], capsys)
@@ -338,14 +345,31 @@ def test_run_oracle_undefined_on_the_trajectory_exit_2(tmp_path, capsys):
     assert err.startswith("error: oracle undefined on the trajectory: overflow in exp")
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
+def test_run_on_an_overflowing_problem_prints_no_numpy_warning(tmp_path, flags):
+    # the run of the 1500-long window above, in a child that turns numpy's
+    # RuntimeWarnings into errors: the dense rows are built under
+    # errstate, so inf and nan in a trajectory pass silently, as they do
+    # in Python float arithmetic
+    data = {**catalog.get("JAC_EXACT").data, "t_end": 1500}
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "jacobi_invariants.cli",
+           "run", write(tmp_path, "o.json", data), *flags]
+    proc = subprocess.run(cmd, capture_output=True, check=False)
+    assert proc.returncode == (2 if flags else 1)
+    assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
+
+
 def test_run_domain_abort_detail_has_plain_floats(tmp_path, capsys):
-    data = {"phi": "0", "B": "-1", "delta2": "x", "domain": [0, 1, 1, 3],
-            "t0": 0, "t_end": 1, "x0": -1, "v0": 0}
+    # x = 1.5 - 3t + t^2/2 reaches 0 at t = 0.55, where the channel's
+    # x^(-1/2) leaves its domain: an abort in the first tenth of the window
+    data = {"phi": "0", "B": "-1", "delta2": "x", "domain": [0, 10, 0.5, 3],
+            "t0": 0, "t_end": 10, "x0": 1.5, "v0": -3}
     code, out, _ = run_main(["run", write(tmp_path, "d.json", data)], capsys)
     assert code == 3
     detail = json.loads(out)["termination"]["detail"]
     assert "np.float64" not in out
-    assert detail.endswith("at (t=0.0, x=-1.0)")
+    point = re.fullmatch(r".* at \(t=(\S+), x=(\S+)\)", detail)
+    assert point and 0.55 < float(point[1]) < 0.56 and abs(float(point[2])) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["free_oscillator_long", "forced_oscillator_long"])

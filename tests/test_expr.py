@@ -469,6 +469,29 @@ def test_zero_check_examples():
     assert zc.is_zero and zc.structural
 
 
+def test_zero_check_decides_a_nonzero_polynomial_without_sampling(monkeypatch):
+    # a box 1e-13 wide around x = 1/2, where 1/2 - x stays under the bound
+    # at every sample point
+    thin = (0.0, 1.0, 0.5, 0.5000000000001)
+    monkeypatch.setattr(ex, "sample_points", lambda *args: pytest.fail("sampled"))
+    for text in ("1/2 - x", "-1", "3*t*x^2 - 2*x*t^2 + 5", "x/2 + t^3*x"):
+        zc = zero_check(parse(text), thin)
+        assert not zc.is_zero and not zc.structural and zc.warning is None, text
+
+
+@pytest.mark.parametrize("text, zero", [
+    # not sums of distinct monomials: a power of a sum, which the normal
+    # form leaves unexpanded, a parameter and a negative power
+    ("(x + 1)^2 - x^2 - 2*x - 1", True), ("(x + 1)^2 - x^2", False),
+    ("k*x - k*x^2", False), ("x/t", False)])
+def test_zero_check_samples_other_residuals(monkeypatch, text, zero):
+    sampled = []
+    original = ex.sample_points
+    monkeypatch.setattr(ex, "sample_points", lambda *args: sampled.append(1) or original(*args))
+    zc = zero_check(parse(text), (0.5, 1.0, 0.5, 1.0), params={"k": 2.0})
+    assert sampled and zc.is_zero == zero
+
+
 def test_zero_check_numeric_fallback_warns():
     zc = zero_check(parse("sin(t)^2 + cos(t)^2 - 1"), (0, 2, 0, 1))
     assert zc.is_zero and not zc.structural

@@ -1,10 +1,15 @@
+import importlib
+import json
 import math
+import pathlib
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scalar_reference
 
+from jacobi_invariants import cli
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import Rat, parse
 from jacobi_invariants.integrate import (
@@ -20,13 +25,14 @@ from jacobi_invariants.integrate import (
     _B,
     _C,
     _E,
-    _step,
+    _dense_rows,
+    _loop,
     drift_report,
     evaluate_along,
     integrate,
 )
 from jacobi_invariants.invariants import first_integral_autonomous, nonlocal_autonomous
-from jacobi_invariants.problem import Integrand, JacobiProblem, read_channel, rhs
+from jacobi_invariants.problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 from jacobi_invariants.verify import oracle_channels
 
 
@@ -119,16 +125,20 @@ def test_domain_abort_status():
     assert traj.t_last == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_domain_abort_when_a_dressing_channel_overflows():
     # the integrand exp(u) reads a channel u = 800*t, whose exponential
     # leaves float range at t = 0.887; a trial stage past it is a domain
-    # failure like any other, so the run aborts there
+    # failure like any other, so the run aborts there.  The channel that
+    # integrates exp(u) overflows first, and the dense rows built from its
+    # stages hold inf and nan without a numpy warning
     b = parse("800")
     p = free_particle(t_end=2.0)
     traj = integrate(p, (b, Integrand((ex.ONE,), sign=1, channel=b)), (1e-8, 1e-8))
     assert traj.termination.status == DOMAIN_ABORT
     assert traj.termination.detail.startswith("overflow in ")
     assert traj.t_last == pytest.approx(math.log(np.finfo(float).max) / 800, abs=1e-3)
+    assert not np.isfinite(traj.conts).all()
 
 
 def test_step_failure_on_unreachable_singularity():
@@ -193,9 +203,9 @@ DRESSED = (parse("x^2"), parse("t*x"),
 @pytest.mark.parametrize("integrands", [
     (), tuple(parse(g) for g in ("x^2", "t*x", "exp(-x)")), DRESSED])
 def test_one_step_matches_scipy_rk45_tableau(integrands):
-    # the generated step against one built from scipy's own Dormand-Prince
-    # coefficients on the same right-hand side, with 2 and 5 components;
-    # in the last case the right-hand side reads the channel of t*x
+    # one step of the generated loop against one built from scipy's own
+    # Dormand-Prince coefficients on the same right-hand side, with 2 and 5
+    # components; in the last case the right-hand side reads the channel of t*x
     RK45 = pytest.importorskip("scipy.integrate").RK45
     assert np.array_equal(RK45.C, _C[:6]) and np.array_equal(RK45.B, _B)
     assert all(np.array_equal(RK45.A[s, :s], _A[s]) for s in range(6))
@@ -206,40 +216,128 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
     n = 2 + len(integrands)
     read = read_channel(integrands)
     inputs = (0, 1) if read is None else (0, 1, 2 + read)
-    t, h, atol, rtol = 0.3, 0.05, 1e-9, 1e-6
+    # a window of one step h, which the loop takes whole unless it rejects it
+    t, t_end = 0.3, 0.35
+    h = t_end - t
     y = (0.7, -0.4) + tuple(0.25 * (i + 1) for i in range(n - 2))
     K = np.empty((7, n))
     K[0] = k1 = f(t, *(y[i] for i in inputs))
-    step = _step(n, inputs)
-    err, y_new, k7, rows = step(f, t, h, y, k1, atol, rtol)
-
     for s in range(1, 6):
         ys = np.array(y) + h * (K[:s].T @ RK45.A[s, :s])
         K[s] = f(t + RK45.C[s] * h, *(float(ys[i]) for i in inputs))
     want = np.array(y) + h * (K[:6].T @ RK45.B)
     K[6] = f(t + h, *(float(want[i]) for i in inputs))
-    assert np.allclose(y_new, want, rtol=1e-14, atol=0.0)
-    assert np.allclose(k7, K[6], rtol=1e-14, atol=0.0)
 
-    # the step returns the RMS of the scaled error vector; the estimate is
+    def run(scale):
+        """The loop from (t, y) with atol = scale/1000 and rtol = scale:
+        (ts, ys, stages, k7)."""
+        ts, ys, stages = array("d", [t]), array("d", y), array("d")
+        status, t_last, _, _, k7 = _loop(n, inputs)(
+            f, t, t_end, h, 1e-12, y, k1, 1e-3 * scale, scale, ts, ys, stages)
+        assert (status, t_last) == (COMPLETED, t_end)
+        return ts, ys, stages, k7
+
+    # the error norm is the RMS of the scaled error vector; the estimate is
     # a cancelling sum, so its rounding is bounded against the same norm of
-    # the magnitudes summed
-    sc = atol + rtol * np.maximum(np.abs(y), np.abs(want))
+    # the magnitudes summed.  At scale s the norm is err/s, with err the
+    # norm at scale 1, and the step is taken when it is at most 1: the loop
+    # takes it at s just above err + bound and rejects it just below
+    # err - bound
+    sc = 1e-3 + np.maximum(np.abs(y), np.abs(want))
 
     def rms(vec):
         return float(np.sqrt(np.mean((vec / sc) ** 2)))
 
+    err = rms(h * (K.T @ RK45.E))
     bound = 1e-14 * rms(h * (np.abs(K.T) @ np.abs(RK45.E)))
-    assert abs(err - rms(h * (K.T @ RK45.E))) <= bound
+    assert len(run((err - bound) * (1 - 1e-14))[0]) > 2
+    ts, ys, stages, k7 = run((err + bound) * (1 + 1e-14))
+    assert list(ts) == [t, t_end] and stages[0] == h
 
-    step = Trajectory(problem=p, integrands=(), ts=np.array([t, t + h]),
-                      ys=np.array([y, y_new]), conts=np.array(rows).reshape(1, 5, n),
-                      termination=Termination(COMPLETED, t + h), mean_step=h)
+    assert np.allclose(ys[n:], want, rtol=1e-14, atol=0.0)
+    assert np.allclose(k7, K[6], rtol=1e-14, atol=0.0)
+    step = Trajectory(problem=p, integrands=(), ts=np.array(ts), ys=np.reshape(ys, (2, n)),
+                      conts=_dense_rows(ys, stages, k7, n),
+                      termination=Termination(COMPLETED, t_end), mean_step=h)
     thetas = np.array([0.1, 0.5, 0.9])
     got = step.sample(t + thetas * h)
     powers = thetas[:, None] ** np.arange(1, 5)
     dense = np.array(y) + h * (powers @ (K.T @ RK45.P).T)
     assert np.allclose(got, dense, rtol=1e-14, atol=0.0)
+
+
+# runs with rejected steps: by the error test, and by domain-creep
+# retries, where a trial stage leaves the domain and the step shrinks
+REJECTING = {
+    "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
+                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9),
+    "domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt(1/2 - t)"),
+                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9),
+    "channel_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("ln(1 - t)"),
+                                           t0=0.0, t_end=2.0, x0=0.0, v0=0.0),
+                             (parse("x"),), 1e-9),
+    "dressing_overflow": (free_particle(t_end=2.0),
+                          (parse("800"), Integrand((ex.ONE,), sign=1, channel=parse("800"))),
+                          1e-8),
+    "blow_up": (JacobiProblem(phi=parse("-ln(x)"), B=parse("-4*x^2"),
+                              t0=0.0, t_end=3.0, x0=1.0, v0=0.0), (), 1e-8),
+}
+LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
+
+
+def _assert_matches_scalar_reference(p, integrands, tol):
+    integrands = tuple(map(canonical, integrands))
+    traj = integrate(p, integrands, (tol, tol))
+    ts, ys, rows, termination, _ = scalar_reference.integrate(
+        p, integrands, (tol, tol), rhs(p, integrands))
+    for got, want in ((traj.ts, ts), (traj.ys, ys), (traj.conts, rows)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    term = traj.termination
+    assert (term.status, term.t, term.point, term.detail) == termination
+
+
+@pytest.mark.parametrize("fid", ["PG18", "PG21", "PG22", "PG4", "PG20", "JAC_EXACT"])
+def test_dense_rows_match_the_per_step_scalar_reference_on_fixtures(loaded, constructions, fid):
+    # every accepted state and dense-output coefficient of the generated
+    # loop and the one-pass row build, bit for bit against a step-by-step
+    # integration whose rows are Python floats, on each fixture's channels
+    _assert_matches_scalar_reference(loaded[fid].problem, constructions[fid].integrands, 1e-10)
+
+
+@pytest.mark.parametrize("name", LONG_WINDOWS + tuple(REJECTING))
+def test_dense_rows_match_the_per_step_scalar_reference(name):
+    # multi-period windows of about 2.6k and 0.85k steps, and runs that end
+    # early, with inf and nan in the last rows of the overflowing one
+    if name in REJECTING:
+        _assert_matches_scalar_reference(*REJECTING[name])
+        return
+    data = json.loads((pathlib.Path(__file__).parent / "data" / f"{name}.json").read_text())
+    problem, exprs = cli.load_problem(data)
+    _, built = cli.run_checks(problem, exprs)
+    _assert_matches_scalar_reference(problem, built.integrands, 1e-10)
+
+
+@pytest.mark.parametrize("name", tuple(REJECTING))
+def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
+    # k1 and the starting-step heuristic make one call each, every
+    # attempted step six (FSAL reuses the seventh); an attempt ended by a
+    # DomainError makes only the calls up to the stage that raised
+    integrate_module = importlib.import_module("jacobi_invariants.integrate")
+    p, integrands, tol = REJECTING[name]
+    integrands = tuple(map(canonical, integrands))
+    f = rhs(p, integrands)
+    calls = []
+
+    def counted(*point):
+        calls.append(point)
+        return f(*point)
+
+    monkeypatch.setattr(integrate_module, "rhs", lambda *args: counted)
+    traj = integrate(p, integrands, (tol, tol))
+    *_, counts = scalar_reference.integrate(p, integrands, (tol, tol), f)
+    assert counts["attempts"] > len(traj.conts) or name == "blow_up"
+    assert len(calls) == counts["calls"] == 2 + 6 * counts["attempts"] - counts["unreached"]
+    assert (counts["unreached"] > 0) == ("domain" in name or "overflow" in name)
 
 
 def test_tolerance_validation():
