@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scalar_reference
 
-from jacobi_invariants import cli
+from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import Rat, parse
 from jacobi_invariants.integrate import (
@@ -266,9 +266,10 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
     assert np.allclose(got, dense, rtol=1e-14, atol=0.0)
 
 
-# runs with rejected steps: by the error test, and by domain-creep
-# retries, where a trial stage leaves the domain and the step shrinks
-REJECTING = {
+# runs that end before t_end, all but the blow-up with rejected steps: by
+# the error test, and by domain-creep retries, where a trial stage leaves
+# the domain and the step shrinks
+EARLY_ENDS = {
     "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
                                    t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9),
     "domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt(1/2 - t)"),
@@ -285,7 +286,20 @@ REJECTING = {
 LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
 
 
-def _assert_matches_scalar_reference(p, integrands, tol):
+@pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
+def test_dense_rows_match_the_per_step_scalar_reference(name):
+    # every accepted state and dense-output coefficient of the generated
+    # loop and the one-pass row build, bit for bit against a step-by-step
+    # integration whose rows are Python floats: on each fixture's channels,
+    # over multi-period windows of about 2.6k and 0.85k steps, and on runs
+    # that end early, with inf and nan in the last rows of the overflowing one
+    if name in EARLY_ENDS:
+        p, integrands, tol = EARLY_ENDS[name]
+    else:
+        path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+        data = json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data
+        p, exprs = cli.load_problem(data)
+        integrands, tol = cli.run_checks(p, exprs)[1].integrands, 1e-10
     integrands = tuple(map(canonical, integrands))
     traj = integrate(p, integrands, (tol, tol))
     ts, ys, rows, termination, _ = scalar_reference.integrate(
@@ -296,34 +310,13 @@ def _assert_matches_scalar_reference(p, integrands, tol):
     assert (term.status, term.t, term.point, term.detail) == termination
 
 
-@pytest.mark.parametrize("fid", ["PG18", "PG21", "PG22", "PG4", "PG20", "JAC_EXACT"])
-def test_dense_rows_match_the_per_step_scalar_reference_on_fixtures(loaded, constructions, fid):
-    # every accepted state and dense-output coefficient of the generated
-    # loop and the one-pass row build, bit for bit against a step-by-step
-    # integration whose rows are Python floats, on each fixture's channels
-    _assert_matches_scalar_reference(loaded[fid].problem, constructions[fid].integrands, 1e-10)
-
-
-@pytest.mark.parametrize("name", LONG_WINDOWS + tuple(REJECTING))
-def test_dense_rows_match_the_per_step_scalar_reference(name):
-    # multi-period windows of about 2.6k and 0.85k steps, and runs that end
-    # early, with inf and nan in the last rows of the overflowing one
-    if name in REJECTING:
-        _assert_matches_scalar_reference(*REJECTING[name])
-        return
-    data = json.loads((pathlib.Path(__file__).parent / "data" / f"{name}.json").read_text())
-    problem, exprs = cli.load_problem(data)
-    _, built = cli.run_checks(problem, exprs)
-    _assert_matches_scalar_reference(problem, built.integrands, 1e-10)
-
-
-@pytest.mark.parametrize("name", tuple(REJECTING))
+@pytest.mark.parametrize("name", tuple(EARLY_ENDS))
 def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
     # k1 and the starting-step heuristic make one call each, every
     # attempted step six (FSAL reuses the seventh); an attempt ended by a
     # DomainError makes only the calls up to the stage that raised
     integrate_module = importlib.import_module("jacobi_invariants.integrate")
-    p, integrands, tol = REJECTING[name]
+    p, integrands, tol = EARLY_ENDS[name]
     integrands = tuple(map(canonical, integrands))
     f = rhs(p, integrands)
     calls = []
