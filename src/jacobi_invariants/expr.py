@@ -486,10 +486,10 @@ def _eval(e: Expr, t, x, params) -> float:
     that names the node and the point."""
     k = e.kind
     if k == RAT:
-        try:
-            return float(e.value)
-        except OverflowError:
-            raise DomainError(e, t, x, "constant beyond float range") from None
+        value = _key(e)[1]
+        if math.isinf(value):
+            raise DomainError(e, t, x, "constant beyond float range")
+        return value
     if k == VAR:
         return t if e.name == "t" else x
     if k == PARAM:
@@ -898,11 +898,19 @@ def _rewrite(e: Expr) -> Expr:
 
 
 def _key(e: Expr):
+    """Sort key of e; a RAT's second field is its nearest float, formed by
+    the integer true division float(Fraction) does, or ±inf for a constant
+    beyond float range, which numerator and denominator then order."""
     if e._key is not None:
         return e._key
     k = e.kind
     if k == RAT:
-        key = (0, float(e.value), e.value.numerator, e.value.denominator)
+        n, d = e.value.numerator, e.value.denominator
+        try:
+            value = n / d
+        except OverflowError:
+            value = math.inf if n > 0 else -math.inf
+        key = (0, value, n, d)
     elif k == PARAM:
         key = (1, e.name)
     elif k == VAR:
@@ -913,6 +921,11 @@ def _key(e: Expr):
     return key
 
 
+# the coefficient of a term without a rational factor, and of a product
+# before its first rational factor: one shared object
+_FRACTION_ONE = Fraction(1)
+
+
 def _as_coeff_core(term: Expr) -> tuple[Fraction, Expr | None]:
     """Split a canonical term into (rational coefficient, remaining core)."""
     if term.kind == RAT:
@@ -921,7 +934,7 @@ def _as_coeff_core(term: Expr) -> tuple[Fraction, Expr | None]:
         rest = term.args[1:]
         core = rest[0] if len(rest) == 1 else Expr(MUL, rest)
         return term.args[0].value, core
-    return Fraction(1), term
+    return _FRACTION_ONE, term
 
 
 def _with_coeff(c: Fraction, core: Expr | None) -> Expr | None:
@@ -943,19 +956,26 @@ def _c_add(args: list[Expr]) -> Expr:
             flat.extend(a.args)
         else:
             flat.append(a)
-    acc: dict[Expr | None, Fraction] = {}
-    order: list[Expr | None] = []
+    # core -> [coefficient, the term itself while no other term shares
+    # the core]; coefficients are folded only where terms combine
+    acc: dict[Expr | None, list] = {}
     for term in flat:
         c, core = _as_coeff_core(term)
-        if core not in acc:
-            acc[core] = Fraction(0)
-            order.append(core)
-        acc[core] += c
+        entry = acc.get(core)
+        if entry is None:
+            acc[core] = [c, term]
+        else:
+            entry[0] += c
+            entry[1] = None
     out = []
-    for core in order:
-        rebuilt = _with_coeff(acc[core], core)
-        if rebuilt is not None:
-            out.append(rebuilt)
+    for core, (c, term) in acc.items():
+        if term is None:
+            term = _with_coeff(c, core)
+            if term is None:
+                continue
+        elif not c:
+            continue
+        out.append(term)
     if not out:
         return ZERO
     out.sort(key=_key)
@@ -1017,7 +1037,7 @@ def _exact_root(n: int, q: int) -> int | None:
 
 
 def _c_pow(base: Expr, expo: Expr) -> Expr:
-    if depends_on(expo, "t") or depends_on(expo, "x"):
+    if expo.kind != RAT and (depends_on(expo, "t") or depends_on(expo, "x")):
         raise NonConstantExponentError(f"exponent {expo} depends on t or x")
     if expo.kind == RAT:
         if expo.value == 0:
@@ -1145,13 +1165,14 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
             else:
                 flat.append(f)
         work = flat
-        coeff = Fraction(1)
+        coeff = _FRACTION_ONE
         powers: dict[Expr, list[Expr]] = {}
         order: list[Expr] = []
         exp_args: list[Expr] = []
         for f in work:
             if f.kind == RAT:
-                coeff *= f.value
+                # the first rational factor is the coefficient so far
+                coeff = f.value if coeff is _FRACTION_ONE else coeff * f.value
             elif f.kind == EXP:
                 exp_args.append(f.args[0])
             elif f.kind == POW:

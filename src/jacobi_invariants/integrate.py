@@ -353,8 +353,9 @@ def integrate(p: JacobiProblem,
     except DomainError as err:
         return finish(DOMAIN_ABORT, t0, (err.t, err.x), str(err))
 
-    h = _initial_step(f, inputs, t0, y, k1, t_end, atol, rtol)
-    return finish(*_loop(n, inputs)(f, t0, t_end, h, 1e-12 * (t_end - t0), y, k1,
+    hmin = 1e-12 * (t_end - t0)
+    h = _initial_step(f, inputs, t0, y, k1, t_end, hmin, atol, rtol)
+    return finish(*_loop(n, inputs)(f, t0, t_end, h, hmin, y, k1,
                                     atol, rtol, ts, ys, stages))
 
 
@@ -366,14 +367,16 @@ def _rms(values, scales) -> float:
     return math.sqrt(total / len(values))
 
 
-def _initial_step(f, inputs, t0, y0, f0, t_end, atol, rtol) -> float:
+def _initial_step(f, inputs, t0, y0, f0, t_end, hmin, atol, rtol) -> float:
     """Standard starting-step heuristic from the embedded-RK literature;
-    f reads the components ``inputs`` of the state."""
+    f reads the components ``inputs`` of the state.  The trial step is
+    floored at the loop's ``hmin``: a right-hand side beyond about 1e300
+    makes d1 infinite and 0.01*d0/d1 zero."""
     sc = [atol + rtol * abs(y) for y in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0)
+    h0 = max(min(h0, t_end - t0), hmin)
     try:
         f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in inputs))
         d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0

@@ -61,7 +61,7 @@ def integrate(problem, integrands, tol, f):
         k1 = call(t0, *(y[i] for i in inputs))
     except DomainError as exc:
         return finish(DOMAIN_ABORT, t0, (exc.t, exc.x), str(exc))
-    h = _initial_step(call, inputs, t0, y, k1, t_end, atol, rtol)
+    h = _initial_step(call, inputs, t0, y, k1, t_end, hmin, atol, rtol)
     t, errprev, rejects, just_rejected = t0, 1.0, 0, False
     while t < t_end:
         h = max(h, hmin)

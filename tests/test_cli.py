@@ -175,6 +175,30 @@ def test_values_beyond_float_range_exit_2(tmp_path, capsys, change, reason):
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
 
 
+def test_a_constant_beyond_float_range_is_checked_and_aborts_the_run(tmp_path, capsys):
+    # simplify sorts the terms of delta2 by a key that orders 10^400
+    # without a float; the run cannot evaluate the constant, at t0
+    path = write(tmp_path, "p.json", dict(LINE_FILE, delta2="10^400 - x^2/2 + t"))
+    code, out, err = run_main(["check", path], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["pass"]
+    code, out, _ = run_main(["run", path], capsys)
+    termination = json.loads(out)["termination"]
+    assert code == 3 and termination["status"] == "DomainAbort" and termination["t"] == 0.0
+    assert termination["detail"].startswith("constant beyond float range")
+
+
+@pytest.mark.parametrize("data", [
+    {"phi": "0", "B": "-(10^300)*x", "delta2": "10^300*x^2/2",
+     "t0": 0, "t_end": 1, "x0": 1, "v0": 0},
+    {**catalog.get("JAC_EXACT").data, "params": {"rho": 1e150}},
+], ids=["linear", "JAC_EXACT"])
+def test_run_with_a_right_hand_side_beyond_1e300_aborts(tmp_path, capsys, data):
+    # the derivative at t0 makes the starting-step heuristic's trial step
+    # 0.01*d0/inf = 0, which is floored at the loop's smallest step
+    code, out, _ = run_main(["run", write(tmp_path, "p.json", data)], capsys)
+    assert code == 3 and json.loads(out)["termination"]["status"] == "DomainAbort"
+
+
 def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
     # Autonomous: phi_t, B_t, Lagrangian constraint, factorization,
     # square-factor ODE; TimeIndependentPhi: phi_t, B_t,

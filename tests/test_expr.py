@@ -163,6 +163,28 @@ def test_eval_domain_errors():
         evaluate(parse("x^(1/2)"), 0, -2.0)
 
 
+def test_constants_beyond_float_range_are_ordered_and_raise_on_evaluation():
+    # the sort key of a constant is its nearest float, or +-inf beyond
+    # float range, where numerator and denominator break the tie; an
+    # in-range key is float(Fraction) exactly
+    rng = random.Random(77)
+    for _ in range(500):
+        q = Fraction(rng.randint(-10 ** 300, 10 ** 300), rng.randint(1, 10 ** rng.randint(1, 320)))
+        assert ex._key(Rat(q)) == (0, float(q), q.numerator, q.denominator)
+    huge = Fraction(10 ** 400 + 1, 10 ** 92)  # in range: a quotient near 1e308
+    assert ex._key(Rat(huge))[1] == float(huge)
+    assert ex._key(Rat(Fraction(1, 10 ** 400)))[1] == 0.0
+    assert ex._key(Rat(10 ** 400)) == (0, math.inf, 10 ** 400, 1)
+    assert ex._key(Rat(-10 ** 400)) == (0, -math.inf, -10 ** 400, 1)
+    terms = ["exp(x)", "exp(-10^400*x)", "exp(10^400*x)", "exp(10^401*x)"]
+    s = simplify(parse(" + ".join(reversed(terms))))
+    assert s.args == tuple(simplify(parse(term)) for term in terms)
+    assert simplify(parse(" + ".join(terms[1:] + terms[:1]))) == s
+    for value in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(DomainError, match="constant beyond float range"):
+            evaluate(Rat(value), 0.0, 0.0)
+
+
 def test_eval_unbound_parameter():
     with pytest.raises(ex.UnboundParameterError):
         evaluate(parse("beta*x"), 0, 1.0, {})
@@ -539,6 +561,92 @@ def test_pprint_fully_parenthesized():
 
 
 # ------------------------------------------------------- sympy cross-check
+
+def _random_monomial(rng, degrees=None):
+    """A raw tree c*t^i*x^j with rational c, of the given or random degrees."""
+    i, j = degrees or (rng.randint(0, 3), rng.randint(0, 3))
+    c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+    return Rat(c) * T ** Rat(i) * X ** Rat(j)
+
+
+def _random_sum(rng):
+    """A raw sum of monomials in which some degrees repeat and the
+    negation of one term cancels it."""
+    terms = [_random_monomial(rng) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 2)):  # the same degrees again
+        terms.append(_random_monomial(rng, _degrees(simplify(rng.choice(terms)))))
+    terms.append(-rng.choice(terms))
+    rng.shuffle(terms)
+    return ex.Expr(ex.ADD, terms)
+
+
+def _random_polynomial(rng):
+    shape = rng.randrange(4)
+    p, q = _random_sum(rng), _random_sum(rng)
+    if shape == 0:
+        return p
+    if shape == 1:
+        return p * q
+    if shape == 2:
+        return p * q + _random_sum(rng) * p - q
+    return p * q - q * p  # zero
+
+
+def _degrees(term):
+    """(i, j) of a canonical monomial c*t^i*x^j."""
+    degree = {"t": 0, "x": 0}
+    for factor in term.args if term.kind == ex.MUL else (term,):
+        if factor.kind == ex.RAT:
+            continue
+        base, expo = factor.args if factor.kind == ex.POW else (factor, Rat(1))
+        assert base.kind == ex.VAR and expo.kind == ex.RAT and expo.value.denominator == 1
+        degree[base.name] += int(expo.value)
+    return degree["t"], degree["x"]
+
+
+def _coefficients(s):
+    """{(i, j): c} of a normal form that is a sum of monomials c*t^i*x^j."""
+    out = {}
+    if s == Rat(0):
+        return out
+    for term in s.args if s.kind == ex.ADD else (s,):
+        c = term.value if term.kind == ex.RAT else (
+            term.args[0].value if term.kind == ex.MUL and term.args[0].kind == ex.RAT
+            else Fraction(1))
+        degrees = _degrees(term)
+        assert c != 0 and degrees not in out, pprint(s)
+        out[degrees] = c
+    return out
+
+
+def test_polynomial_normal_form_coefficients_equal_sympy_exactly():
+    # simplify's normal form of a polynomial with rational coefficients is
+    # a sum of monomials; each coefficient is compared with sympy's as an
+    # exact rational, which a comparison of values cannot resolve
+    sp = pytest.importorskip("sympy")
+    t, x = sp.Symbol("t", real=True), sp.Symbol("x", real=True)
+    rng = random.Random(1217)
+    zeros = 0
+    for _ in range(200):
+        e = _random_polynomial(rng)
+        got = _coefficients(simplify(e))
+        want = {degrees: Fraction(int(c.p), int(c.q))
+                for degrees, c in sp.Poly(sp.expand(_to_sympy(sp, e)), t, x).terms() if c != 0}
+        assert got == want, pprint(e)
+        zeros += not want
+    assert zeros >= 40  # the p*q - q*p shape, at least
+
+
+def test_a_term_no_other_shares_comes_back_as_the_same_node():
+    rng = random.Random(1218)
+    for _ in range(200):
+        terms = [simplify(_random_monomial(rng)) for _ in range(rng.randint(2, 6))]
+        s = simplify(ex.Expr(ex.ADD, terms))
+        out = s.args if s.kind == ex.ADD else (s,)
+        degrees = [_degrees(term) for term in terms]
+        for term, d in zip(terms, degrees):
+            if degrees.count(d) == 1:
+                assert any(o is term for o in out), (pprint(term), pprint(s))
 
 def _to_sympy(sp, e):
     """e as a sympy expression over real symbols, parameters included."""
