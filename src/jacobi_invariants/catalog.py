@@ -10,16 +10,15 @@ so initial data is fixed at x0 = 1, v0 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class UnknownFixtureError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """One built-in problem: ``data`` is the problem file that ``run``
     reads, and ``catalog run ID`` is ``run`` on it with ``drift_threshold``.
 

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from . import expr as ex
@@ -85,7 +85,8 @@ def dumps(obj, indent: int = 0) -> str:
         items = [f'{pad1}{json.dumps(str(k))}: {dumps(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    # exactly a list or tuple: a record (a NamedTuple) is no JSON array
+    if type(obj) in (list, tuple):
         if not obj:
             return "[]"
         items = [f"{pad1}{dumps(v, indent + 1)}" for v in obj]
@@ -196,8 +197,7 @@ def _report_of(check: CheckReport) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """What the hypothesis checks of a run admit: the invariant specs, the
     one the oracle compares to, the Lagrangian data and, when the oracle
     is requested, its perturbation family."""

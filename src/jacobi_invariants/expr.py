@@ -1166,8 +1166,9 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
                 flat.append(f)
         work = flat
         coeff = _FRACTION_ONE
+        # base -> exponents, and base -> its first factor, in order
         powers: dict[Expr, list[Expr]] = {}
-        order: list[Expr] = []
+        first: dict[Expr, Expr] = {}
         exp_args: list[Expr] = []
         for f in work:
             if f.kind == RAT:
@@ -1175,32 +1176,32 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
                 coeff = f.value if coeff is _FRACTION_ONE else coeff * f.value
             elif f.kind == EXP:
                 exp_args.append(f.args[0])
-            elif f.kind == POW:
-                b, c = f.args
+            else:
+                b, c = f.args if f.kind == POW else (f, ONE)
                 if b not in powers:
                     powers[b] = []
-                    order.append(b)
+                    first[b] = f
                 powers[b].append(c)
-            else:
-                if f not in powers:
-                    powers[f] = []
-                    order.append(f)
-                powers[f].append(ONE)
         if coeff == 0:
             return ZERO
         out: list[Expr] = []
         retry: list[Expr] = []
-        for b in order:
-            total = _c_add(powers[b])
-            merged = _c_pow(b, total)
+        for b, f in first.items():
+            exps = powers[b]
+            # a base no other factor shares keeps its node and its caches
+            merged = f if len(exps) == 1 else _c_pow(b, _c_add(exps))
             if merged.kind == RAT:
                 coeff *= merged.value
-            elif merged.kind == MUL or merged.kind == EXP:
+            elif merged.kind in (MUL, EXP, ADD):
                 retry.append(merged)  # e.g. pulled-out root coefficient
-            elif merged.kind == ADD:
-                retry.append(merged)
             else:
-                out.append(merged)
+                base = merged.args[0] if merged.kind == POW else merged
+                if base != b and base in powers:
+                    # a folded power whose base is another factor's, as
+                    # (x^(5/2))^(1/2) squared next to x^(-1): merged next round
+                    retry.append(merged)
+                else:
+                    out.append(merged)
         if exp_args:
             total = _c_add(exp_args)
             merged = _c_exp(total)

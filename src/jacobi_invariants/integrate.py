@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .expr import Expr, DomainError
 from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
@@ -74,8 +73,7 @@ class AccumulatorMismatchError(IntegrationError):
     pass
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(NamedTuple):
     status: str
     t: float
     point: tuple[float, float] | None = None
@@ -86,25 +84,32 @@ class Termination:
         return self.status == COMPLETED
 
 
-@dataclass(frozen=True)
-class AugmentedState:
+class AugmentedState(NamedTuple):
     t: float
     x: float
     v: float
     u: tuple[float, ...]
 
 
-@dataclass
 class Trajectory:
-    """Accepted-step samples plus per-step dense-output coefficients."""
+    """Accepted-step samples plus per-step dense-output coefficients.
 
-    problem: JacobiProblem
-    integrands: tuple[Expr | Integrand, ...]   # canonical, one per channel
-    ts: np.ndarray
-    ys: np.ndarray          # shape (n_samples, 2 + n_channels)
-    conts: np.ndarray       # shape (n_steps, 5, 2 + n_channels)
-    termination: Termination
-    mean_step: float
+    ``integrands`` are canonical, one per channel; ``ys`` has shape
+    (n_samples, 2 + n_channels) and ``conts`` (n_steps, 5, 2 + n_channels).
+    """
+
+    __slots__ = ("problem", "integrands", "ts", "ys", "conts", "termination", "mean_step")
+
+    def __init__(self, problem: JacobiProblem, integrands: tuple[Expr | Integrand, ...],
+                 ts: np.ndarray, ys: np.ndarray, conts: np.ndarray,
+                 termination: Termination, mean_step: float):
+        self.problem = problem
+        self.integrands = integrands
+        self.ts = ts
+        self.ys = ys
+        self.conts = conts
+        self.termination = termination
+        self.mean_step = mean_step
 
     @property
     def t0(self) -> float:
@@ -389,8 +394,7 @@ def _initial_step(f, inputs, t0, y0, f0, t_end, hmin, atol, rtol) -> float:
 
 # ------------------------------------------------------------- evaluation
 
-@dataclass(frozen=True)
-class EvalSeries:
+class EvalSeries(NamedTuple):
     ts: np.ndarray
     values: np.ndarray
     truncated: bool = False
@@ -405,8 +409,7 @@ class EvalSeries:
         return float(self.values[0])
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     """Constancy metrics for one invariant along one trajectory."""
 
     name: str

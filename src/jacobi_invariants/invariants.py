@@ -17,8 +17,8 @@ never enter the integral terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr, pprint, simplify, zero_check
@@ -27,6 +27,7 @@ from .problem import (
     GENERAL,
     TIME_INDEPENDENT_PHI,
     CheckReport,
+    Frozen,
     JacobiProblem,
     LagrangianData,
     classify,
@@ -60,8 +61,7 @@ class MismatchedAuxPairError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AuxiliaryFunctions:
+class AuxiliaryFunctions(NamedTuple):
     """Amplitude/factorization data behind one sign of the dressed pair.
 
     bbar and b factor the forcing term (bbar*b == B on the domain); the
@@ -74,8 +74,7 @@ class AuxiliaryFunctions:
     sign: int
 
 
-@dataclass(frozen=True)
-class InvariantSpec:
+class InvariantSpec(Frozen):
     """A constructed constant of motion.
 
     The local part is a polynomial in the velocity with (t,x)-coefficients,
@@ -84,17 +83,18 @@ class InvariantSpec:
     indices refer to this spec's own ``integrands`` tuple.
     """
 
-    name: str
-    kind: str
-    poly: dict[int, Expr]
-    integrands: tuple[Expr, ...] = ()
-    exp_sign: int = 0
-    exp_channel: int = 0
-    linear_channels: tuple[tuple[Fraction, int], ...] = ()
-    exp_closed_arg: Expr | None = None
     # the last evaluator compiled, as (params items, function); the spec is
     # immutable
-    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "kind", "poly", "integrands", "exp_sign", "exp_channel",
+                 "linear_channels", "exp_closed_arg", "_compiled")
+
+    def __init__(self, name: str, kind: str, poly: dict[int, Expr],
+                 integrands: tuple[Expr, ...] = (), exp_sign: int = 0, exp_channel: int = 0,
+                 linear_channels: tuple[tuple[Fraction, int], ...] = (),
+                 exp_closed_arg: Expr | None = None):
+        self._set(name=name, kind=kind, poly=poly, integrands=integrands, exp_sign=exp_sign,
+                  exp_channel=exp_channel, linear_channels=linear_channels,
+                  exp_closed_arg=exp_closed_arg, _compiled=None)
 
     def compiled(self, params: dict[str, float] | None = None):
         """Evaluator over many states: ``fn(T, X, V, U0, ..) -> (values,

@@ -8,7 +8,7 @@ d_t(delta1) - d_x(delta2) = e^phi * B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr, DomainError, zero_check, ZeroCheck
@@ -30,25 +30,58 @@ def default_domain(t0: float, t_end: float, x0: float) -> tuple[float, float, fl
     return (t0, t_end, x0 - span, x0 + span)
 
 
-@dataclass(frozen=True)
-class JacobiProblem:
+class Frozen:
+    """Base of the slotted classes whose caches assume that they never
+    change: assigning or deleting an attribute raises AttributeError, so
+    ``__init__`` and the caches write through ``object.__setattr__``.
+    Equality, hashing, the repr and copies go by the public slots, which
+    ``__init__`` takes in the same order; a copy starts with empty caches."""
+
+    __slots__ = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        names = (name for name in self.__slots__ if name[0] != "_")
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: it is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: it is immutable")
+
+
+class JacobiProblem(Frozen):
     """Coefficients, parameters, initial state and sampling domain."""
 
-    phi: Expr
-    B: Expr
-    params: dict[str, float] = field(default_factory=dict)
-    t0: float = 0.0
-    t_end: float = 1.0
-    x0: float = 0.0
-    v0: float = 0.0
-    domain: tuple[float, float, float, float] | None = None
     # the classify() result and the last rhs() built, as (channels,
     # function); the problem is immutable
-    _classified: Classification | None = field(default=None, init=False,
-                                               repr=False, compare=False)
-    _rhs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("phi", "B", "params", "t0", "t_end", "x0", "v0", "domain",
+                 "_classified", "_rhs")
 
-    def __post_init__(self):
+    def __init__(self, phi: Expr, B: Expr, params: dict[str, float] | None = None,
+                 t0: float = 0.0, t_end: float = 1.0, x0: float = 0.0, v0: float = 0.0,
+                 domain: tuple[float, float, float, float] | None = None):
+        self._set(phi=phi, B=B, params={} if params is None else params, t0=t0,
+                  t_end=t_end, x0=x0, v0=v0, domain=domain, _classified=None, _rhs=None)
         if not self.t_end > self.t0:
             raise ProblemError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
         if self.domain is not None:
@@ -79,8 +112,7 @@ class JacobiProblem:
                                f"initial point (t0, x0) = ({self.t0}, {self.x0})")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     tag: str
     warnings: tuple[str, ...] = ()
 
@@ -88,8 +120,7 @@ class Classification:
         return self.tag
 
 
-@dataclass(frozen=True)
-class LagrangianData:
+class LagrangianData(NamedTuple):
     """delta1/delta2 pair; eta optional with delta1 = d_x(eta)."""
 
     delta1: Expr
@@ -97,8 +128,7 @@ class LagrangianData:
     eta: Expr | None = None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one hypothesis/residual check."""
 
     name: str
@@ -145,23 +175,22 @@ def _classify(p: JacobiProblem) -> Classification:
     return Classification(TIME_INDEPENDENT_PHI, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class Integrand:
+class Integrand(Frozen):
     """An accumulator integrand polynomial in the velocity, optionally
     dressed by the exponential of another channel:
     exp(sign*u) * (c_0 + c_1*v + c_2*v^2 + ..) with coefficients c_d(t, x),
     where u is the channel that integrates ``channel``.  sign 0 drops the
-    dressing.  A bare Expr g(t, x) is the undressed degree-0 case."""
+    dressing.  A bare Expr g(t, x) is the undressed degree-0 case.
+    Equality is structural, since trajectories match channels by it."""
 
-    coeffs: tuple[Expr, ...]
-    sign: int = 0
-    channel: Expr | None = None
+    __slots__ = ("coeffs", "sign", "channel")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Expr, ...], sign: int = 0, channel: Expr | None = None):
+        if not coeffs:
             raise ValueError("an integrand needs at least one coefficient")
-        if self.sign not in (-1, 0, 1) or (self.sign != 0) == (self.channel is None):
+        if sign not in (-1, 0, 1) or (sign != 0) == (channel is None):
             raise ValueError("a dressing needs a sign of -1 or +1 and a channel")
+        self._set(coeffs=coeffs, sign=sign, channel=channel)
 
     def __str__(self):
         body = " + ".join(f"{c} * xdot^{d}" for d, c in enumerate(self.coeffs))

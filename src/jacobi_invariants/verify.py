@@ -23,7 +23,6 @@ As in ``integrate``, numpy is imported by the functions that build arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -32,26 +31,24 @@ from .expr import Expr
 from .integrate import (DriftReport, EvalSeries, IntegrationError, Trajectory, drift_report,
                         in_blocks)
 from .invariants import NONLOCAL_CONSTANT, InvariantSpec
-from .problem import Integrand, JacobiProblem, LagrangianData
+from .problem import Frozen, Integrand, JacobiProblem, LagrangianData
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
+class PerturbationFamily(Frozen):
     """x-shift family d_eps x|_0 = a(t,x) * exp(sign * u(t)), u' = b(t,x).
 
     sign 0 drops the exponential factor entirely (plain shift).
     """
 
-    a: Expr
-    b: Expr
-    sign: int
+    __slots__ = ("a", "b", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __init__(self, a: Expr, b: Expr, sign: int):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        self._set(a=a, b=b, sign=sign)
 
 
 def _prefix_simpson(fs: np.ndarray, h: float) -> np.ndarray:

@@ -3,12 +3,11 @@ arrays and at one point, its coefficients as point functions, the
 oracle's offset, the blow-up scan that chose the fixtures' windows and a
 copy of an expression tree with no memo filled."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants.integrate import integrate
+from jacobi_invariants.problem import JacobiProblem
 
 
 def on_states(spec, params=None):
@@ -59,6 +58,6 @@ def oracle_offset(series_oracle, series_closed) -> float:
 def blowup_scan(p, horizon: float = 12.0, tol: float = 1e-6) -> tuple[str, float]:
     """Loose-tolerance escape scan of a ``JacobiProblem``, used to choose
     the safe windows; returns (termination status, termination time)."""
-    probe = replace(p, t_end=p.t0 + horizon)
+    probe = JacobiProblem(p.phi, p.B, p.params, p.t0, p.t0 + horizon, p.x0, p.v0, p.domain)
     traj = integrate(probe, (), (tol, tol))
     return traj.termination.status, traj.t_last

@@ -574,6 +574,15 @@ def test_dumps_float_format():
     assert json.loads(text)["list"] == [1.0]
 
 
+def test_dumps_refuses_a_record():
+    # a NamedTuple is a tuple, but a record leaked into a report is a bug,
+    # not a JSON array
+    termination = integrate_module.Termination(integrate_module.COMPLETED, 1.0)
+    assert dumps({"window": (0.0, 1.0)}) == dumps({"window": [0.0, 1.0]})
+    with pytest.raises(TypeError, match="cannot serialize Termination"):
+        dumps({"termination": termination})
+
+
 def test_load_problem_rejects_bad_domain():
     from jacobi_invariants.cli import InputError
 

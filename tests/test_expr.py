@@ -482,12 +482,48 @@ def test_simplify_idempotent_hypothesis(seed):
     assert simplify(fresh(s)) == s
 
 
+def _nested_power(exponents):
+    e = X
+    for q in exponents:
+        e = e ** Rat(q)
+    return e
+
+
+# few exponents, so that products repeat a nested power that folds
+POWER_EXPONENTS = st.sampled_from([Fraction(q) for q in ("-1", "-1/2", "1/2", "3/2", "5/2", "2")])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(POWER_EXPONENTS, min_size=1, max_size=2), min_size=1, max_size=4))
+def test_products_of_nested_powers_print_their_own_normal_form(factors):
+    # a nested power that folds inside the product, as (x^(5/2))^(1/2)
+    # squared, merges with the other powers of its base
+    product = _nested_power(factors[0])
+    for exponents in factors[1:]:
+        product = product * _nested_power(exponents)
+    s = simplify(product)
+    assert simplify(parse(pprint(s))) == s
+
+
+def test_a_power_no_other_factor_shares_comes_back_as_the_same_node():
+    factors = [simplify(parse(text)) for text in
+               ("x^(1/2)", "ln(x)^3", "sin(t)^(-1)", "(t + x)^(1/3)", "k^2")]
+    s = simplify(ex.Expr(ex.MUL, tuple(factors)))
+    assert len(s.args) == len(factors)
+    for factor in factors:
+        assert any(o is factor for o in s.args), pprint(factor)
+
+
 # ------------------------------------------------------------- zero check
 
 def test_zero_check_examples():
     assert is_identically_zero(diff(parse("-ln(x)"), "t"), (0, 1, 0.5, 1.5))
     assert not is_identically_zero(parse("t + x"), (0, 1, 0, 1))
     zc = zero_check(parse("ln(exp(t)) - t"), (0, 1, 0, 1))
+    assert zc.is_zero and zc.structural
+    # (x^(5/2))^(1/2) squared folds to x^(5/2), which merges with x^(-1)
+    zc = zero_check(parse("(x^(5/2))^(1/2) * (x^(-1) * (x^(5/2))^(1/2)) - x^(3/2)"),
+                    (0, 1, 0.5, 1.5))
     assert zc.is_zero and zc.structural
 
 

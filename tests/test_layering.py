@@ -1,7 +1,8 @@
 """The symbolic layers stay free of numpy: parsing, checking and building
 invariants never need an array, and the layers that do build arrays load
 numpy on first use, so the package, ``check`` and ``catalog list`` start
-without it."""
+without it.  They start without ``dataclasses`` and ``inspect`` too: the
+package's records are NamedTuples and slotted classes."""
 
 import ast
 import json
@@ -51,26 +52,41 @@ def test_module_imports_no_numpy_at_import_time(module):
     assert not _imported(list(_import_time_nodes(tree.body))), module
 
 
-def _numpy_loaded(code: str) -> bool:
-    """Whether a fresh interpreter has numpy loaded after running code."""
+def _loaded(name: str, code: str) -> bool:
+    """Whether a fresh interpreter has the module name loaded after running
+    code."""
     child = f"import sys\nsys.path.insert(0, {str(SOURCE.parent)!r})\n{code}\n" \
-            "print('numpy' in sys.modules)"
+            f"print({name!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, check=False)
     assert proc.returncode == 0, proc.stderr[-500:]
     return proc.stdout.splitlines()[-1] == "True"
 
 
+def _check_and_catalog_list(tmp_path) -> tuple[str, str]:
+    """Code that runs ``check`` on PG18's problem file, then ``catalog
+    list``, and the path of that file."""
+    path = tmp_path / "pg18.json"
+    path.write_text(json.dumps(catalog.get("PG18").data))
+    return (f"from jacobi_invariants import cli\n"
+            f"assert cli.main(['check', {str(path)!r}]) == 0\n"
+            f"assert cli.main(['catalog', 'list']) == 0"), str(path)
+
+
 def test_import_loads_no_numpy():
-    assert not _numpy_loaded("import jacobi_invariants")
+    assert not _loaded("numpy", "import jacobi_invariants")
 
 
 def test_check_and_catalog_list_load_no_numpy(tmp_path):
-    path = tmp_path / "pg18.json"
-    path.write_text(json.dumps(catalog.get("PG18").data))
-    code = (f"from jacobi_invariants import cli\n"
-            f"assert cli.main(['check', {str(path)!r}]) == 0\n"
-            f"assert cli.main(['catalog', 'list']) == 0")
-    assert not _numpy_loaded(code)
+    code, path = _check_and_catalog_list(tmp_path)
+    assert not _loaded("numpy", code)
     # the test sees numpy once an integration needs it
-    assert _numpy_loaded(code + f"\ncli.main(['run', {str(path)!r}])")
+    assert _loaded("numpy", code + f"\ncli.main(['run', {path!r}])")
+
+
+@pytest.mark.parametrize("name", ["dataclasses", "inspect"])
+def test_start_up_loads_no_dataclasses_or_inspect(tmp_path, name):
+    # records are NamedTuples and slotted classes; dataclasses would pull
+    # in inspect, ast, dis and tokenize
+    assert not _loaded(name, "import jacobi_invariants")
+    assert not _loaded(name, _check_and_catalog_list(tmp_path)[0])

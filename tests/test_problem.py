@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -152,6 +154,33 @@ def test_rhs_reads_the_one_channel_a_dressed_integrand_names():
                 dict(coeffs=(ex.ONE,), sign=1), dict(coeffs=(ex.ONE,), channel=b)):
         with pytest.raises(ValueError):
             Integrand(**bad)
+
+
+def test_validated_objects_refuse_assignment_and_compare_by_value(pg18):
+    from jacobi_invariants.invariants import InvariantSpec
+    from jacobi_invariants.verify import PerturbationFamily
+
+    # channels are matched by value: the trajectory's lookup, read_channel
+    # and the run's dict.fromkeys of channels
+    work = Integrand((parse("x"), ex.ZERO, parse("t")), sign=-1, channel=parse("t"))
+    twin = canonical(Integrand((parse("x"), ex.ZERO, parse("t")), sign=-1, channel=parse("t")))
+    assert work == twin and hash(work) == hash(twin) and work is not twin
+    assert list(dict.fromkeys((work, twin))) == [work]
+    assert work != Integrand(work.coeffs, sign=1, channel=work.channel)
+    # the caches of a problem and a spec assume that neither changes
+    spec = InvariantSpec("I", "FirstIntegral", {0: parse("x")})
+    family = PerturbationFamily(ex.ONE, ex.ZERO, 0)
+    rhs(pg18)  # a generated function, which pickle cannot write
+    for obj in (pg18, work, spec, family):
+        # a copy is built anew, with empty caches
+        assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
+        name = type(obj).__slots__[0]
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
 
 
 def test_rhs_is_built_once_per_problem_and_channel_tuple(pg18):
