@@ -55,7 +55,7 @@ from .problem import (
 from .verify import (
     PerturbationFamily,
     drift_gate,
-    oracle_channels,
+    integrated_oracle,
     oracle_constant,
     oracle_drift_report,
     oracle_vs_closed,
@@ -313,7 +313,13 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     if not report["pass"]:
         return report, EXIT_FAIL, None
 
+    # one coarse/fine pair carries every channel of the run, the oracle's
+    # (b, W) after the invariants'; channels are outside step control, so
+    # the oracle's do not move the invariants' steps
     registered = built.integrands
+    if oracle:
+        o_spec = integrated_oracle(problem, built.lagrangian, built.family)
+        registered = tuple(dict.fromkeys(registered + o_spec.integrands))
     traj = integrate(problem, registered, (tol, tol))
     term = traj.termination
     report["termination"] = {"status": term.status, "t": term.t}
@@ -342,15 +348,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
         ser_oracle = oracle_constant(problem, L, fam, traj, o_grid)
         ser_closed = evaluate_along(traj, built.closed, o_grid)
         disc = oracle_vs_closed(ser_oracle, ser_closed)
-        # constancy gate on the oracle's own pair, at a moderate tolerance,
-        # which integrates the work integral as a channel
-        o_tol = 1e-8
-        o_channels = oracle_channels(problem, L, fam)
-        o_coarse = integrate(problem, o_channels, (o_tol, o_tol))
-        o_fine = integrate(problem, o_channels, (o_tol / REFINE, o_tol / REFINE))
-        # at least the default grid: an order estimated from a few points
-        # reads as low as 1.3 on PG21 at grid 2
-        o_rep = oracle_drift_report(problem, L, fam, o_coarse, o_fine, max(grid, 1024))
+        o_rep = oracle_drift_report(o_spec, traj, fine, grid)
         o_gate = drift_gate(o_rep, 1e-5)
         all_pass = all_pass and o_gate and disc < 1e-5
         report["oracle"] = {

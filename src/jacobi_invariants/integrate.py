@@ -3,11 +3,15 @@ accumulator channels.
 
 The state is [x, v, u_0..u_k] where each u_i integrates a registered
 integrand alongside the motion (u_i(t0) = 0), so nonlocal integral terms
-are produced under the same error control as the trajectory itself.  An
-integrand is a g(t, x), or a polynomial in v that may be dressed by the
-exponential of one other channel (``problem.Integrand``).  The pair is
-the classic Dormand-Prince 5(4) with a PI step controller and the
-standard quartic dense-output interpolant.
+are produced with the same steps as the trajectory itself.  The channels
+are quadrature components, as in CVODES with its error control on
+quadratures off: step control reads x and v only, so the steps do not
+depend on the channels registered (unless an integrand leaves its domain
+on a trial stage), and one coarse/fine pair serves every invariant and
+the oracle.  An integrand is a g(t, x), or a polynomial in v that may be
+dressed by the exponential of one other channel (``problem.Integrand``).
+The pair is the classic Dormand-Prince 5(4) with a PI step controller and
+the standard quartic dense-output interpolant.
 
 numpy is imported where an array is first built (the end of an
 integration and the evaluation helpers), so importing this module, and the
@@ -98,7 +102,8 @@ class Trajectory:
     (n_samples, 2 + n_channels) and ``conts`` (n_steps, 5, 2 + n_channels).
     """
 
-    __slots__ = ("problem", "integrands", "ts", "ys", "conts", "termination", "mean_step")
+    __slots__ = ("problem", "integrands", "ts", "ys", "conts", "termination", "mean_step",
+                 "_grids")
 
     def __init__(self, problem: JacobiProblem, integrands: tuple[Expr | Integrand, ...],
                  ts: np.ndarray, ys: np.ndarray, conts: np.ndarray,
@@ -110,6 +115,7 @@ class Trajectory:
         self.conts = conts
         self.termination = termination
         self.mean_step = mean_step
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def t0(self) -> float:
@@ -139,6 +145,24 @@ class Trajectory:
             r[:, 2] + theta * (r[:, 3] + (1 - theta) * r[:, 4])))
         y[ts == grid[-1]] = self.ys[-1]
         return y
+
+    def on_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n evenly spaced times over the integrated window and the
+        dense-output states there, sampled BLOCK points at a time.  Each
+        grid is sampled once and kept, read-only, for every series read on
+        it; a row depends only on its own time, so the blocks do not
+        change a bit."""
+        cached = self._grids.get(n)
+        if cached is None:
+            import numpy as np
+
+            ts = np.linspace(self.t0, self.t_last, n)
+            states = np.empty((n, self.ys.shape[1]))
+            for start in range(0, n, BLOCK):
+                states[start:start + BLOCK] = self.sample(ts[start:start + BLOCK])
+            ts.flags.writeable = states.flags.writeable = False
+            cached = self._grids[n] = (ts, states)
+        return cached
 
     def state(self, t: float) -> AugmentedState:
         """Dense-output state at any t inside the integrated window."""
@@ -177,10 +201,10 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
     which ``_dense_rows`` builds the dense output.  The k1 returned is the
     derivative at the last accepted state (FSAL: the last step's k7).
 
-    The error norm is the RMS of the error estimate over
-    atol + rtol*max(|y|, |y_new|).  Stage inputs are formed for the
-    components ``inputs`` only, the ones the right-hand side reads: x, v
-    and at most one channel.
+    The error norm is the RMS over x and v of the error estimate over
+    atol + rtol*max(|y|, |y_new|); the channels are left out of it.
+    Stage inputs are formed for the components ``inputs`` only, the ones
+    the right-hand side reads: x, v and at most one channel.
     """
     comps = range(n)
 
@@ -227,11 +251,11 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
               "                h *= 0.25",
               "                continue",
               f"            return {DOMAIN_ABORT!r}, t, (exc.t, exc.x), str(exc), {derivative}"]
-    for i in comps:
+    for i in (0, 1):
         lines += [f"        a{i} = abs(y{i}); b{i} = abs(n{i})",
                   f"        q{i} = h*({combo(_E, i)})"
                   f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
-    lines += [f"        err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in comps)})/{n})",
+    lines += ["        err = _sqrt((q0*q0 + q1*q1)/2)",
               "        if not _isfinite(err):",
               "            err = 10.0",
               "        if err <= 1.0:",
@@ -373,18 +397,19 @@ def _rms(values, scales) -> float:
 
 
 def _initial_step(f, inputs, t0, y0, f0, t_end, hmin, atol, rtol) -> float:
-    """Standard starting-step heuristic from the embedded-RK literature;
-    f reads the components ``inputs`` of the state.  The trial step is
-    floored at the loop's ``hmin``: a right-hand side beyond about 1e300
-    makes d1 infinite and 0.01*d0/d1 zero."""
-    sc = [atol + rtol * abs(y) for y in y0]
-    d0 = _rms(y0, sc)
-    d1 = _rms(f0, sc)
+    """Standard starting-step heuristic from the embedded-RK literature,
+    with the norms over x and v only, as the loop's error norm; f reads
+    the components ``inputs`` of the state.  The trial step is floored at
+    the loop's ``hmin``: a right-hand side beyond about 1e300 makes d1
+    infinite and 0.01*d0/d1 zero."""
+    sc = [atol + rtol * abs(y) for y in y0[:2]]
+    d0 = _rms(y0[:2], sc)
+    d1 = _rms(f0[:2], sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = max(min(h0, t_end - t0), hmin)
     try:
         f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in inputs))
-        d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
+        d2 = _rms([f1[0] - f0[0], f1[1] - f0[1]], sc) / h0
     except DomainError:
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
     dm = max(d1, d2)
@@ -434,24 +459,25 @@ class DriftReport(NamedTuple):
         }
 
 
-def in_blocks(traj: Trajectory, ts: np.ndarray, evaluate):
-    """Evaluate along the dense output at the times ts, BLOCK points at a
-    time.  ``evaluate(t, y)`` gets a block of times and their states (rows
-    of ``Trajectory.sample``) and returns (values, err): the values before
-    the first point outside the domain and that point's DomainError, or
-    None.  The first block with an error ends the series.  Returns
-    (values, err)."""
+def in_blocks(traj: Trajectory, grid: int, evaluate):
+    """Evaluate along the dense output on the uniform grid of ``grid``
+    points over the integrated window, BLOCK points at a time, from the
+    states ``Trajectory.on_grid`` keeps.  ``evaluate(t, y)`` gets a block
+    of times and their states and returns (values, err): the values
+    before the first point outside the domain and that point's
+    DomainError, or None.  The first block with an error ends the series.
+    Returns (ts, values, err), ts the whole grid."""
     import numpy as np
 
+    ts, states = traj.on_grid(grid)
     parts = []
     err = None
-    for start in range(0, len(ts), BLOCK):
-        t = ts[start:start + BLOCK]
-        values, err = evaluate(t, traj.sample(t))
+    for start in range(0, grid, BLOCK):
+        values, err = evaluate(ts[start:start + BLOCK], states[start:start + BLOCK])
         parts.append(values)
         if err is not None:
             break
-    return np.concatenate(parts), err
+    return ts, np.concatenate(parts), err
 
 
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
@@ -460,8 +486,6 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     Domain errors (e.g. the square-root factor leaving its region of
     validity) truncate the series at the failing point and flag it.
     """
-    import numpy as np
-
     if grid < 2:
         raise ValueError("grid must be >= 2")
     channels = [traj.channel_of(g) for g in spec.integrands]
@@ -471,8 +495,7 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
         x, v, *u = y.T.tolist()
         return fn(t.tolist(), x, v, *(u[c] for c in channels))
 
-    ts = np.linspace(traj.t0, traj.t_last, grid)
-    values, err = in_blocks(traj, ts, evaluate)
+    ts, values, err = in_blocks(traj, grid, evaluate)
     if len(values) < 2:
         raise IntegrationError(
             f"invariant {spec.name!r} undefined on the trajectory start")

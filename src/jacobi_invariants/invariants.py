@@ -177,9 +177,10 @@ def _autonomous_aux(p: JacobiProblem,
     # guard the radicand in its defining form: points where e^(-phi) itself
     # is undefined lie outside the problem domain and are skipped
     raw_radicand = ex.Rat(2) * delta2 * ex.Exp(-p.phi)
+    radicand_at = ex.compile_fn(raw_radicand, p.params)
     for (tv, xv) in ex.sample_points(p.domain, ex.SAMPLES):
         try:
-            val = ex.evaluate(raw_radicand, tv, xv, p.params)
+            val = radicand_at(tv, xv)
         except ex.DomainError:
             continue
         if val < 0.0:

@@ -15,7 +15,8 @@ first.
 The constancy gate reads the work integral W from an accumulator channel
 instead: its integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) is
 integrated with the motion, so the drift of dL/dv * v_fam - W measures the
-integrator and not the quadrature.
+integrator and not the quadrature.  Its channels ride the run's one
+coarse/fine pair with the invariants' (``integrated_oracle``).
 
 As in ``integrate``, numpy is imported by the functions that build arrays.
 """
@@ -115,8 +116,7 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
         flat = np.fromiter(itertools.chain.from_iterable(rows), float, 2 * len(rows))
         return flat.reshape(-1, 2), err
 
-    ts = np.linspace(traj.t0, traj.t_last, grid)
-    rows, err = in_blocks(traj, ts, evaluate)
+    ts, rows, err = in_blocks(traj, grid, evaluate)
     if err is not None:
         raise IntegrationError(f"oracle undefined on the trajectory: {err}") from err
     h = ts[1] - ts[0]
@@ -135,12 +135,13 @@ def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> fl
     return float(np.max(np.abs(a - b)))
 
 
-def _build_integrated_oracle(p: JacobiProblem, L: LagrangianData,
-                             fam: PerturbationFamily) -> InvariantSpec:
+def integrated_oracle(p: JacobiProblem, L: LagrangianData,
+                      fam: PerturbationFamily) -> InvariantSpec:
     """The oracle series dL/dv * v_fam - W as a spec over the channels
-    (b, W), or (W,) without an exponential factor.  With
-    v_fam = a*exp(sign*u_b) and v_fam' = (a_t + a_x*v + sign*b*a)*exp(sign*u_b),
-    W integrates dL/dx * v_fam + dL/dv * v_fam', expanded in powers of v."""
+    (b, W), or (W,) without an exponential factor; a trajectory the
+    oracle's gate reads registers them.  With v_fam = a*exp(sign*u_b) and
+    v_fam' = (a_t + a_x*v + sign*b*a)*exp(sign*u_b), W integrates
+    dL/dx * v_fam + dL/dv * v_fam', expanded in powers of v."""
     e = _variational_exprs(p, L, fam)
     a, a_x = e["a"], e["a_x"]
     # v_fam' over the exponential factor, less its a_x*v term
@@ -159,22 +160,19 @@ def _build_integrated_oracle(p: JacobiProblem, L: LagrangianData,
         linear_channels=((Fraction(-1), len(channels) - 1),))
 
 
-def oracle_channels(p: JacobiProblem, L: LagrangianData,
-                    fam: PerturbationFamily) -> tuple[Expr | Integrand, ...]:
-    """The accumulator channels of the oracle's constancy gate, in the
-    order to register them: the family's exponent integrand b when it has
-    an exponential factor, then the work integrand."""
-    return _build_integrated_oracle(p, L, fam).integrands
+# the fewest grid points of the oracle's constancy gate: an order
+# estimated from a few points reads as low as 1.3 on PG21 at grid 2
+ORACLE_MIN_GRID = 1024
 
 
-def oracle_drift_report(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
-                        coarse: Trajectory, fine: Trajectory,
-                        grid: int = 4096) -> DriftReport:
-    """Constancy of the oracle series along the coarse trajectory at grid
-    points, with the order estimated against the fine one.  The work
-    integral is read from its channel, so both trajectories must carry
-    ``oracle_channels(p, L, fam)``."""
-    return drift_report(_build_integrated_oracle(p, L, fam), coarse, fine, grid)
+def oracle_drift_report(oracle: InvariantSpec, coarse: Trajectory, fine: Trajectory,
+                        grid: int = ORACLE_MIN_GRID) -> DriftReport:
+    """Constancy of the oracle series ``integrated_oracle(p, L, fam)``
+    along the coarse trajectory on at least ORACLE_MIN_GRID points, with
+    the order estimated against the fine one.  The work integral is read
+    from its channel, so both trajectories must carry the spec's
+    channels."""
+    return drift_report(oracle, coarse, fine, max(grid, ORACLE_MIN_GRID))
 
 
 def drift_gate(report: DriftReport, threshold: float) -> bool:

@@ -239,18 +239,17 @@ def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
         assert (built.family is not None) == oracle
 
 
-# (accepted steps, right-hand-side calls) of the four integrations of
-# run_fixture at its defaults: tol, tol / REFINE, then the oracle's pair at
-# 1e-8 and 1e-8 / REFINE, which carries the oracle's channels; all
-# Completed.  A catalog pass makes 1,423 accepted steps and 8,586 calls, so
-# none is rejected.
+# (accepted steps, right-hand-side calls) of the two integrations of
+# run_fixture at its defaults, tol and tol / REFINE, which carry the
+# oracle's channels with the invariants'; both Completed.  A catalog pass
+# makes 1,027 accepted steps and 6,186 calls, so none is rejected.
 STEP_SEQUENCES = {
-    "PG18": ((35, 212), (59, 356), (16, 98), (25, 152)),
-    "PG21": ((76, 458), (132, 794), (31, 188), (53, 320)),
-    "PG22": ((33, 200), (55, 332), (17, 104), (28, 170)),
-    "PG4": ((84, 506), (145, 872), (37, 224), (63, 380)),
-    "PG20": ((86, 518), (150, 902), (35, 212), (60, 362)),
-    "JAC_EXACT": ((53, 320), (89, 536), (24, 146), (37, 224)),
+    "PG18": ((37, 224), (63, 380)),
+    "PG21": ((81, 488), (140, 842)),
+    "PG22": ((28, 170), (49, 296)),
+    "PG4": ((87, 524), (151, 908)),
+    "PG20": ((89, 536), (155, 932)),
+    "JAC_EXACT": ((55, 332), (92, 554)),
 }
 
 
@@ -275,7 +274,7 @@ def test_fixture_step_sequences_are_pinned(monkeypatch):
 
     monkeypatch.setattr(integrate_module, "rhs", counting_rhs)
     monkeypatch.setattr(cli, "integrate", recording)
-    tols = (1e-10, 1e-10 / integrate_module.REFINE, 1e-8, 1e-8 / integrate_module.REFINE)
+    tols = (1e-10, 1e-10 / integrate_module.REFINE)
     for fid, want in STEP_SEQUENCES.items():
         seen.clear()
         _, code = cli.run_fixture(fid)
@@ -409,9 +408,9 @@ def test_run_oracle_gate_passes_over_long_windows(capsys, name):
 
 
 def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
-    # the main pair shares one right-hand side and the oracle's pair
-    # another; the coarse and fine series of a spec share one evaluator,
-    # which the oracle's comparison reuses for the closed form
+    # the one pair shares one right-hand side; the coarse and fine series
+    # of a spec share one evaluator, which the oracle's comparison reuses
+    # for the closed form
     defined = []
     original = ex._define
     monkeypatch.setattr(ex, "_define", lambda name, args, body, namespace: defined.append(
@@ -421,8 +420,8 @@ def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
     _, code, _ = cli.run_pipeline(problem, exprs, fx.data, oracle=True,
                                   threshold=fx.drift_threshold)
     assert code == 0
-    # two right-hand sides; three specs, the oracle and its gate
-    assert sorted(name for name, _, _ in defined) == ["fused"] * 2 + ["series"] * 5
+    # one right-hand side; three specs, the oracle and its gate
+    assert sorted(name for name, _, _ in defined) == ["fused"] + ["series"] * 5
     assert len(set(defined)) == len(defined)
 
 
@@ -538,8 +537,8 @@ def test_catalog_run_all_byte_identical():
 
 
 def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
-    # every invariant is evaluated on one coarse/fine pair; the oracle's
-    # constancy gate adds its own pair at 1e-8
+    # every invariant and the oracle's constancy gate are evaluated on one
+    # coarse/fine pair
     original = integrate_module.integrate
     tols = []
 
@@ -550,12 +549,38 @@ def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
     for module in (cli, integrate_module):
         monkeypatch.setattr(module, "integrate", counting)
     for fid in catalog.ids():
-        for oracle, want in ((True, [1e-10, 1e-10 / 16, 1e-8, 1e-8 / 16]),
+        for oracle, want in ((True, [1e-10, 1e-10 / 16]),
                              (False, [1e-10, 1e-10 / 16])):
             tols.clear()
             _, code = cli.run_fixture(fid, grid=64, oracle=oracle)
             assert code == 0
             assert tols == want, (fid, oracle)
+
+
+def test_the_oracle_leaves_the_invariant_reports_unchanged():
+    # the oracle's channels ride the run's pair outside step control, so
+    # they move no step and no digit of the invariants
+    for fid in catalog.ids():
+        fx = catalog.get(fid)
+        problem, exprs = load_problem(fx.data)
+        sections = [dumps(cli.run_pipeline(problem, exprs, fx.data, oracle=oracle,
+                                           threshold=fx.drift_threshold)[0]["invariants"])
+                    for oracle in (False, True)]
+        assert sections[0] == sections[1], fid
+
+
+def test_run_fixture_samples_each_grid_once(monkeypatch):
+    # the invariants and the oracle's gate read the coarse and the fine
+    # trajectory at 1024 points, the oracle and its closed form the coarse
+    # one at 4096: each grid is sampled once, BLOCK points at a time
+    sizes = []
+    original = integrate_module.Trajectory.sample
+    monkeypatch.setattr(integrate_module.Trajectory, "sample",
+                        lambda self, ts: sizes.append(len(ts)) or original(self, ts))
+    _, code = cli.run_fixture("PG18")
+    assert code == 0
+    assert sum(sizes) == 1024 + 1024 + 4096
+    assert max(sizes) <= integrate_module.BLOCK
 
 
 def test_oracle_gate_samples_at_least_the_default_grid():

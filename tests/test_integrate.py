@@ -33,7 +33,7 @@ from jacobi_invariants.integrate import (
 from jacobi_invariants.invariants import (InvariantSpec, first_integral_autonomous,
                                          nonlocal_autonomous)
 from jacobi_invariants.problem import Integrand, JacobiProblem, canonical, read_channel, rhs
-from jacobi_invariants.verify import oracle_channels
+from jacobi_invariants.verify import integrated_oracle
 
 
 def free_particle(t_end=1.0, x0=0.0, v0=1.0):
@@ -160,7 +160,9 @@ def test_last_step_lands_exactly_on_t_end(t0, t_end):
     assert np.all(np.diff(traj.ts) > 0)
 
 
-def _assert_matches_scipy_dop853(loaded, trajectory_of):
+def _assert_matches_scipy_dop853(loaded, trajectory_of, channel_bound=1e-8):
+    """x and v within 1e-8 of scipy's DOP853 at 1e-13, relative to
+    max(1, |value|), and every channel within ``channel_bound``."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     for fid, fx in loaded.items():
         p, traj = fx.problem, trajectory_of(fid)
@@ -179,7 +181,8 @@ def _assert_matches_scipy_dop853(loaded, trajectory_of):
         want = ref.sol(ts).T
         got = traj.sample(ts)
         assert got.shape == want.shape == (257, 2 + n_u), fid
-        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), fid
+        bound = np.array([1e-8, 1e-8] + [channel_bound] * n_u)
+        assert np.all(np.abs(got - want) <= bound * np.maximum(1.0, np.abs(want))), fid
 
 
 def test_dense_output_matches_scipy_dop853(loaded, trajectories):
@@ -190,10 +193,14 @@ def test_dense_output_matches_scipy_dop853(loaded, trajectories):
 
 
 def test_dense_output_on_the_oracle_channels_matches_scipy_dop853(loaded, families):
-    # the work channel reads the channel b where the family has one
+    # the work channel reads the channel b where the family has one.  The
+    # channels ride the steps that x and v choose, outside step control,
+    # and PG22's work integrand outpaces its motion: its channel reads
+    # 1.2e-8 off here, so the channels are held to 1e-7
     _assert_matches_scipy_dop853(loaded, lambda fid: integrate(
-        loaded[fid].problem, oracle_channels(loaded[fid].problem, loaded[fid].lagrangian,
-                                             families[fid]), (1e-10, 1e-10)))
+        loaded[fid].problem, integrated_oracle(loaded[fid].problem, loaded[fid].lagrangian,
+                                               families[fid]).integrands, (1e-10, 1e-10)),
+                                 channel_bound=1e-7)
 
 
 DRESSED = (parse("x^2"), parse("t*x"),
@@ -237,16 +244,17 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
         assert (status, t_last) == (COMPLETED, t_end)
         return ts, ys, stages, k7
 
-    # the error norm is the RMS of the scaled error vector; the estimate is
-    # a cancelling sum, so its rounding is bounded against the same norm of
+    # the error norm is the RMS of the scaled error vector over x and v,
+    # the channels being outside step control; the estimate is a
+    # cancelling sum, so its rounding is bounded against the same norm of
     # the magnitudes summed.  At scale s the norm is err/s, with err the
     # norm at scale 1, and the step is taken when it is at most 1: the loop
     # takes it at s just above err + bound and rejects it just below
     # err - bound
-    sc = 1e-3 + np.maximum(np.abs(y), np.abs(want))
+    sc = 1e-3 + np.maximum(np.abs(y[:2]), np.abs(want[:2]))
 
     def rms(vec):
-        return float(np.sqrt(np.mean((vec / sc) ** 2)))
+        return float(np.sqrt(np.mean((vec[:2] / sc) ** 2)))
 
     err = rms(h * (K.T @ RK45.E))
     bound = 1e-14 * rms(h * (np.abs(K.T) @ np.abs(RK45.E)))
@@ -286,6 +294,13 @@ EARLY_ENDS = {
 LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
 
 
+def _load(name):
+    """(problem, exprs) of a catalog fixture or a long-window problem file."""
+    path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+    return cli.load_problem(
+        json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data)
+
+
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
 def test_dense_rows_match_the_per_step_scalar_reference(name):
     # every accepted state and dense-output coefficient of the generated
@@ -296,9 +311,7 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
     if name in EARLY_ENDS:
         p, integrands, tol = EARLY_ENDS[name]
     else:
-        path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
-        data = json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data
-        p, exprs = cli.load_problem(data)
+        p, exprs = _load(name)
         integrands, tol = cli.run_checks(p, exprs)[1].integrands, 1e-10
     integrands = tuple(map(canonical, integrands))
     traj = integrate(p, integrands, (tol, tol))
@@ -308,6 +321,20 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     term = traj.termination
     assert (term.status, term.t, term.point, term.detail) == termination
+
+
+@pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS)
+def test_channels_stay_out_of_step_control(name):
+    # the channels are quadrature components: with every channel of an
+    # oracle run or with none, the steps and the x and v columns are the
+    # same bits
+    p, exprs = _load(name)
+    _, built = cli.run_checks(p, exprs, oracle=True)
+    oracle = integrated_oracle(p, built.lagrangian, built.family)
+    channels = tuple(dict.fromkeys(built.integrands + oracle.integrands))
+    bare, carried = (integrate(p, integrands, (1e-10, 1e-10)) for integrands in ((), channels))
+    assert bare.ts.tobytes() == carried.ts.tobytes()
+    assert bare.ys.tobytes() == carried.ys[:, :2].tobytes()
 
 
 @pytest.mark.parametrize("name", tuple(EARLY_ENDS))

@@ -25,7 +25,7 @@ from jacobi_invariants.problem import (
     rhs,
     validate_lagrangian,
 )
-from jacobi_invariants.verify import oracle_channels
+from jacobi_invariants.verify import integrated_oracle
 
 
 @pytest.fixture
@@ -131,8 +131,8 @@ def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, constructions)
 def test_fused_rhs_on_the_oracle_channels_is_bit_identical(loaded, families):
     # the work channel is a polynomial in v, dressed by the channel b when
     # the family has an exponential factor
-    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: oracle_channels(
-        loaded[fid].problem, loaded[fid].lagrangian, families[fid]))
+    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: integrated_oracle(
+        loaded[fid].problem, loaded[fid].lagrangian, families[fid]).integrands)
 
 
 def test_rhs_reads_the_one_channel_a_dressed_integrand_names():

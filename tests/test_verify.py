@@ -7,7 +7,7 @@ from jacobi_invariants.problem import JacobiProblem, LagrangianData
 from jacobi_invariants.verify import (
     PerturbationFamily,
     drift_gate,
-    oracle_channels,
+    integrated_oracle,
     oracle_constant,
     oracle_drift_report,
     oracle_vs_closed,
@@ -82,10 +82,10 @@ def test_oracle_constant_series_on_plain_shift_pg4(loaded):
 def test_oracle_drift_gate_on_fixtures(loaded, families):
     for fid, fx in loaded.items():
         fam = families[fid]
-        regs = oracle_channels(fx.problem, fx.lagrangian, fam)
-        coarse = integrate(fx.problem, regs, (1e-8, 1e-8))
-        fine = integrate(fx.problem, regs, (1e-8 / REFINE, 1e-8 / REFINE))
-        rep = oracle_drift_report(fx.problem, fx.lagrangian, fam, coarse, fine, 1024)
+        spec = integrated_oracle(fx.problem, fx.lagrangian, fam)
+        coarse = integrate(fx.problem, spec.integrands, (1e-8, 1e-8))
+        fine = integrate(fx.problem, spec.integrands, (1e-8 / REFINE, 1e-8 / REFINE))
+        rep = oracle_drift_report(spec, coarse, fine, 1024)
         assert drift_gate(rep, 1e-5), (fid, rep.rel_drift, rep.order)
 
 
