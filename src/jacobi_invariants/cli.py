@@ -208,13 +208,21 @@ class Construction(NamedTuple):
     family: PerturbationFamily | None
 
     @property
+    def spec_integrands(self) -> tuple[Expr, ...]:
+        """Accumulator channels of the invariant specs; simplified, first
+        occurrence kept."""
+        return tuple(dict.fromkeys(ex.simplify(g) for spec in self.specs
+                                   for g in spec.integrands))
+
+    @property
     def integrands(self) -> tuple[Expr, ...]:
-        """Accumulator channels of the run: every spec's, then the family's
-        exponent integrand if it has one; simplified, first occurrence kept."""
-        regs = [g for spec in self.specs for g in spec.integrands]
+        """Accumulator channels that the specs and ``oracle_constant`` read:
+        every spec's, then the family's exponent integrand if it has one;
+        simplified, first occurrence kept."""
+        regs = self.spec_integrands
         if self.family is not None and self.family.sign != 0:
-            regs.append(self.family.b)
-        return tuple(dict.fromkeys(ex.simplify(g) for g in regs))
+            regs = tuple(dict.fromkeys(regs + (ex.simplify(self.family.b),)))
+        return regs
 
 
 def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
@@ -313,14 +321,14 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     if not report["pass"]:
         return report, EXIT_FAIL, None
 
-    # one coarse/fine pair carries every channel of the run, the oracle's
-    # (b, W) after the invariants'; channels are outside step control, so
-    # the oracle's do not move the invariants' steps
-    registered = built.integrands
+    # one coarse/fine pair carries every channel of the run: the
+    # invariants' under step control, the oracle's (b, W) after them as
+    # quadratures, outside it, so they move no step of the invariants
+    registered, quadratures = built.spec_integrands, ()
     if oracle:
         o_spec = integrated_oracle(problem, built.lagrangian, built.family)
-        registered = tuple(dict.fromkeys(registered + o_spec.integrands))
-    traj = integrate(problem, registered, (tol, tol))
+        quadratures = o_spec.integrands
+    traj = integrate(problem, registered, (tol, tol), quadratures)
     term = traj.termination
     report["termination"] = {"status": term.status, "t": term.t}
     if term.detail:
@@ -329,7 +337,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     if not term.completed and (traj.t_last - problem.t0) < 0.1 * window:
         return report, EXIT_ABORT, traj
 
-    fine = integrate(problem, registered, (tol / REFINE, tol / REFINE))
+    fine = integrate(problem, registered, (tol / REFINE, tol / REFINE), quadratures)
     all_pass = True
     inv_reports = []
     for spec in built.specs:

@@ -4,14 +4,16 @@ accumulator channels.
 The state is [x, v, u_0..u_k] where each u_i integrates a registered
 integrand alongside the motion (u_i(t0) = 0), so nonlocal integral terms
 are produced with the same steps as the trajectory itself.  The channels
-are quadrature components, as in CVODES with its error control on
-quadratures off: step control reads x and v only, so the steps do not
-depend on the channels registered (unless an integrand leaves its domain
-on a trial stage), and one coarse/fine pair serves every invariant and
-the oracle.  An integrand is a g(t, x), or a polynomial in v that may be
-dressed by the exponential of one other channel (``problem.Integrand``).
-The pair is the classic Dormand-Prince 5(4) with a PI step controller and
-the standard quartic dense-output interpolant.
+registered as ``integrands`` are under the same error control as x and v;
+those registered as ``quadratures`` after them are quadrature components,
+as in CVODES with its error control on quadratures off: they are
+integrated with the step but left out of step control, so registering
+them moves no step and no bit of the other components (unless one of
+their integrands leaves its domain, or its float range, on a trial stage).
+An integrand is a g(t, x), or a polynomial in v that may be dressed by the
+exponential of one other channel (``problem.Integrand``).  The pair is the
+classic Dormand-Prince 5(4) with a PI step controller and the standard
+quartic dense-output interpolant.
 
 numpy is imported where an array is first built (the end of an
 integration and the evaluation helpers), so importing this module, and the
@@ -29,6 +31,8 @@ from .expr import Expr, DomainError
 from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 # Dormand-Prince 5(4) tableau
@@ -115,7 +119,7 @@ class Trajectory:
         self.conts = conts
         self.termination = termination
         self.mean_step = mean_step
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._grids: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
     @property
     def t0(self) -> float:
@@ -146,23 +150,27 @@ class Trajectory:
         y[ts == grid[-1]] = self.ys[-1]
         return y
 
-    def on_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n evenly spaced times over the integrated window and the
-        dense-output states there, sampled BLOCK points at a time.  Each
-        grid is sampled once and kept, read-only, for every series read on
-        it; a row depends only on its own time, so the blocks do not
-        change a bit."""
+    def on_grid(self, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the n evenly spaced times over the integrated window and
+        their dense-output states, BLOCK points at a time, as (ts, states)
+        blocks.  A block is sampled the first time a reader reaches it and
+        kept, read-only, for every later series on the same grid; a row
+        depends only on its own time, so the blocks change no bit."""
         cached = self._grids.get(n)
         if cached is None:
             import numpy as np
 
             ts = np.linspace(self.t0, self.t_last, n)
-            states = np.empty((n, self.ys.shape[1]))
-            for start in range(0, n, BLOCK):
-                states[start:start + BLOCK] = self.sample(ts[start:start + BLOCK])
-            ts.flags.writeable = states.flags.writeable = False
-            cached = self._grids[n] = (ts, states)
-        return cached
+            ts.flags.writeable = False
+            cached = self._grids[n] = (ts, [])
+        ts, blocks = cached
+        for i, start in enumerate(range(0, n, BLOCK)):
+            t = ts[start:start + BLOCK]
+            if i == len(blocks):
+                states = self.sample(t)
+                states.flags.writeable = False
+                blocks.append(states)
+            yield t, blocks[i]
 
     def state(self, t: float) -> AugmentedState:
         """Dense-output state at any t inside the integrated window."""
@@ -188,9 +196,10 @@ class Trajectory:
 
 
 @functools.cache
-def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
+def _loop(n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = None):
     """The integration loop on n components, with the Dormand-Prince step
-    unrolled over Python floats.
+    unrolled over Python floats; the first ``controlled`` of them (all by
+    default) are under step control.
 
     Returns ``loop(f, t, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages)
     -> (status, t, point, detail, k1)``.  It steps from t, trying the step
@@ -201,12 +210,16 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
     which ``_dense_rows`` builds the dense output.  The k1 returned is the
     derivative at the last accepted state (FSAL: the last step's k7).
 
-    The error norm is the RMS over x and v of the error estimate over
-    atol + rtol*max(|y|, |y_new|); the channels are left out of it.
-    Stage inputs are formed for the components ``inputs`` only, the ones
-    the right-hand side reads: x, v and at most one channel.
+    The error norm is the RMS over the controlled components of the error
+    estimate over atol + rtol*max(|y|, |y_new|); the others, quadrature
+    components, are left out of it, but a step that makes one of them, or
+    its derivative at the new state, inf or nan is rejected as a
+    non-finite norm is.  Stage inputs are formed for the components
+    ``inputs`` only, the ones the right-hand side reads: x, v and at most
+    one channel.
     """
     comps = range(n)
+    controlled = n if controlled is None else controlled
 
     def k(s, i):
         return f"k{s}_{i}"
@@ -251,12 +264,16 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1)):
               "                h *= 0.25",
               "                continue",
               f"            return {DOMAIN_ABORT!r}, t, (exc.t, exc.x), str(exc), {derivative}"]
-    for i in (0, 1):
+    for i in range(controlled):
         lines += [f"        a{i} = abs(y{i}); b{i} = abs(n{i})",
                   f"        q{i} = h*({combo(_E, i)})"
                   f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
-    lines += ["        err = _sqrt((q0*q0 + q1*q1)/2)",
-              "        if not _isfinite(err):",
+    # z - z is 0.0 for a finite z and nan for inf or nan
+    unchecked = "".join(f" + ({z} - {z})" for i in range(controlled, n)
+                        for z in (f"n{i}", k(7, i)))
+    lines += [f"        err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in range(controlled))})"
+              f"/{controlled})",
+              f"        if not _isfinite(err{unchecked}):",
               "            err = 10.0",
               "        if err <= 1.0:",
               f"            stages_extend((h, {stored}))",
@@ -341,8 +358,17 @@ def _dense_rows(ys: array, stages: array, k7: tuple[float, ...], n: int) -> np.n
 
 def integrate(p: JacobiProblem,
               integrands: list[Expr | Integrand] | tuple[Expr | Integrand, ...] = (),
-              tol: tuple[float, float] = (1e-10, 1e-10)) -> Trajectory:
+              tol: tuple[float, float] = (1e-10, 1e-10),
+              quadratures: list[Expr | Integrand] | tuple[Expr | Integrand, ...] = ()
+              ) -> Trajectory:
     """Integrate x'' = -(phi_x/2 v^2 + phi_t v + B) plus accumulator channels.
+
+    The channels of ``integrands`` are under step control with x and v.
+    Those of ``quadratures`` that ``integrands`` does not already hold are
+    registered after them as quadrature components: integrated with the
+    step, outside step control, so the steps and the other components are
+    the same bits as without them, as long as their integrands stay finite
+    and in their domain on every trial stage.
 
     tol is (absolute, relative), both in [TOL_MIN, TOL_MAX].  Termination is
     Completed when t_end is reached; DomainAbort / BlowUp / StepFailure
@@ -353,6 +379,9 @@ def integrate(p: JacobiProblem,
         if not (TOL_MIN <= v <= TOL_MAX):
             raise IntegrationError(f"tolerance {v} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
     integrands = tuple(canonical(g) for g in integrands)
+    controlled = 2 + len(integrands)
+    integrands += tuple(g for g in dict.fromkeys(map(canonical, quadratures))
+                        if g not in integrands)
     f = rhs(p, integrands)
     n = 2 + len(integrands)
     read = read_channel(integrands)
@@ -383,33 +412,34 @@ def integrate(p: JacobiProblem,
         return finish(DOMAIN_ABORT, t0, (err.t, err.x), str(err))
 
     hmin = 1e-12 * (t_end - t0)
-    h = _initial_step(f, inputs, t0, y, k1, t_end, hmin, atol, rtol)
-    return finish(*_loop(n, inputs)(f, t0, t_end, h, hmin, y, k1,
-                                    atol, rtol, ts, ys, stages))
+    h = _initial_step(f, inputs, controlled, t0, y, k1, t_end, hmin, atol, rtol)
+    return finish(*_loop(n, inputs, controlled)(f, t0, t_end, h, hmin, y, k1,
+                                                atol, rtol, ts, ys, stages))
 
 
 def _rms(values, scales) -> float:
+    """RMS of values[i]/scales[i] over the components scales has."""
     total = 0.0
     for v, s in zip(values, scales):
         q = v / s
         total += q * q
-    return math.sqrt(total / len(values))
+    return math.sqrt(total / len(scales))
 
 
-def _initial_step(f, inputs, t0, y0, f0, t_end, hmin, atol, rtol) -> float:
+def _initial_step(f, inputs, controlled, t0, y0, f0, t_end, hmin, atol, rtol) -> float:
     """Standard starting-step heuristic from the embedded-RK literature,
-    with the norms over x and v only, as the loop's error norm; f reads
-    the components ``inputs`` of the state.  The trial step is floored at
-    the loop's ``hmin``: a right-hand side beyond about 1e300 makes d1
-    infinite and 0.01*d0/d1 zero."""
-    sc = [atol + rtol * abs(y) for y in y0[:2]]
-    d0 = _rms(y0[:2], sc)
-    d1 = _rms(f0[:2], sc)
+    with its norms over the first ``controlled`` components, as the loop's
+    error norm; f reads the components ``inputs`` of the state.  The trial
+    step is floored at the loop's ``hmin``: a right-hand side beyond about
+    1e300 makes d1 infinite and 0.01*d0/d1 zero."""
+    sc = [atol + rtol * abs(y) for y in y0[:controlled]]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = max(min(h0, t_end - t0), hmin)
     try:
         f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in inputs))
-        d2 = _rms([f1[0] - f0[0], f1[1] - f0[1]], sc) / h0
+        d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
     except DomainError:
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
     dm = max(d1, d2)
@@ -461,23 +491,24 @@ class DriftReport(NamedTuple):
 
 def in_blocks(traj: Trajectory, grid: int, evaluate):
     """Evaluate along the dense output on the uniform grid of ``grid``
-    points over the integrated window, BLOCK points at a time, from the
-    states ``Trajectory.on_grid`` keeps.  ``evaluate(t, y)`` gets a block
+    points over the integrated window, block by block as
+    ``Trajectory.on_grid`` yields them.  ``evaluate(t, y)`` gets a block
     of times and their states and returns (values, err): the values
     before the first point outside the domain and that point's
-    DomainError, or None.  The first block with an error ends the series.
-    Returns (ts, values, err), ts the whole grid."""
+    DomainError, or None.  The first block with an error ends the series,
+    and the blocks after it are not sampled.  Returns (ts, values, err),
+    ts the times of the blocks evaluated."""
     import numpy as np
 
-    ts, states = traj.on_grid(grid)
-    parts = []
+    times, parts = [], []
     err = None
-    for start in range(0, grid, BLOCK):
-        values, err = evaluate(ts[start:start + BLOCK], states[start:start + BLOCK])
+    for t, y in traj.on_grid(grid):
+        values, err = evaluate(t, y)
+        times.append(t)
         parts.append(values)
         if err is not None:
             break
-    return ts, np.concatenate(parts), err
+    return np.concatenate(times), np.concatenate(parts), err
 
 
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:

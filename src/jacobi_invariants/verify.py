@@ -15,8 +15,9 @@ first.
 The constancy gate reads the work integral W from an accumulator channel
 instead: its integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) is
 integrated with the motion, so the drift of dL/dv * v_fam - W measures the
-integrator and not the quadrature.  Its channels ride the run's one
-coarse/fine pair with the invariants' (``integrated_oracle``).
+integrator and not the quadrature.  Its channels (``integrated_oracle``)
+ride the run's one coarse/fine pair as quadratures, registered after the
+invariants' and outside step control.
 
 As in ``integrate``, numpy is imported by the functions that build arrays.
 """

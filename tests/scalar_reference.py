@@ -28,37 +28,39 @@ def weighted(weights, ks, i):
     return total
 
 
-def xv_norm(values, scales):
-    """RMS of values[i]/scales[i] over x and v, summed left to right."""
+def norm(values, scales):
+    """RMS of values[i]/scales[i] over the components scales has, summed
+    left to right: the controlled ones."""
     total = 0.0
-    for i in range(2):
+    for i in range(len(scales)):
         q = values[i] / scales[i]
         total += q * q
-    return math.sqrt(total / 2)
+    return math.sqrt(total / len(scales))
 
 
-def initial_step(f, inputs, t0, y0, f0, t_end, hmin, atol, rtol):
+def initial_step(f, inputs, controlled, t0, y0, f0, t_end, hmin, atol, rtol):
     """The starting-step heuristic (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.4) with its norms over x and v, as the step's error norm; the trial
-    step is floored at hmin."""
-    sc = [atol + rtol * abs(y0[i]) for i in range(2)]
-    d0, d1 = xv_norm(y0, sc), xv_norm(f0, sc)
+    II.4) with its norms over the controlled components, as the step's
+    error norm; the trial step is floored at hmin."""
+    sc = [atol + rtol * abs(y0[i]) for i in range(controlled)]
+    d0, d1 = norm(y0, sc), norm(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = max(min(h0, t_end - t0), hmin)
     try:
         f1 = f(t0 + h0, *(y0[i] + h0 * f0[i] for i in inputs))
     except DomainError:
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
-    d2 = xv_norm([f1[i] - f0[i] for i in range(2)], sc) / h0
+    d2 = norm([f1[i] - f0[i] for i in range(controlled)], sc) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100.0 * h0, h1, t_end - t0)
 
 
-def integrate(problem, integrands, tol, f):
+def integrate(problem, integrands, tol, f, quadratures=0):
     """The steps of ``integrate.integrate`` one at a time on the right-hand
     side f, each with its quartic dense-output rows computed from its own
-    stages as Python floats.
+    stages as Python floats; the last ``quadratures`` of the integrands are
+    outside step control.
 
     Returns (ts, ys, rows, termination, counts): rows has shape
     (steps, 5, n), termination is (status, t, point, detail) and counts
@@ -67,6 +69,7 @@ def integrate(problem, integrands, tol, f):
     (``unreached``)."""
     atol, rtol = tol
     n = 2 + len(integrands)
+    controlled = n - quadratures
     read = read_channel(integrands)
     inputs = (0, 1) if read is None else (0, 1, 2 + read)
     counts = Counter()
@@ -88,7 +91,7 @@ def integrate(problem, integrands, tol, f):
         k1 = call(t0, *(y[i] for i in inputs))
     except DomainError as exc:
         return finish(DOMAIN_ABORT, t0, (exc.t, exc.x), str(exc))
-    h = initial_step(call, inputs, t0, y, k1, t_end, hmin, atol, rtol)
+    h = initial_step(call, inputs, controlled, t0, y, k1, t_end, hmin, atol, rtol)
     t, errprev, rejects, just_rejected = t0, 1.0, 0, False
     while t < t_end:
         h = max(h, hmin)
@@ -110,14 +113,15 @@ def integrate(problem, integrands, tol, f):
                 continue
             return finish(DOMAIN_ABORT, t, (exc.t, exc.x), str(exc))
         y_new = tuple(trial)
-        # step control reads x and v only; the channels are quadrature
-        # components, integrated with the step but outside its error norm
+        # step control reads the controlled components; the quadrature
+        # ones are integrated with the step but outside its error norm, and
+        # only a non-finite value or derivative at the new state rejects it
         scales = []
-        for i in range(2):
+        for i in range(controlled):
             a, b = abs(y[i]), abs(y_new[i])
             scales.append(atol + rtol * (a if a > b else b))
-        err = xv_norm([h * weighted(_E, ks, i) for i in range(2)], scales)
-        if not math.isfinite(err):
+        err = norm([h * weighted(_E, ks, i) for i in range(controlled)], scales)
+        if not all(map(math.isfinite, (err, *y_new[controlled:], *ks[6][controlled:]))):
             err = 10.0
         if err <= 1.0:
             d = [y_new[i] - y[i] for i in range(n)]

@@ -1,11 +1,13 @@
 import importlib
 import json
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jacobi_invariants import catalog, cli
@@ -13,6 +15,7 @@ from jacobi_invariants import expr as ex
 from jacobi_invariants import invariants as invariants_module
 from jacobi_invariants import problem as problem_module
 from jacobi_invariants.cli import dumps, load_problem, main
+from jacobi_invariants.verify import integrated_oracle
 
 # the package re-exports the function integrate under the module's name
 integrate_module = importlib.import_module("jacobi_invariants.integrate")
@@ -241,14 +244,15 @@ def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
 
 # (accepted steps, right-hand-side calls) of the two integrations of
 # run_fixture at its defaults, tol and tol / REFINE, which carry the
-# oracle's channels with the invariants'; both Completed.  A catalog pass
-# makes 1,027 accepted steps and 6,186 calls, so none is rejected.
+# oracle's channels as quadratures after the invariants'; both Completed.
+# A catalog pass makes 1,009 accepted steps and 6,078 calls, so none is
+# rejected.  The steps are those of a run without the oracle.
 STEP_SEQUENCES = {
-    "PG18": ((37, 224), (63, 380)),
-    "PG21": ((81, 488), (140, 842)),
-    "PG22": ((28, 170), (49, 296)),
-    "PG4": ((87, 524), (151, 908)),
-    "PG20": ((89, 536), (155, 932)),
+    "PG18": ((36, 218), (61, 368)),
+    "PG21": ((78, 470), (135, 812)),
+    "PG22": ((32, 194), (55, 332)),
+    "PG4": ((84, 506), (145, 872)),
+    "PG20": ((86, 518), (150, 902)),
     "JAC_EXACT": ((55, 332), (92, 554)),
 }
 
@@ -266,9 +270,9 @@ def test_fixture_step_sequences_are_pinned(monkeypatch):
 
     seen = []
 
-    def recording(p, integrands=(), tol=(1e-10, 1e-10)):
+    def recording(p, integrands=(), tol=(1e-10, 1e-10), quadratures=()):
         before = len(calls)
-        traj = original_integrate(p, integrands, tol)
+        traj = original_integrate(p, integrands, tol, quadratures)
         seen.append((tol, len(traj.conts), traj.termination.status, len(calls) - before))
         return traj
 
@@ -542,9 +546,9 @@ def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
     original = integrate_module.integrate
     tols = []
 
-    def counting(p, integrands, tol):
+    def counting(p, integrands, tol, quadratures=()):
         tols.append(tol[0])
-        return original(p, integrands, tol)
+        return original(p, integrands, tol, quadratures)
 
     for module in (cli, integrate_module):
         monkeypatch.setattr(module, "integrate", counting)
@@ -558,15 +562,45 @@ def test_run_fixture_integrates_one_pair_per_tolerance(monkeypatch):
 
 
 def test_the_oracle_leaves_the_invariant_reports_unchanged():
-    # the oracle's channels ride the run's pair outside step control, so
-    # they move no step and no digit of the invariants
-    for fid in catalog.ids():
-        fx = catalog.get(fid)
-        problem, exprs = load_problem(fx.data)
-        sections = [dumps(cli.run_pipeline(problem, exprs, fx.data, oracle=oracle,
-                                           threshold=fx.drift_threshold)[0]["invariants"])
-                    for oracle in (False, True)]
-        assert sections[0] == sections[1], fid
+    # the oracle's channels ride the run's pair as quadratures, outside
+    # step control, so they move no step, no termination and no digit of
+    # the invariants: on the fixtures and over the long windows
+    runs = [(fx.data, fx.drift_threshold) for fx in map(catalog.get, catalog.ids())]
+    runs += [(json.loads((pathlib.Path(__file__).parent / "data" / f"{name}.json").read_text()),
+              1e-6) for name in ("free_oscillator_long", "forced_oscillator_long")]
+    for data, threshold in runs:
+        problem, exprs = load_problem(data)
+        reports = [cli.run_pipeline(problem, exprs, data, oracle=oracle, threshold=threshold)[0]
+                   for oracle in (False, True)]
+        assert "oracle" in reports[1]
+        sections = [dumps({key: report[key] for key in ("termination", "invariants")})
+                    for report in reports]
+        assert sections[0] == sections[1], data
+
+
+def test_an_oracle_integrand_out_of_float_range_ends_the_shared_pair(tmp_path, capsys):
+    # the coupling the one pair keeps: over JAC_EXACT's window stretched to
+    # 1500, the oracle's dressing exp(u_b), u_b = t/2, leaves float range
+    # at t = 2 ln(DBL_MAX) = 1419.57.  Without the oracle the pair
+    # completes (its invariant's series overflows first, at 1419.35, which
+    # fails the gate); with it the pair takes the same steps up to there
+    # and ends in a DomainAbort, and the run exits 2 on the oracle's
+    # series, as test_run_oracle_undefined_on_the_trajectory_exit_2 shows
+    data = {**catalog.get("JAC_EXACT").data, "t_end": 1500}
+    problem, exprs = load_problem(data)
+    report, code, plain = cli.run_pipeline(problem, exprs, data)
+    assert code == 1 and report["termination"] == {"status": "Completed", "t": 1500.0}
+    _, built = cli.run_checks(problem, exprs, oracle=True)
+    oracle = integrated_oracle(problem, built.lagrangian, built.family)
+    carried = integrate_module.integrate(problem, built.spec_integrands, (1e-10, 1e-10),
+                                         oracle.integrands)
+    term = carried.termination
+    assert term.status == integrate_module.DOMAIN_ABORT and term.detail.startswith("overflow in")
+    assert term.t == pytest.approx(2 * math.log(sys.float_info.max), abs=1e-6)
+    before = int(np.searchsorted(plain.ts, term.t))
+    assert carried.ts[:before].tobytes() == plain.ts[:before].tobytes()
+    code, out, _ = run_main(["run", write(tmp_path, "o.json", data), "--oracle"], capsys)
+    assert code == 2 and out == ""
 
 
 def test_run_fixture_samples_each_grid_once(monkeypatch):
