@@ -586,16 +586,33 @@ def _check_bound(e: Expr, params: dict[str, float]) -> None:
             raise UnboundParameterError(name)
 
 
+def _param_name(name: str) -> str:
+    """The name a parameter's value is bound to in generated source: ``_p_``
+    and the parameter's own name when that is an ASCII identifier, else
+    ``_pu_`` and its UTF-8 bytes in hex (Python folds other identifiers
+    under NFKC, so two parameters could meet in one name)."""
+    if name.isascii() and name.isidentifier():
+        return f"_p_{name}"
+    return f"_pu_{name.encode().hex()}"
+
+
+def _bindings(params: dict[str, float]) -> dict[str, float]:
+    """Namespace entries that bind each parameter's generated-source name
+    to its value, as a float, as ``_eval`` reads it."""
+    return {_param_name(name): float(value) for name, value in params.items()}
+
+
 def compile_fn(e: Expr, params: dict[str, float] | None = None):
     """Compile to a fast (t, x) -> float callable of finite t and x, with
-    params frozen in.
+    params bound in.
 
     The fast path uses plain math ops; on any numeric-domain failure the slow
     evaluator re-runs to raise a DomainError locating the offending node.
     """
     params = params or {}
     _check_bound(e, params)
-    fast = eval("lambda t, x: " + _pysrc(e, params), dict(_NAMESPACE))
+    fast = _define("fast", "t, x", [f"return {_pysrc(e)}"],
+                   {**_NAMESPACE, **_bindings(params)})
 
     def fn(t: float, x: float) -> float:
         try:
@@ -606,9 +623,19 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None):
     return fn
 
 
+@functools.lru_cache(maxsize=128)
+def _code(source: str):
+    """The compiled code of a generated source.  A source names parameters
+    instead of writing their values, so a parameter sweep repeats a few
+    sources; a run of distinct problems repeats none, hence the bound."""
+    return compile(source, "<generated>", "exec")
+
+
 def _define(name: str, args: str, body: list[str], namespace: dict):
-    """Execute a generated ``def`` in namespace and return the function."""
-    exec(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    """Define a generated function in namespace and return it.  Each
+    distinct source is compiled once (while it stays in ``_code``'s
+    cache); the namespace, parameter values included, is bound anew."""
+    exec(_code(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)), namespace)
     return namespace[name]
 
 
@@ -651,9 +678,9 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
             shown = template.format(**{name: f"({e})" for name, e in exprs.items()})
             raise DomainError(shown, args[0], args[1], "overflow") from None
 
-    fast = template.format(**{name: f"({_pysrc(e, params)})" for name, e in exprs.items()})
-    namespace = {**_NAMESPACE, "_FAST_ERRORS": _FAST_ERRORS, "DomainError": DomainError,
-                 "_slow": slow}
+    fast = template.format(**{name: f"({_pysrc(e)})" for name, e in exprs.items()})
+    namespace = {**_NAMESPACE, **_bindings(params), "_FAST_ERRORS": _FAST_ERRORS,
+                 "DomainError": DomainError, "_slow": slow}
     return fast, namespace
 
 
@@ -665,12 +692,14 @@ def _point(channels: int) -> str:
 def velocity_poly(fields: dict[int, str], sign: int = 0, channel: str = "") -> str:
     """Template text of exp(sign*channel) * (c_0 + c_1*v + c_2*v^2 + ..),
     where the field ``fields[d]`` stands for c_d; sign 0 drops the
-    exponential.  c_0 and c_1*v are written without a power of v, which
-    changes no bit: v**0 is 1.0 and v**1 is v for every float v."""
+    exponential, and so do no fields: a zero polynomial is 0.0 whatever
+    its dressing, whose value may leave float range.  c_0 and c_1*v are
+    written without a power of v, which changes no bit: v**0 is 1.0 and
+    v**1 is v for every float v."""
     powers = {0: "", 1: "*v"}
     text = "0.0" + "".join(f" + {{{name}}}{powers.get(d, f'*v**{d}')}"
                            for d, name in sorted(fields.items()))
-    return f"({text})*math.exp({sign}*{channel})" if sign else text
+    return f"({text})*math.exp({sign}*{channel})" if sign and fields else text
 
 
 def compile_fused(template: str, exprs: dict[str, Expr],
@@ -682,13 +711,25 @@ def compile_fused(template: str, exprs: dict[str, Expr],
     On any fast-path failure the template runs again over the separate
     ``compile_fn`` callables, in its own order, so values and the
     DomainError raised are exactly those of the separate callables.
+
+    The function carries its fast path as ``fn.inline``: its own code
+    object, the source's statements and its value expression, in the
+    names of its arguments, for a caller that inlines it
+    (``integrate._loop``) in the namespace ``fn.__globals__``.  That
+    source raises nothing but
+    ``_FAST_ERRORS``, on which the caller is to call ``fn``.  A wrapper
+    that copies the attribute (``functools.wraps``) has other code, so a
+    caller can tell that calling it is not the same.
     """
     point = _point(channels)
     fast, namespace = _fused(template, exprs, params, point)
     body = ["try:", *_value_lines(fast, "return {}", 4),
             "except _FAST_ERRORS:",
             f"    return _slow({point})"]
-    return _define("fused", point, body, namespace)
+    fn = _define("fused", point, body, namespace)
+    *statements, value = fast.splitlines()
+    fn.inline = (fn.__code__, tuple(statements), value)
+    return fn
 
 
 def compile_series(template: str, exprs: dict[str, Expr],
@@ -731,9 +772,13 @@ def _literal(value) -> str | None:
 _MATH_NAMES = {EXP: "exp", LN: "log", SQRT: "sqrt", SIN: "sin", COS: "cos"}
 
 
-def _pysrc(e: Expr, params) -> str:
+def _pysrc(e: Expr) -> str:
     """Fast-path source of e; the operations that can leave the real domain
-    raise one of _FAST_ERRORS."""
+    raise one of _FAST_ERRORS.  A parameter is written as its name
+    (``_param_name``), bound in the namespace the source runs in, so the
+    source depends only on the structure of e.  The values are the bits a
+    literal would give: CPython folds an operation on literals with the
+    same IEEE operation that runs on the names at run time."""
     k = e.kind
     if k == RAT:
         # a constant beyond float range fails at run time, and _eval says so
@@ -741,8 +786,8 @@ def _pysrc(e: Expr, params) -> str:
     if k == VAR:
         return e.name
     if k == PARAM:
-        return _literal(params[e.name])
-    args = [_pysrc(a, params) for a in e.args]
+        return _param_name(e.name)
+    args = [_pysrc(a) for a in e.args]
     if k == ADD:
         return "(" + "+".join(args) + ")"
     if k == SUB:

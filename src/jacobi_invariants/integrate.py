@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
-from .expr import Expr, DomainError
+from .expr import DomainError, Expr, _define, _point
 from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 
 if TYPE_CHECKING:
@@ -195,20 +196,32 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _loop(n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = None):
-    """The integration loop on n components, with the Dormand-Prince step
-    unrolled over Python floats; the first ``controlled`` of them (all by
-    default) are under step control.
+def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = None):
+    """The integration loop on n components for the right-hand side f,
+    with the Dormand-Prince step unrolled over Python floats; the first
+    ``controlled`` components (all by default) are under step control.
 
-    Returns ``loop(f, t, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages)
-    -> (status, t, point, detail, k1)``.  It steps from t, trying the step
-    h first, until t_end or an early termination; y and k1 are the state
-    and its derivative at t (n-tuples), f the fused right-hand side
-    (t, x, v[, u]) -> n-tuple.  Each accepted step appends its end time to
-    ts, its end state to ys and (h, k1, k3, k4, k5, k6) to stages, from
-    which ``_dense_rows`` builds the dense output.  The k1 returned is the
-    derivative at the last accepted state (FSAL: the last step's k7).
+    Returns ``loop(now, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages)
+    -> (status, t, point, detail, k1)``.  It steps from the time now,
+    trying the step h first, until t_end or an early termination; y and k1
+    are the state and its derivative at now (n-tuples), f the fused
+    right-hand side (t, x, v[, u]) -> n-tuple.  Each accepted step appends
+    its end time to ts, its end state to ys and (h, k1, k3, k4, k5, k6) to
+    stages, ``array('d')`` buffers, from which ``_dense_rows`` builds the
+    dense output.  The k1 returned is the derivative at the last accepted
+    state (FSAL: the last step's k7).
+
+    Each stage binds its point to f's argument names (t, x, v[, u0]).
+    When f carries its fast path (``f.inline``, see
+    ``expr.compile_fused``), the stage then runs that source inline, in
+    f's namespace, instead of calling f; where it raises one of its
+    ``_FAST_ERRORS``, the stage calls f at the same point, so the values
+    and every DomainError are those of the calls.  Any other f, a wrapped
+    one such as a tracer's counting wrapper (also one that copied the
+    attribute, whose code is its own), gets the call path alone: the same
+    lines with the call in place of each inlined stage, 6 calls of f per
+    attempted step.  Each distinct source is compiled once
+    (``expr._define``), so problems of one shape share it.
 
     The error norm is the RMS over the controlled components of the error
     estimate over atol + rtol*max(|y|, |y_new|); the others, quadrature
@@ -216,10 +229,37 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = Non
     its derivative at the new state, inf or nan is rejected as a
     non-finite norm is.  Stage inputs are formed for the components
     ``inputs`` only, the ones the right-hand side reads: x, v and at most
-    one channel.
+    one channel.  Step control picks its floats by comparisons, not by
+    ``abs``/``max``/``min``, choosing the float those would.
     """
+    inline = getattr(f, "inline", None)
+    if inline is not None and inline[0] is not getattr(f, "__code__", None):
+        inline = None  # a wrapper that copied the attribute
+    namespace = {**(f.__globals__ if inline is not None else {}), **_LOOP_NAMESPACE, "f": f,
+                 "_pack_state": _packer(n), "_pack_stages": _packer(1 + n * len(_STORED))}
+    body = _loop_body(n, inputs, n if controlled is None else controlled,
+                      inline and inline[1:])
+    return _define("loop", "now, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages", body,
+                   namespace)
+
+
+_LOOP_NAMESPACE = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "DomainError": DomainError}
+
+
+@functools.cache
+def _packer(count: int):
+    """Packs count floats into their native bytes, which the loop appends
+    to an ``array('d')`` whole: the same bits as ``array.extend`` of the
+    floats, which converts them one at a time at several times the cost."""
+    return struct.Struct(f"{count}d").pack
+
+
+@functools.lru_cache(maxsize=128)
+def _loop_body(n: int, inputs: tuple[int, ...], controlled: int,
+               inline: tuple[tuple[str, ...], str] | None) -> tuple[str, ...]:
+    """The body of ``_loop``'s function, as source lines; ``inline`` is the
+    right-hand side's fast path, None for the call path alone."""
     comps = range(n)
-    controlled = n if controlled is None else controlled
 
     def k(s, i):
         return f"k{s}_{i}"
@@ -233,76 +273,104 @@ def _loop(n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = Non
         terms = [f"{w!r}*{k(s, i)}" for s, w in enumerate(weights, 1) if w != 0.0]
         return " + ".join(terms).replace("+ -", "- ")
 
+    def indent(lines):
+        return ["    " + line for line in lines]
+
+    names = _point(len(inputs) - 2).split(", ")
+
+    def stage_lines(s):
+        """Stage s: its point, bound to the right-hand side's argument
+        names, then its derivative, by the inlined fast path with a call of
+        f where that raises, or by the call alone."""
+        if s == 7:
+            point = [f"now + {_C[6]!r}*h", *(f"n{i}" for i in inputs)]
+        else:
+            point = [f"now + {_C[s - 1]!r}*h",
+                     *(f"y{i} + h*({combo(_A[s - 1], i)})" for i in inputs)]
+        lines = [f"{name} = {src}" for name, src in zip(names, point, strict=True)]
+        call = f"{stage(s)} = f({', '.join(names)})"
+        if inline is None:
+            return [*lines, call]
+        statements, value = inline
+        return [*lines, "try:", *indent([*statements, f"{stage(s)} = {value}"]),
+                "except _FAST_ERRORS:", f"    {call}"]
+
     state = ", ".join(f"y{i}" for i in comps)
     derivative = f"({stage(1)})"
     stored = ", ".join(stage(s) for s in _STORED)
-    lines = ["def loop(f, t, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages):",
-             f"    {state} = y",
-             f"    {stage(1)} = k1",
-             "    ts_append, ys_extend, stages_extend = ts.append, ys.extend, stages.extend",
-             "    errprev = 1.0",
-             "    rejects = 0",
-             "    just_rejected = False",
-             "    while t < t_end:",
-             "        # floor first, then clamp: the last step ends exactly on t_end",
-             "        h = max(h, hmin)",
-             "        last = h >= t_end - t",
-             "        if last:",
-             "            h = t_end - t",
-             "        try:"]
-    for s in range(2, 7):
-        args = ", ".join(f"y{i} + h*({combo(_A[s - 1], i)})" for i in inputs)
-        lines.append(f"            {stage(s)} = f(t + {_C[s - 1]!r}*h, {args})")
-    lines += [f"            n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
-    lines += [f"            {stage(7)} = f(t + {_C[6]!r}*h, {', '.join(f'n{i}' for i in inputs)})",
-              "        except DomainError as exc:",
-              "            # a wide trial step may poke outside the domain; creep",
-              "            # closer before declaring the abort",
-              f"            if h > 8.0*hmin and rejects < {_MAX_CONSECUTIVE_REJECTS}:",
-              "                rejects += 1",
-              "                just_rejected = True",
-              "                h *= 0.25",
-              "                continue",
-              f"            return {DOMAIN_ABORT!r}, t, (exc.t, exc.x), str(exc), {derivative}"]
+    attempt = [line for s in range(2, 7) for line in stage_lines(s)]
+    attempt += [f"n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
+    attempt += stage_lines(7)
+    # the loop's own names (now, h, y0.., k1_0.., n0..) stay clear of those
+    # the inlined source reads or binds: its arguments t, x, v, u0.., which
+    # each stage binds, and names that start with "_"
+    body = [f"{state} = y",
+            f"{stage(1)} = k1",
+            "ts_append, ys_frombytes, stages_frombytes = ts.append, ys.frombytes, stages.frombytes",
+            "errprev = 1.0",
+            "rejects = 0",
+            "just_rejected = False",
+            "while now < t_end:",
+            "    # floor first, then clamp: the last step ends exactly on t_end",
+            "    if hmin > h:",
+            "        h = hmin",
+            "    last = h >= t_end - now",
+            "    if last:",
+            "        h = t_end - now",
+            "    try:",
+            *indent(indent(attempt)),
+            "    except DomainError as exc:",
+            "        # a wide trial step may poke outside the domain; creep",
+            "        # closer before declaring the abort",
+            f"        if h > 8.0*hmin and rejects < {_MAX_CONSECUTIVE_REJECTS}:",
+            "            rejects += 1",
+            "            just_rejected = True",
+            "            h *= 0.25",
+            "            continue",
+            f"        return {DOMAIN_ABORT!r}, now, (exc.t, exc.x), str(exc), {derivative}"]
     for i in range(controlled):
-        lines += [f"        a{i} = abs(y{i}); b{i} = abs(n{i})",
-                  f"        q{i} = h*({combo(_E, i)})"
-                  f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
+        body += [f"    a{i} = y{i} if y{i} >= 0.0 else -y{i}",
+                 f"    b{i} = n{i} if n{i} >= 0.0 else -n{i}",
+                 f"    q{i} = h*({combo(_E, i)})"
+                 f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
     # z - z is 0.0 for a finite z and nan for inf or nan
     unchecked = "".join(f" + ({z} - {z})" for i in range(controlled, n)
                         for z in (f"n{i}", k(7, i)))
-    lines += [f"        err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in range(controlled))})"
-              f"/{controlled})",
-              f"        if not _isfinite(err{unchecked}):",
-              "            err = 10.0",
-              "        if err <= 1.0:",
-              f"            stages_extend((h, {stored}))",
-              "            t = t_end if last else t + h",
-              f"            {state} = {', '.join(f'n{i}' for i in comps)}",
-              "            ts_append(t)",
-              f"            ys_extend(({state}))",
-              f"            {stage(1)} = {stage(7)}",
-              f"            if abs(y0) + abs(y1) > {_BLOWUP_BOUND!r}:",
-              f"                return {BLOW_UP!r}, t, (t, y0), "
-              f"{f'|x|+|v| exceeded {_BLOWUP_BOUND:g}'!r}, {derivative}",
-              "            rejects = 0",
-              "            # PI controller, safety 0.9, exponents 0.7/4 and 0.4/4",
-              "            fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0",
-              "            fac = min(1.0 if just_rejected else 5.0, max(0.2, fac))",
-              "            errprev = max(err, 1e-4)",
-              "            just_rejected = False",
-              "            h *= fac",
-              "        else:",
-              "            rejects += 1",
-              "            just_rejected = True",
-              f"            if rejects >= {_MAX_CONSECUTIVE_REJECTS} and h <= hmin * 4.0:",
-              f"                return {STEP_FAILURE!r}, t, (t, y0), "
-              f"f'{{rejects}} consecutive rejected steps at minimum step size', {derivative}",
-              "            h *= max(0.2, 0.9 * err ** (-0.25))",
-              f"    return {COMPLETED!r}, t, None, '', {derivative}"]
-    namespace = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "DomainError": DomainError}
-    exec("\n".join(lines) + "\n", namespace)
-    return namespace["loop"]
+    body += [f"    err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in range(controlled))})"
+             f"/{controlled})",
+             f"    if not _isfinite(err{unchecked}):",
+             "        err = 10.0",
+             "    if err <= 1.0:",
+             f"        stages_frombytes(_pack_stages(h, {stored}))",
+             "        now = t_end if last else now + h",
+             f"        {state} = {', '.join(f'n{i}' for i in comps)}",
+             "        ts_append(now)",
+             f"        ys_frombytes(_pack_state({state}))",
+             f"        {stage(1)} = {stage(7)}",
+             "        if ((y0 if y0 >= 0.0 else -y0) + (y1 if y1 >= 0.0 else -y1)"
+             f" > {_BLOWUP_BOUND!r}):",
+             f"            return {BLOW_UP!r}, now, (now, y0), "
+             f"{f'|x|+|v| exceeded {_BLOWUP_BOUND:g}'!r}, {derivative}",
+             "        rejects = 0",
+             "        # PI controller, safety 0.9, exponents 0.7/4 and 0.4/4, the",
+             "        # factor kept in [0.2, 5.0], in [0.2, 1.0] after a rejection",
+             "        fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0",
+             "        fac = fac if fac > 0.2 else 0.2",
+             "        cap = 1.0 if just_rejected else 5.0",
+             "        fac = fac if fac < cap else cap",
+             "        errprev = 1e-4 if 1e-4 > err else err",
+             "        just_rejected = False",
+             "        h *= fac",
+             "    else:",
+             "        rejects += 1",
+             "        just_rejected = True",
+             f"        if rejects >= {_MAX_CONSECUTIVE_REJECTS} and h <= hmin * 4.0:",
+             f"            return {STEP_FAILURE!r}, now, (now, y0), "
+             f"f'{{rejects}} consecutive rejected steps at minimum step size', {derivative}",
+             "        fac = 0.9 * err ** (-0.25)",
+             "        h *= fac if fac > 0.2 else 0.2",
+             f"return {COMPLETED!r}, now, None, '', {derivative}"]
+    return tuple(body)
 
 
 def _dense_rows(ys: array, stages: array, k7: tuple[float, ...], n: int) -> np.ndarray:
@@ -413,8 +481,8 @@ def integrate(p: JacobiProblem,
 
     hmin = 1e-12 * (t_end - t0)
     h = _initial_step(f, inputs, controlled, t0, y, k1, t_end, hmin, atol, rtol)
-    return finish(*_loop(n, inputs, controlled)(f, t0, t_end, h, hmin, y, k1,
-                                                atol, rtol, ts, ys, stages))
+    return finish(*_loop(f, n, inputs, controlled)(t0, t_end, h, hmin, y, k1,
+                                                   atol, rtol, ts, ys, stages))
 
 
 def _rms(values, scales) -> float:

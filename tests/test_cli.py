@@ -1,13 +1,11 @@
 import importlib
 import json
-import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from jacobi_invariants import catalog, cli
@@ -412,21 +410,25 @@ def test_run_oracle_gate_passes_over_long_windows(capsys, name):
 
 
 def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
-    # the one pair shares one right-hand side; the coarse and fine series
-    # of a spec share one evaluator, which the oracle's comparison reuses
-    # for the closed form
+    # the one pair shares one right-hand side and one integration loop; the
+    # coarse and fine series of a spec share one evaluator, which the
+    # oracle's comparison reuses for the closed form
     defined = []
     original = ex._define
     monkeypatch.setattr(ex, "_define", lambda name, args, body, namespace: defined.append(
         (name, args, tuple(body))) or original(name, args, body, namespace))
+    ex._code.cache_clear()
     fx = catalog.get("PG18")
     problem, exprs = load_problem(fx.data)
     _, code, _ = cli.run_pipeline(problem, exprs, fx.data, oracle=True,
                                   threshold=fx.drift_threshold)
     assert code == 0
-    # one right-hand side; three specs, the oracle and its gate
-    assert sorted(name for name, _, _ in defined) == ["fused"] + ["series"] * 5
+    # one compile_fn callable (the aux function's radicand); one right-hand
+    # side; three specs, the oracle and its gate
+    assert sorted(name for name, _, _ in defined) == ["fast", "fused"] + ["series"] * 5
     assert len(set(defined)) == len(defined)
+    # and the loop, which integrate defines for both runs of the pair
+    assert ex._code.cache_info().misses == len(defined) + 1
 
 
 GOLDEN_CATALOG = pathlib.Path(__file__).parent / "data" / "catalog_all.json"
@@ -578,29 +580,34 @@ def test_the_oracle_leaves_the_invariant_reports_unchanged():
         assert sections[0] == sections[1], data
 
 
-def test_an_oracle_integrand_out_of_float_range_ends_the_shared_pair(tmp_path, capsys):
-    # the coupling the one pair keeps: over JAC_EXACT's window stretched to
-    # 1500, the oracle's dressing exp(u_b), u_b = t/2, leaves float range
-    # at t = 2 ln(DBL_MAX) = 1419.57.  Without the oracle the pair
-    # completes (its invariant's series overflows first, at 1419.35, which
-    # fails the gate); with it the pair takes the same steps up to there
-    # and ends in a DomainAbort, and the run exits 2 on the oracle's
-    # series, as test_run_oracle_undefined_on_the_trajectory_exit_2 shows
+def test_a_zero_oracle_integrand_leaves_the_shared_pair_whole(tmp_path, capsys):
+    # over JAC_EXACT's window stretched to 1500, the oracle's dressing
+    # exp(u_b), u_b = t/2, leaves float range at t = 2 ln(DBL_MAX) =
+    # 1419.57, but the work integrand it dresses has only zero
+    # coefficients, so the right-hand side writes it as 0.0 and evaluates
+    # no exponential.  Without the oracle the pair completes (its
+    # invariant's series overflows at 1419.35, which fails the gate); with
+    # the oracle's quadratures it completes on the same steps, x and v and
+    # the invariants' channels the same bits, and the run exits 2 on the
+    # oracle's own series, as test_run_oracle_undefined_on_the_trajectory_exit_2
+    # shows
     data = {**catalog.get("JAC_EXACT").data, "t_end": 1500}
     problem, exprs = load_problem(data)
     report, code, plain = cli.run_pipeline(problem, exprs, data)
     assert code == 1 and report["termination"] == {"status": "Completed", "t": 1500.0}
     _, built = cli.run_checks(problem, exprs, oracle=True)
     oracle = integrated_oracle(problem, built.lagrangian, built.family)
+    assert all(c == ex.ZERO for c in oracle.integrands[-1].coeffs)
     carried = integrate_module.integrate(problem, built.spec_integrands, (1e-10, 1e-10),
                                          oracle.integrands)
-    term = carried.termination
-    assert term.status == integrate_module.DOMAIN_ABORT and term.detail.startswith("overflow in")
-    assert term.t == pytest.approx(2 * math.log(sys.float_info.max), abs=1e-6)
-    before = int(np.searchsorted(plain.ts, term.t))
-    assert carried.ts[:before].tobytes() == plain.ts[:before].tobytes()
-    code, out, _ = run_main(["run", write(tmp_path, "o.json", data), "--oracle"], capsys)
+    assert carried.termination == plain.termination
+    assert carried.ts.tobytes() == plain.ts.tobytes()
+    width = plain.ys.shape[1]
+    assert carried.ys[:, :width].tobytes() == plain.ys.tobytes()
+    assert not carried.ys[:, -1].any()
+    code, out, err = run_main(["run", write(tmp_path, "o.json", data), "--oracle"], capsys)
     assert code == 2 and out == ""
+    assert err.startswith("error: oracle undefined on the trajectory: overflow in exp")
 
 
 def test_run_fixture_samples_each_grid_once(monkeypatch):
@@ -648,3 +655,36 @@ def test_load_problem_rejects_bad_domain():
     data = dict(PG18_FILE, domain=[1, 2])
     with pytest.raises(InputError):
         load_problem(data)
+
+
+def test_a_parameter_sweep_compiles_once_per_shape():
+    # generated sources name the parameters, and each function's namespace
+    # binds their values, so two free oscillators that differ only in k2
+    # and c share every source: the second run compiles nothing, and its
+    # report is the one it gives from a cold cache
+    first = json.loads((pathlib.Path(__file__).parent / "data"
+                        / "free_oscillator_long.json").read_text())
+    second = {**first, "params": {"k2": 1.21, "c": 1.1791}}
+
+    def run(data):
+        problem, exprs = load_problem(data)
+        report, code, _ = cli.run_pipeline(problem, exprs, data, oracle=True)
+        return report, code
+
+    run(first)
+    misses = ex._code.cache_info().misses
+    warm = run(second)
+    assert ex._code.cache_info().misses == misses
+    assert warm[1] == 0 and warm[0]["problem"]["params"] == second["params"]
+    ex._code.cache_clear()
+    assert run(second) == warm
+
+
+def test_the_compile_cache_is_bounded():
+    # a run of distinct problems repeats no source, so the cache keeps only
+    # the most recent ones
+    bound = ex._code.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 10):
+        assert ex._define("f", "", [f"return {i}"], {})() == i
+    assert ex._code.cache_info().currsize == bound

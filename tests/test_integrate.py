@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -244,8 +245,8 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
         """The loop from (t, y) with atol = scale/1000 and rtol = scale:
         (ts, ys, stages, k7)."""
         ts, ys, stages = array("d", [t]), array("d", y), array("d")
-        status, t_last, _, _, k7 = _loop(n, inputs)(
-            f, t, t_end, h, 1e-12, y, k1, 1e-3 * scale, scale, ts, ys, stages)
+        status, t_last, _, _, k7 = _loop(f, n, inputs)(
+            t, t_end, h, 1e-12, y, k1, 1e-3 * scale, scale, ts, ys, stages)
         assert (status, t_last) == (COMPLETED, t_end)
         return ts, ys, stages, k7
 
@@ -309,6 +310,18 @@ def _load(name):
         json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data)
 
 
+def _case(name):
+    """(problem, integrands, tol, quadratures) of an EARLY_ENDS case, or of
+    a fixture or a long window with its invariants' channels and the
+    oracle's as quadratures."""
+    if name in EARLY_ENDS:
+        return EARLY_ENDS[name]
+    p, exprs = _load(name)
+    _, built = cli.run_checks(p, exprs, oracle=True)
+    quadratures = integrated_oracle(p, built.lagrangian, built.family).integrands
+    return p, built.spec_integrands, 1e-10, quadratures
+
+
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
 def test_dense_rows_match_the_per_step_scalar_reference(name):
     # every accepted state and dense-output coefficient of the generated
@@ -318,13 +331,7 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
     # that end early, with inf and nan in the last rows of the overflowing
     # one.  The fixtures and long windows carry the oracle's channels as
     # quadratures after the invariants'
-    if name in EARLY_ENDS:
-        p, integrands, tol, quadratures = EARLY_ENDS[name]
-    else:
-        p, exprs = _load(name)
-        _, built = cli.run_checks(p, exprs, oracle=True)
-        integrands, tol = built.spec_integrands, 1e-10
-        quadratures = integrated_oracle(p, built.lagrangian, built.family).integrands
+    p, integrands, tol, quadratures = _case(name)
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.integrands[:len(integrands)] == tuple(map(canonical, integrands))
     ts, ys, rows, termination, _ = scalar_reference.integrate(
@@ -334,6 +341,34 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     term = traj.termination
     assert (term.status, term.t, term.point, term.detail) == termination
+
+
+@pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
+def test_inlined_loop_matches_the_call_path(name, monkeypatch):
+    # the loop inlines the fused right-hand side's fast path at every stage,
+    # and calls a wrapped right-hand side instead, 6 times per accepted
+    # step.  Both give the same bits and the same end, also where the fast
+    # path fails: the domain-abort, channel-abort and dressing-overflow runs
+    # go through the inlined loop's fallback to the calls
+    p, integrands, tol, quadratures = _case(name)
+    inlined = integrate(p, integrands, (tol, tol), quadratures)
+    assert rhs(p, inlined.integrands).inline
+    module = importlib.import_module("jacobi_invariants.integrate")
+    built = module.rhs
+    calls = []
+
+    def wrapped(p, integrands):
+        # functools.wraps copies the fast path too, but not the code
+        f = built(p, integrands)
+        return functools.wraps(f)(lambda *point: calls.append(1) or f(*point))
+
+    monkeypatch.setattr(module, "rhs", wrapped)
+    called = integrate(p, integrands, (tol, tol), quadratures)
+    assert len(calls) >= 6 * (len(called.ts) - 1)
+    for got, want in ((inlined.ts, called.ts), (inlined.ys, called.ys),
+                      (inlined.conts, called.conts)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert inlined.termination == called.termination
 
 
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS)
