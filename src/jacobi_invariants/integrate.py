@@ -520,8 +520,15 @@ def _initial_step(f, inputs, controlled, t0, y0, f0, t_end, hmin, atol, rtol) ->
 class EvalSeries(NamedTuple):
     ts: np.ndarray
     values: np.ndarray
-    truncated: bool = False
-    abort_point: tuple[float, float] | None = None
+    error: DomainError | None = None    # the one that cut the series short
+
+    @property
+    def truncated(self) -> bool:
+        return self.error is not None
+
+    @property
+    def abort_point(self) -> tuple[float, float] | None:
+        return None if self.error is None else (self.error.t, self.error.x)
 
     def max_drift(self) -> float:
         import numpy as np
@@ -582,8 +589,9 @@ def in_blocks(traj: Trajectory, grid: int, evaluate):
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     """Sample an invariant on a uniform dense-output grid.
 
-    Domain errors (e.g. the square-root factor leaving its region of
-    validity) truncate the series at the failing point and flag it.
+    A domain error (e.g. the square-root factor leaving its region of
+    validity) truncates the series at the failing point; the series
+    carries it.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -598,8 +606,7 @@ def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     if len(values) < 2:
         raise IntegrationError(
             f"invariant {spec.name!r} undefined on the trajectory start")
-    abort = None if err is None else (err.t, err.x)
-    return EvalSeries(ts[: len(values)], values, err is not None, abort)
+    return EvalSeries(ts[: len(values)], values, err)
 
 
 def drift_report(spec, coarse: Trajectory, fine: Trajectory,

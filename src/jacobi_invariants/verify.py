@@ -1,23 +1,20 @@
 """Brute-force oracle: build the constant of motion directly from its
-variational definition and quadrature, sharing nothing with the closed-form
-constructors.
+variational definition, sharing nothing with the closed-form constructors.
 
 For a perturbation family x_eps = x + eps*a(t,x)*exp(s*int b dt) the
 conserved series is
 
-    I(t) = dL/dv * v_fam  -  int_t0^t [dL/dx * v_fam + dL/dv * v_fam'] ds,
+    I(t) = dL/dv * v_fam  -  int_t0^t [dL/dx * v_fam + dL/dv * v_fam'] ds.
 
-evaluated on dense trajectory output with composite-Simpson prefix sums
-(trapezoid patch on odd prefixes).  Closed-form invariants absorb an
-integration-by-parts constant, so comparisons match the two series at t0
-first.
-
-The constancy gate reads the work integral W from an accumulator channel
-instead: its integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) is
-integrated with the motion, so the drift of dL/dv * v_fam - W measures the
-integrator and not the quadrature.  Its channels (``integrated_oracle``)
-ride the run's one coarse/fine pair as quadratures, registered after the
-invariants' and outside step control.
+A run reads that work integral W from an accumulator channel: its
+integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) rides the run's one
+coarse/fine pair as a quadrature (``integrated_oracle``), after the
+invariants' channels and outside step control.  The oracle's gate and its
+comparison with the closed form read that series on the gate's grid, so
+the discrepancy is bounded by the two series' drifts.  Closed forms absorb
+an integration-by-parts constant, so comparisons match the series at t0.
+``oracle_constant`` takes W as composite-Simpson prefix sums instead: the
+independent reference the acceptance tests check the closed forms against.
 
 As in ``integrate``, numpy is imported by the functions that build arrays.
 """
@@ -85,7 +82,9 @@ def _variational_exprs(p: JacobiProblem, L: LagrangianData,
 
 def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily,
                     traj: Trajectory, grid: int = 1024) -> EvalSeries:
-    """The conserved series of the family along an integrated trajectory.
+    """The conserved series of the family along an integrated trajectory,
+    W a Simpson quadrature on ``grid`` points (trapezoid patch on odd
+    prefixes), with an O(h^3) error of its own; no run computes it.
 
     When the family carries an exponential factor, its integrand b must be
     registered as an accumulator channel on the trajectory.  A series that

@@ -8,6 +8,7 @@ from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
 from jacobi_invariants.integrate import REFINE, integrate
 from jacobi_invariants.problem import JacobiProblem, LagrangianData
+from jacobi_invariants.verify import integrated_oracle
 
 
 @pytest.fixture(scope="session")
@@ -61,13 +62,19 @@ def families(constructions):
 
 
 def _integrate_all(loaded, constructions, tol):
-    return {fid: integrate(ld.problem, constructions[fid].integrands, (tol, tol))
-            for fid, ld in loaded.items()}
+    # the channels a run with the oracle integrates: the specs' under step
+    # control, the oracle's as quadratures
+    out = {}
+    for fid, ld in loaded.items():
+        built = constructions[fid]
+        oracle = integrated_oracle(ld.problem, ld.lagrangian, built.family)
+        out[fid] = integrate(ld.problem, built.spec_integrands, (tol, tol), oracle.integrands)
+    return out
 
 
 @pytest.fixture(scope="session")
 def trajectories(loaded, constructions):
-    """One tol-1e-10 trajectory per fixture with every needed channel."""
+    """One tol-1e-10 trajectory per fixture with the channels of the run."""
     return _integrate_all(loaded, constructions, 1e-10)
 
 

@@ -28,7 +28,7 @@ from jacobi_invariants.problem import (
     euler_lagrange_residual,
     rhs,
 )
-from jacobi_invariants.verify import oracle_constant, oracle_vs_closed
+from jacobi_invariants.verify import integrated_oracle, oracle_constant, oracle_vs_closed
 from conftest import SAFE_ENV, random_tree
 from helpers import local_exprs, on_states
 
@@ -162,7 +162,8 @@ def test_criterion_5_oracle_equivalence(loaded, constructions, capsys):
     for fid, fx in loaded.items():
         built = constructions[fid]
         fam, closed = built.family, built.closed
-        traj = integrate(fx.problem, built.integrands, (1e-12, 1e-12))
+        quadratures = integrated_oracle(fx.problem, fx.lagrangian, fam).integrands
+        traj = integrate(fx.problem, built.spec_integrands, (1e-12, 1e-12), quadratures)
         disc = {}
         for grid in (1024, 2048, 4096):
             so = oracle_constant(fx.problem, fx.lagrangian, fam, traj, grid)

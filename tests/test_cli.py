@@ -13,7 +13,7 @@ from jacobi_invariants import expr as ex
 from jacobi_invariants import invariants as invariants_module
 from jacobi_invariants import problem as problem_module
 from jacobi_invariants.cli import dumps, load_problem, main
-from jacobi_invariants.verify import integrated_oracle
+from jacobi_invariants.verify import integrated_oracle, oracle_vs_closed
 
 # the package re-exports the function integrate under the module's name
 integrate_module = importlib.import_module("jacobi_invariants.integrate")
@@ -412,7 +412,7 @@ def test_run_oracle_gate_passes_over_long_windows(capsys, name):
 def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
     # the one pair shares one right-hand side and one integration loop; the
     # coarse and fine series of a spec share one evaluator, which the
-    # oracle's comparison reuses for the closed form
+    # oracle's comparison reuses for the closed form and the oracle
     defined = []
     original = ex._define
     monkeypatch.setattr(ex, "_define", lambda name, args, body, namespace: defined.append(
@@ -424,8 +424,8 @@ def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
                                   threshold=fx.drift_threshold)
     assert code == 0
     # one compile_fn callable (the aux function's radicand); one right-hand
-    # side; three specs, the oracle and its gate
-    assert sorted(name for name, _, _ in defined) == ["fast", "fused"] + ["series"] * 5
+    # side; three specs and the oracle
+    assert sorted(name for name, _, _ in defined) == ["fast", "fused"] + ["series"] * 4
     assert len(set(defined)) == len(defined)
     # and the loop, which integrate defines for both runs of the pair
     assert ex._code.cache_info().misses == len(defined) + 1
@@ -611,25 +611,46 @@ def test_a_zero_oracle_integrand_leaves_the_shared_pair_whole(tmp_path, capsys):
 
 
 def test_run_fixture_samples_each_grid_once(monkeypatch):
-    # the invariants and the oracle's gate read the coarse and the fine
-    # trajectory at 1024 points, the oracle and its closed form the coarse
-    # one at 4096: each grid is sampled once, BLOCK points at a time
+    # the invariants, the oracle's gate and its comparison with the closed
+    # form read the coarse and the fine trajectory at 1024 points: each
+    # grid is sampled once, BLOCK points at a time
     sizes = []
     original = integrate_module.Trajectory.sample
     monkeypatch.setattr(integrate_module.Trajectory, "sample",
                         lambda self, ts: sizes.append(len(ts)) or original(self, ts))
     _, code = cli.run_fixture("PG18")
     assert code == 0
-    assert sum(sizes) == 1024 + 1024 + 4096
+    assert sum(sizes) == 1024 + 1024
     assert max(sizes) <= integrate_module.BLOCK
 
 
 def test_oracle_gate_samples_at_least_the_default_grid():
     # the order of PG21's oracle series, estimated from 2 to 4 points,
-    # reads 1.3-3.4
-    for grid in (2, 3, 4):
+    # reads 1.3-3.4; the comparison with the closed form reads the same
+    # grid, so its discrepancy does not move
+    discrepancies = set()
+    for grid in (2, 3, 4, 1024):
         report, code = cli.run_fixture("PG21", grid=grid)
         assert code == 0 and report["oracle"]["gate"] is True, grid
+        discrepancies.add(report["oracle"]["max_discrepancy"])
+    assert len(discrepancies) == 1
+
+
+@pytest.mark.parametrize("fid", catalog.ids())
+def test_oracle_discrepancy_compares_the_integrated_series(fid):
+    # max_discrepancy reads the integrated oracle series and the closed
+    # form on the coarse run at the gate's 1024 points, no second
+    # quadrature of the work integral
+    fx = catalog.get(fid)
+    problem, exprs = load_problem(fx.data)
+    report, code, traj = cli.run_pipeline(problem, exprs, fx.data, oracle=True,
+                                          threshold=fx.drift_threshold)
+    assert code == 0
+    _, built = cli.run_checks(problem, exprs, oracle=True)
+    o_spec = integrated_oracle(problem, built.lagrangian, built.family)
+    want = oracle_vs_closed(integrate_module.evaluate_along(traj, o_spec, 1024),
+                            integrate_module.evaluate_along(traj, built.closed, 1024))
+    assert report["oracle"]["max_discrepancy"] == want
 
 
 def test_dumps_float_format():

@@ -124,8 +124,9 @@ def _assert_fused_rhs_is_bit_identical(loaded, channels_of):
         assert values > 100, fid
 
 
-def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, constructions):
-    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: constructions[fid].integrands)
+def test_fused_rhs_is_bit_identical_to_separate_callables(loaded, trajectories):
+    # on the channels of the run's pair
+    _assert_fused_rhs_is_bit_identical(loaded, lambda fid: trajectories[fid].integrands)
 
 
 def test_fused_rhs_on_the_oracle_channels_is_bit_identical(loaded, families):
