@@ -328,6 +328,14 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
         return report, EXIT_ABORT, traj
 
     fine = integrate(problem, registered, (tol / REFINE, tol / REFINE), quadratures)
+    # one pass per (trajectory, grid) computes every series the reports read;
+    # the oracle's gate and comparison read the coarse run at the gate's grid
+    o_grid = max(grid, ORACLE_MIN_GRID)
+    shared = built.specs + ((o_spec,) if oracle and o_grid == grid else ())
+    for run in (traj, fine):
+        run.series(shared, grid)
+    if oracle:
+        traj.series((o_spec, built.closed), o_grid)
     all_pass = True
     inv_reports = []
     for spec in built.specs:
@@ -341,10 +349,9 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
     report["invariants"] = inv_reports
 
     if oracle:
-        # the integrated oracle series against the closed form, on the
-        # coarse run at the oracle gate's grid: the discrepancy is bounded
-        # by the two series' drifts, drift(O) + drift(C)
-        fam, o_grid = built.family, max(grid, ORACLE_MIN_GRID)
+        # the integrated oracle series against the closed form: the
+        # discrepancy is bounded by the two series' drifts, drift(O) + drift(C)
+        fam = built.family
         ser_oracle = evaluate_along(traj, o_spec, o_grid)
         if ser_oracle.error is not None:
             raise IntegrationError(f"oracle undefined on the trajectory: {ser_oracle.error}")

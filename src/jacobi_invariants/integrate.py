@@ -108,7 +108,7 @@ class Trajectory:
     """
 
     __slots__ = ("problem", "integrands", "ts", "ys", "conts", "termination", "mean_step",
-                 "_grids")
+                 "_series")
 
     def __init__(self, problem: JacobiProblem, integrands: tuple[Expr | Integrand, ...],
                  ts: np.ndarray, ys: np.ndarray, conts: np.ndarray,
@@ -120,7 +120,8 @@ class Trajectory:
         self.conts = conts
         self.termination = termination
         self.mean_step = mean_step
-        self._grids: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+        # finished series by (id(spec), grid), each held with its spec
+        self._series: dict[tuple[int, int], tuple[object, EvalSeries]] = {}
 
     @property
     def t0(self) -> float:
@@ -151,27 +152,48 @@ class Trajectory:
         y[ts == grid[-1]] = self.ys[-1]
         return y
 
-    def on_grid(self, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the n evenly spaced times over the integrated window and
-        their dense-output states, BLOCK points at a time, as (ts, states)
-        blocks.  A block is sampled the first time a reader reaches it and
-        kept, read-only, for every later series on the same grid; a row
-        depends only on its own time, so the blocks change no bit."""
-        cached = self._grids.get(n)
-        if cached is None:
+    def listed(self, ts: np.ndarray) -> Iterator[tuple[list[float], ...]]:
+        """Yield the times ts and their dense-output states BLOCK points at
+        a time as a (t, x, v, u_0, ..) tuple of lists of Python floats,
+        each block sampled when the reader asks for it."""
+        for start in range(0, len(ts), BLOCK):
+            t = ts[start:start + BLOCK]
+            yield t.tolist(), *self.sample(t).T.tolist()
+
+    def series(self, specs, grid: int = 1024) -> list[EvalSeries]:
+        """The series of each spec on the uniform grid of ``grid`` points
+        over the integrated window.  Those not yet in the trajectory's
+        store are computed in one walk over the grid and kept: every live
+        spec's compiled series runs on each listed block.  A series stops
+        at its first point outside the domain and carries that
+        DomainError; the others run on, and no block is sampled once none
+        is live."""
+        if grid < 2:
+            raise ValueError("grid must be >= 2")
+        store = self._series
+        todo = {id(spec): spec for spec in specs if (id(spec), grid) not in store}
+        if todo:
             import numpy as np
 
-            ts = np.linspace(self.t0, self.t_last, n)
+            runs = {key: (spec.compiled(self.problem.params),
+                          [self.channel_of(g) for g in spec.integrands], [])
+                    for key, spec in todo.items()}
+            live, errors = dict(runs), {}
+            ts = np.linspace(self.t0, self.t_last, grid)
             ts.flags.writeable = False
-            cached = self._grids[n] = (ts, [])
-        ts, blocks = cached
-        for i, start in enumerate(range(0, n, BLOCK)):
-            t = ts[start:start + BLOCK]
-            if i == len(blocks):
-                states = self.sample(t)
-                states.flags.writeable = False
-                blocks.append(states)
-            yield t, blocks[i]
+            for t, x, v, *u in self.listed(ts):
+                for key, (fn, channels, values) in list(live.items()):
+                    part, errors[key] = fn(t, x, v, *(u[c] for c in channels))
+                    values += part
+                    if errors[key] is not None:
+                        del live[key]
+                if not live:
+                    break
+            for key, (_, _, values) in runs.items():
+                values = np.array(values, dtype=float)
+                values.flags.writeable = False
+                store[key, grid] = todo[key], EvalSeries(ts[:len(values)], values, errors[key])
+        return [store[id(spec), grid][1] for spec in specs]
 
     def state(self, t: float) -> AugmentedState:
         """Dense-output state at any t inside the integrated window."""
@@ -225,9 +247,10 @@ def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = 
 
     The error norm is the RMS over the controlled components of the error
     estimate over atol + rtol*max(|y|, |y_new|); the others, quadrature
-    components, are left out of it, but a step that makes one of them, or
-    its derivative at the new state, inf or nan is rejected as a
-    non-finite norm is.  Stage inputs are formed for the components
+    components, are left out of it.  A step that makes any channel, or a
+    quadrature's derivative at the new state, inf or nan is rejected as a
+    non-finite norm is (an inf channel scales its own term of the norm to
+    0).  Stage inputs are formed for the components
     ``inputs`` only, the ones the right-hand side reads: x, v and at most
     one channel.  Step control picks its floats by comparisons, not by
     ``abs``/``max``/``min``, choosing the float those would.
@@ -333,9 +356,10 @@ def _loop_body(n: int, inputs: tuple[int, ...], controlled: int,
                  f"    b{i} = n{i} if n{i} >= 0.0 else -n{i}",
                  f"    q{i} = h*({combo(_E, i)})"
                  f"/(atol + rtol*(a{i} if a{i} > b{i} else b{i}))"]
-    # z - z is 0.0 for a finite z and nan for inf or nan
-    unchecked = "".join(f" + ({z} - {z})" for i in range(controlled, n)
-                        for z in (f"n{i}", k(7, i)))
+    # every channel and each quadrature's derivative must stay finite, which
+    # the norm does not see.  z - z is 0.0 for a finite z, nan for inf or nan
+    checked = [f"n{i}" for i in range(2, n)] + [k(7, i) for i in range(controlled, n)]
+    unchecked = "".join(f" + ({z} - {z})" for z in checked)
     body += [f"    err = _sqrt(({' + '.join(f'q{i}*q{i}' for i in range(controlled))})"
              f"/{controlled})",
              f"    if not _isfinite(err{unchecked}):",
@@ -564,49 +588,19 @@ class DriftReport(NamedTuple):
         }
 
 
-def in_blocks(traj: Trajectory, grid: int, evaluate):
-    """Evaluate along the dense output on the uniform grid of ``grid``
-    points over the integrated window, block by block as
-    ``Trajectory.on_grid`` yields them.  ``evaluate(t, y)`` gets a block
-    of times and their states and returns (values, err): the values
-    before the first point outside the domain and that point's
-    DomainError, or None.  The first block with an error ends the series,
-    and the blocks after it are not sampled.  Returns (ts, values, err),
-    ts the times of the blocks evaluated."""
-    import numpy as np
-
-    times, parts = [], []
-    err = None
-    for t, y in traj.on_grid(grid):
-        values, err = evaluate(t, y)
-        times.append(t)
-        parts.append(values)
-        if err is not None:
-            break
-    return np.concatenate(times), np.concatenate(parts), err
-
-
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
-    """Sample an invariant on a uniform dense-output grid.
+    """An invariant's series on a uniform dense-output grid, read from the
+    trajectory's store (``Trajectory.series``).
 
     A domain error (e.g. the square-root factor leaving its region of
     validity) truncates the series at the failing point; the series
     carries it.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    channels = [traj.channel_of(g) for g in spec.integrands]
-    fn = spec.compiled(traj.problem.params)
-
-    def evaluate(t, y):
-        x, v, *u = y.T.tolist()
-        return fn(t.tolist(), x, v, *(u[c] for c in channels))
-
-    ts, values, err = in_blocks(traj, grid, evaluate)
-    if len(values) < 2:
+    series = traj.series((spec,), grid)[0]
+    if len(series.values) < 2:
         raise IntegrationError(
             f"invariant {spec.name!r} undefined on the trajectory start")
-    return EvalSeries(ts[: len(values)], values, err)
+    return series
 
 
 def drift_report(spec, coarse: Trajectory, fine: Trajectory,

@@ -10,9 +10,10 @@ A run reads that work integral W from an accumulator channel: its
 integrand exp(sign*u_b) * (c_0 + c_1*v + c_2*v^2) rides the run's one
 coarse/fine pair as a quadrature (``integrated_oracle``), after the
 invariants' channels and outside step control.  The oracle's gate and its
-comparison with the closed form read that series on the gate's grid, so
-the discrepancy is bounded by the two series' drifts.  Closed forms absorb
-an integration-by-parts constant, so comparisons match the series at t0.
+comparison with the closed form read that series on the gate's grid, from
+the invariants' pass over it (``Trajectory.series``), so the discrepancy
+is bounded by the two series' drifts.  Closed forms absorb an
+integration-by-parts constant, so comparisons match the series at t0.
 ``oracle_constant`` takes W as composite-Simpson prefix sums instead: the
 independent reference the acceptance tests check the closed forms against.
 
@@ -27,8 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr
-from .integrate import (DriftReport, EvalSeries, IntegrationError, Trajectory, drift_report,
-                        in_blocks)
+from .integrate import DriftReport, EvalSeries, IntegrationError, Trajectory, drift_report
 from .invariants import NONLOCAL_CONSTANT, InvariantSpec
 from .problem import Frozen, Integrand, JacobiProblem, LagrangianData
 
@@ -84,7 +84,8 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
                     traj: Trajectory, grid: int = 1024) -> EvalSeries:
     """The conserved series of the family along an integrated trajectory,
     W a Simpson quadrature on ``grid`` points (trapezoid patch on odd
-    prefixes), with an O(h^3) error of its own; no run computes it.
+    prefixes), with an O(h^3) error of its own; no run computes it.  It
+    reads the blocks ``Trajectory.listed`` yields and stores nothing.
 
     When the family carries an exponential factor, its integrand b must be
     registered as an accumulator channel on the trajectory.  A series that
@@ -108,17 +109,15 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
         "(dldv*vf, dldx*vf + dldv*vfd)",
     ))
     fn = ex.compile_series(template, exprs, p.params, int(chan is not None))
-
-    def evaluate(t, y):
-        x, v, *u = y.T.tolist()
-        rows, err = fn(t.tolist(), x, v, *((u[chan],) if chan is not None else ()))
-        # a flat iterator converts twice as fast as the list of pairs
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float, 2 * len(rows))
-        return flat.reshape(-1, 2), err
-
-    ts, rows, err = in_blocks(traj, grid, evaluate)
-    if err is not None:
-        raise IntegrationError(f"oracle undefined on the trajectory: {err}") from err
+    ts = np.linspace(traj.t0, traj.t_last, grid)
+    rows = []
+    for t, x, v, *u in traj.listed(ts):
+        part, err = fn(t, x, v, *((u[chan],) if chan is not None else ()))
+        if err is not None:
+            raise IntegrationError(f"oracle undefined on the trajectory: {err}") from err
+        rows += part
+    # a flat iterator converts twice as fast as the list of pairs
+    rows = np.fromiter(itertools.chain.from_iterable(rows), float, 2 * grid).reshape(-1, 2)
     h = ts[1] - ts[0]
     work = _prefix_simpson(rows[:, 1], h)
     return EvalSeries(ts, rows[:, 0] - work)

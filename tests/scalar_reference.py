@@ -114,14 +114,15 @@ def integrate(problem, integrands, tol, f, quadratures=0):
             return finish(DOMAIN_ABORT, t, (exc.t, exc.x), str(exc))
         y_new = tuple(trial)
         # step control reads the controlled components; the quadrature
-        # ones are integrated with the step but outside its error norm, and
-        # only a non-finite value or derivative at the new state rejects it
+        # ones are integrated with the step but outside its error norm.  A
+        # non-finite channel value, or quadrature derivative, at the new
+        # state rejects the step
         scales = []
         for i in range(controlled):
             a, b = abs(y[i]), abs(y_new[i])
             scales.append(atol + rtol * (a if a > b else b))
         err = norm([h * weighted(_E, ks, i) for i in range(controlled)], scales)
-        if not all(map(math.isfinite, (err, *y_new[controlled:], *ks[6][controlled:]))):
+        if not all(map(math.isfinite, (err, *y_new[2:], *ks[6][controlled:]))):
             err = 10.0
         if err <= 1.0:
             d = [y_new[i] - y[i] for i in range(n)]

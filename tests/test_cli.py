@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -622,6 +623,30 @@ def test_run_fixture_samples_each_grid_once(monkeypatch):
     assert code == 0
     assert sum(sizes) == 1024 + 1024
     assert max(sizes) <= integrate_module.BLOCK
+
+
+def test_a_catalog_pass_runs_each_series_once(monkeypatch):
+    # one pass per (trajectory, grid) runs each spec's compiled series once
+    # on each of the coarse and the fine run, the oracle's with the
+    # invariants': the discrepancy and the drift reports read those series
+    calls = Counter()
+    original = invariants_module.InvariantSpec.compiled
+
+    def compiled(self, params=None):
+        fn = original(self, params)
+
+        def counted(*args):
+            calls[fid] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(invariants_module.InvariantSpec, "compiled", compiled)
+    for fid in catalog.ids():
+        _, code = cli.run_fixture(fid)
+        assert code == 0
+    assert calls == {"PG18": 8, "PG21": 8, "PG22": 8, "PG4": 4, "PG20": 4, "JAC_EXACT": 4}
+    assert sum(calls.values()) == 36
 
 
 def test_oracle_gate_samples_at_least_the_default_grid():

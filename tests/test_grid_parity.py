@@ -1,8 +1,11 @@
 """Whole-grid evaluation agrees bit for bit with the point-by-point
 reference in ``scalar_reference``: dense-output states, invariant series
-(including where a series leaves its domain), the Simpson prefix sums and
-the oracle series."""
+(including where a series leaves its domain, alone or in a pass over
+several), every series a run computes, the Simpson prefix sums and the
+oracle series."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -10,9 +13,11 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import parse
-from jacobi_invariants.integrate import BLOCK, IntegrationError, evaluate_along, integrate
+from jacobi_invariants.integrate import (BLOCK, IntegrationError, Trajectory, evaluate_along,
+                                         integrate)
 from jacobi_invariants.invariants import NONLOCAL_CONSTANT, InvariantSpec
 from jacobi_invariants.problem import JacobiProblem
 from jacobi_invariants.verify import _prefix_simpson, oracle_constant
@@ -86,6 +91,59 @@ def test_evaluate_along_truncates_where_the_pointwise_loop_does(grid):
     assert all(type(c) is float for c in series.abort_point)
     assert abort[1] <= 0.0
     assert abort[0] == pytest.approx(np.pi / 2, abs=3.0 / (grid - 1))
+
+
+def test_a_pass_truncates_each_series_where_its_pointwise_loop_does(monkeypatch):
+    # at 3000 points, three blocks: one spec leaves its domain at t = 1/2,
+    # in the first block, the other at t = pi/2, in the second.  Each series
+    # stops where its own pointwise loop does, the other runs on past it,
+    # and the third block, after the last live series, is never sampled
+    early = InvariantSpec(name="leaves_early", kind=NONLOCAL_CONSTANT,
+                          poly={0: parse("sqrt(1/2 - t)")})
+    late = leaving_spec()
+    traj = integrate(cosine_problem(), late.integrands, (1e-10, 1e-10))
+    sizes = []
+    original = Trajectory.sample
+    monkeypatch.setattr(Trajectory, "sample",
+                        lambda self, ts: sizes.append(len(ts)) or original(self, ts))
+    got = traj.series((early, late), 3000)
+    assert sizes == [BLOCK, BLOCK]
+    assert 1 < len(got[0].values) < BLOCK < len(got[1].values) < 2 * BLOCK
+    for spec, series in zip((early, late), got):
+        ts, values, truncated, abort = ref.evaluate_along(traj, spec, 3000)
+        assert truncated and series.abort_point == abort, spec.name
+        assert same_bits(series.ts, ts) and same_bits(series.values, values), spec.name
+    # reads are served from the store, with no sampling
+    assert evaluate_along(traj, late, 3000) is got[1]
+    assert sizes == [BLOCK, BLOCK]
+
+
+LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
+
+
+@pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS)
+def test_every_series_of_a_run_matches_the_pointwise_loop(name, monkeypatch):
+    # run --oracle computes the invariants' series and the oracle's on the
+    # coarse and the fine trajectory: each is the pointwise loop's, bit for
+    # bit, and the store holds them all
+    if name in LONG_WINDOWS:
+        data, threshold = json.loads(
+            (pathlib.Path(__file__).parent / "data" / f"{name}.json").read_text()), 1e-6
+    else:
+        data, threshold = catalog.get(name).data, catalog.get(name).drift_threshold
+    runs = []
+    original = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *args: runs.append(original(*args)) or runs[-1])
+    problem, exprs = cli.load_problem(data)
+    report, _, _ = cli.run_pipeline(problem, exprs, data, oracle=True, threshold=threshold)
+    assert len(runs) == 2
+    names = [entry["name"] for entry in report["invariants"]] + ["oracle"]
+    for traj in runs:
+        stored = traj._series.values()
+        assert sorted(spec.name for spec, _ in stored) == sorted(names)
+        for spec, series in stored:
+            ts, values, _, _ = ref.evaluate_along(traj, spec, 1024)
+            assert same_bits(series.ts, ts) and same_bits(series.values, values), spec.name
 
 
 def test_invariant_value_raises_outside_the_domain():

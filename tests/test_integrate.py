@@ -127,18 +127,20 @@ def test_domain_abort_status():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_domain_abort_when_a_dressing_channel_overflows():
+def test_a_step_that_overflows_a_dressed_channel_is_rejected():
     # the integrand exp(u) reads a channel u = 800*t, whose exponential
-    # leaves float range at t = 0.887; a trial stage past it is a domain
-    # failure like any other, so the run aborts there.  The channel that
-    # integrates exp(u) overflows first, and the dense rows built from its
-    # stages hold inf and nan without a numpy warning
-    b = parse("800")
-    p = free_particle(t_end=2.0)
-    traj = integrate(p, (b, Integrand((ex.ONE,), sign=1, channel=b)), (1e-8, 1e-8))
-    assert traj.termination.status == DOMAIN_ABORT
-    assert traj.termination.detail.startswith("overflow in ")
+    # leaves float range at t = 0.887.  The channel that integrates exp(u)
+    # is under step control, and just before that its trial stages, sums
+    # of stages near the largest float, overflow to inf without an error.
+    # A step that makes it inf is rejected, as one that makes a quadrature
+    # inf is, until the step reaches its floor: every accepted state is
+    # finite, and the dense rows built from the last stages hold inf and
+    # nan without a numpy warning
+    p, integrands, tol, quadratures = EARLY_ENDS["dressing_overflow"]
+    traj = integrate(p, integrands, (tol, tol), quadratures)
+    assert traj.termination.status == STEP_FAILURE
     assert traj.t_last == pytest.approx(math.log(np.finfo(float).max) / 800, abs=1e-3)
+    assert np.isfinite(traj.ys).all()
     assert not np.isfinite(traj.conts).all()
 
 
@@ -148,6 +150,17 @@ def test_a_quadrature_that_overflows_silently_ends_the_run():
     # a step that makes it inf is rejected all the same, until the step
     # reaches its floor
     p, integrands, tol, quadratures = EARLY_ENDS["quadrature_inf"]
+    traj = integrate(p, integrands, (tol, tol), quadratures)
+    assert traj.termination.status == STEP_FAILURE
+    assert traj.t_last == pytest.approx(34.8 ** 0.5, abs=0.02)
+    assert np.isfinite(traj.ys).all()
+
+
+def test_a_controlled_channel_that_overflows_silently_ends_the_run():
+    # the same channel under step control: an inf value would scale its own
+    # term of the error norm to 0 and leave the norm finite, so the step
+    # that makes it inf is rejected as the quadrature's is
+    p, integrands, tol, quadratures = EARLY_ENDS["channel_inf"]
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.termination.status == STEP_FAILURE
     assert traj.t_last == pytest.approx(34.8 ** 0.5, abs=0.02)
@@ -282,8 +295,9 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
 # runs that end before t_end, all but the blow-up with rejected steps: by
 # the error test, and by domain-creep retries, where a trial stage leaves
 # the domain and the step shrinks.  (problem, integrands, tol, quadratures);
-# in "quadrature_inf" the quadrature channel's t^200 * x^200 overflows to
-# inf without an error once t*x passes about 34.8, where x = t is 5.9
+# in "quadrature_inf" and "channel_inf" the channel's t^200 * x^200, a
+# quadrature in one and under step control in the other, overflows to inf
+# without an error once t*x passes about 34.8, where x = t is 5.9
 EARLY_ENDS = {
     "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
                                    t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
@@ -299,6 +313,7 @@ EARLY_ENDS = {
                               t0=0.0, t_end=3.0, x0=1.0, v0=0.0), (), 1e-8, ()),
     "quadrature_inf": (free_particle(t_end=10.0), (parse("x"),), 1e-8,
                        (parse("t^200 * x^200"),)),
+    "channel_inf": (free_particle(t_end=10.0), (parse("t^200 * x^200"),), 1e-8, ()),
 }
 LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
 
@@ -408,7 +423,7 @@ def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
     *_, counts = scalar_reference.integrate(p, channels, (tol, tol), f, len(quadratures))
     assert counts["attempts"] > len(traj.conts) or name == "blow_up"
     assert len(calls) == counts["calls"] == 2 + 6 * counts["attempts"] - counts["unreached"]
-    assert (counts["unreached"] > 0) == ("domain" in name or "overflow" in name)
+    assert (counts["unreached"] > 0) == ("domain" in name)
 
 
 def test_tolerance_validation():
