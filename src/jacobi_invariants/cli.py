@@ -75,6 +75,9 @@ class InputError(Exception):
 
 # ------------------------------------------------------------- serializer
 
+_string = json.encoder.encode_basestring_ascii  # json.dumps' encoder of a str
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats as %.12e."""
     pad = "  " * indent
@@ -82,7 +85,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad1}{json.dumps(str(k))}: {dumps(v, indent + 1)}'
+        items = [f'{pad1}{_string(str(k))}: {dumps(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     # exactly a list or tuple: a record (a NamedTuple) is no JSON array
@@ -91,12 +94,17 @@ def dumps(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad1}{dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             obj = 99.0 if obj > 0 else -99.0
         return "%.12e" % obj
+    # the text json.dumps gives each of these
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, bool) or obj is None:
+        return "null" if obj is None else ("true" if obj else "false")
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -2,6 +2,9 @@
 
 Constants are exact rationals (decimal literals are converted on parse), so
 cancellations like (1/2)*2 = 1 are structural rather than floating-point.
+A constant's value is an ``int`` when integral and a ``Fraction`` (with a
+denominator above 1) otherwise; the two compare and hash alike, and every
+division of constants goes through ``Fraction``.
 Named identifiers other than t and x are free scalar parameters.  Exponents
 of ``^`` are restricted to constant (t,x-free) expressions.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 # node kinds
@@ -37,6 +41,7 @@ SIN = "sin"
 COS = "cos"
 
 _FUNCS = (EXP, LN, SQRT, SIN, COS)
+_KIND = operator.attrgetter("kind")
 
 
 class ExprError(Exception):
@@ -100,7 +105,7 @@ class Expr:
 
     def __init__(self, kind, args=(), value=None, name=None):
         self.kind = kind
-        self.args = tuple(args)
+        self.args = args if type(args) is tuple else tuple(args)
         self.value = value
         self.name = name
         self._hash = None
@@ -177,11 +182,10 @@ def _coerce(v) -> Expr:
 # ---------------------------------------------------------------- builders
 
 def Rat(v, q=None) -> Expr:
-    if q is not None:
+    """The constant v, or v/q exactly: an int when integral, else a Fraction."""
+    if q is not None or not isinstance(v, (int, Fraction)):
         v = Fraction(v, q)
-    elif not isinstance(v, Fraction):
-        v = Fraction(v)
-    return Expr(RAT, value=v)
+    return Expr(RAT, value=v.numerator if v.denominator == 1 else v)
 
 
 def Param(name: str) -> Expr:
@@ -350,7 +354,7 @@ def _parse_term(tz) -> Expr:
             _descend(tz, off)
             rhs = _parse_unary(tz)
             if val == "/" and e.kind == RAT and rhs.kind == RAT and rhs.value != 0:
-                e = Rat(e.value / rhs.value)
+                e = Rat(e.value, rhs.value)
             elif val == "*" and e.kind == RAT and rhs.kind == RAT:
                 e = Rat(e.value * rhs.value)
             else:
@@ -393,7 +397,7 @@ def _parse_atom(tz) -> Expr:
     kind, val, off = tz.next()
     if kind == "num":
         try:
-            return Rat(Fraction(val))
+            return Rat(int(val) if val.isascii() and val.isdigit() else Fraction(val))
         except ValueError as err:  # beyond the int-from-string digit limit
             raise ParseError(str(err), off) from None
     if kind == "ident":
@@ -760,8 +764,8 @@ def compile_series(template: str, exprs: dict[str, Expr],
 
 def _literal(value) -> str | None:
     """Source of the float nearest ``value``, parenthesized when negative;
-    None when it lies beyond float range.  float(Fraction) is the same
-    integer true division as the source ``(n/d)``, so the bits agree."""
+    None when it lies beyond float range.  float() is the same integer
+    true division as the source ``(n/d)``, so the bits agree."""
     try:
         text = repr(float(value))
     except OverflowError:
@@ -944,7 +948,7 @@ def _rewrite(e: Expr) -> Expr:
 
 def _key(e: Expr):
     """Sort key of e; a RAT's second field is its nearest float, formed by
-    the integer true division float(Fraction) does, or ±inf for a constant
+    the integer true division float() does, or ±inf for a constant
     beyond float range, which numerator and denominator then order."""
     if e._key is not None:
         return e._key
@@ -961,17 +965,17 @@ def _key(e: Expr):
     elif k == VAR:
         key = (2, e.name)
     else:
-        key = (3, k, tuple(_key(a) for a in e.args))
+        key = (3, k, tuple(map(_key, e.args)))
     e._key = key
     return key
 
 
 # the coefficient of a term without a rational factor, and of a product
-# before its first rational factor: one shared object
-_FRACTION_ONE = Fraction(1)
+# before its first rational factor, which replaces it unmultiplied
+_COEFF_ONE = 1
 
 
-def _as_coeff_core(term: Expr) -> tuple[Fraction, Expr | None]:
+def _as_coeff_core(term: Expr) -> tuple[int | Fraction, Expr | None]:
     """Split a canonical term into (rational coefficient, remaining core)."""
     if term.kind == RAT:
         return term.value, None
@@ -979,10 +983,10 @@ def _as_coeff_core(term: Expr) -> tuple[Fraction, Expr | None]:
         rest = term.args[1:]
         core = rest[0] if len(rest) == 1 else Expr(MUL, rest)
         return term.args[0].value, core
-    return _FRACTION_ONE, term
+    return _COEFF_ONE, term
 
 
-def _with_coeff(c: Fraction, core: Expr | None) -> Expr | None:
+def _with_coeff(c: int | Fraction, core: Expr | None) -> Expr | None:
     if c == 0:
         return None
     if core is None:
@@ -1035,21 +1039,22 @@ def _c_add(args: list[Expr]) -> Expr:
 _MAX_FOLD_BITS = 4096
 
 
-def _too_big(base: Fraction, n: int) -> bool:
+def _too_big(base: int | Fraction, n: int) -> bool:
     size = max(abs(base.numerator), base.denominator).bit_length()
     return size > 1 and size * abs(n) > _MAX_FOLD_BITS
 
 
-def _rat_pow(base: Fraction, expo: Fraction) -> Fraction | None:
+def _rat_pow(base: int | Fraction, expo: int | Fraction) -> int | Fraction | None:
     """Exact rational power, or None when not exactly representable or
-    larger than _MAX_FOLD_BITS."""
+    larger than _MAX_FOLD_BITS.  An int to a negative power is a float, so
+    a negative power goes through Fraction."""
     if expo.denominator == 1:
         n = expo.numerator
         if base == 0:
-            return Fraction(0) if n > 0 else (Fraction(1) if n == 0 else None)
-        return None if _too_big(base, n) else base ** n
+            return 0 if n > 0 else (1 if n == 0 else None)
+        return None if _too_big(base, n) else (Fraction(base) if n < 0 else base) ** n
     if base == 0:
-        return Fraction(0) if expo > 0 else None
+        return 0 if expo > 0 else None
     q = expo.denominator
     if base < 0 and q % 2 == 0:
         return None
@@ -1182,12 +1187,15 @@ def _c_trig(kind: str, arg: Expr) -> Expr:
 def _c_mul(args: list[Expr]) -> Expr:
     # flatten, then expand products over sums to reach sum-of-products form
     flat: list[Expr] = []
+    sums = False
     for a in args:
         if a.kind == MUL:
             flat.extend(a.args)
+            sums = sums or ADD in map(_KIND, a.args)
         else:
             flat.append(a)
-    if any(f.kind == ADD for f in flat):
+            sums = sums or a.kind == ADD
+    if sums:
         terms: list[list[Expr]] = [[]]
         for f in flat:
             if f.kind == ADD:
@@ -1210,7 +1218,7 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
             else:
                 flat.append(f)
         work = flat
-        coeff = _FRACTION_ONE
+        coeff = _COEFF_ONE
         # base -> exponents, and base -> its first factor, in order
         powers: dict[Expr, list[Expr]] = {}
         first: dict[Expr, Expr] = {}
@@ -1218,15 +1226,17 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
         for f in work:
             if f.kind == RAT:
                 # the first rational factor is the coefficient so far
-                coeff = f.value if coeff is _FRACTION_ONE else coeff * f.value
+                coeff = f.value if coeff is _COEFF_ONE else coeff * f.value
             elif f.kind == EXP:
                 exp_args.append(f.args[0])
             else:
                 b, c = f.args if f.kind == POW else (f, ONE)
-                if b not in powers:
-                    powers[b] = []
+                exps = powers.get(b)
+                if exps is None:
+                    powers[b] = [c]
                     first[b] = f
-                powers[b].append(c)
+                else:
+                    exps.append(c)
         if coeff == 0:
             return ZERO
         out: list[Expr] = []

@@ -401,36 +401,38 @@ def _dense_rows(ys: array, stages: array, k7: tuple[float, ...], n: int) -> np.n
     """The quartic dense-output coefficients of every accepted step, shape
     (steps, 5, n), from the flat buffers of ``_loop``: the accepted states
     and the stored stages; k7 is the derivative at the last accepted state.
+    It is a view of a (5, n, steps) array, the stage buffer copied
+    transposed once, so that each operation runs on contiguous rows.
 
     With d = y_new - y and p = h*k1 - d, the rows are y, d, p,
     d - h*k7 - p and h*(sum of _D[s]*k_s), as ``Trajectory.sample`` reads
     them.  Each is formed element-wise in the order of its scalar formula,
     the sum left to right over the nonzero weights, so every coefficient
     is the Python float a per-step computation gives, inf and nan
-    included.  Everything is written into the one array returned; row 3
+    included.  Everything is written into that one array; row 3
     is the scratch space of row 4's sum before it is formed itself.
     """
     import numpy as np
 
     width = 1 + n * len(_STORED)
     steps = len(stages) // width
-    rows = np.empty((steps, 5, n))
+    rows = np.empty((5, n, steps))
     if not steps:
-        return rows
-    stored = np.frombuffer(stages).reshape(steps, width)
-    h = stored[:, :1]
-    k = dict(zip(_STORED, (stored[:, 1 + j * n:1 + (j + 1) * n] for j in range(len(_STORED)))))
-    y = np.frombuffer(ys).reshape(-1, n)
-    y0, d, p, r3, r4 = (rows[:, j] for j in range(5))
+        return rows.transpose(2, 0, 1)
+    stored = np.frombuffer(stages).reshape(steps, width).T.copy()
+    h = stored[:1]
+    k = dict(zip(_STORED, (stored[1 + j * n:1 + (j + 1) * n] for j in range(len(_STORED)))))
+    y = np.frombuffer(ys).reshape(-1, n).T
+    y0, d, p, r3, r4 = rows
 
     # k7 of a step is the next step's k1, and the given k7 for the last
     def times_k7(w_head, w_last, out):
-        np.multiply(w_head, k[1][1:], out=out[:-1])
-        np.multiply(w_last, k7, out=out[-1])
+        np.multiply(w_head, k[1][:, 1:], out=out[:, :-1])
+        np.multiply(w_last, k7, out=out[:, -1])
 
     with np.errstate(all="ignore"):
-        np.copyto(y0, y[:-1])
-        np.subtract(y[1:], y[:-1], out=d)
+        np.copyto(y0, y[:, :-1])
+        np.subtract(y[:, 1:], y[:, :-1], out=d)
         np.multiply(h, k[1], out=p)
         np.subtract(p, d, out=p)
         first, *rest = (s for s, w in enumerate(_D, 1) if w != 0.0)
@@ -442,10 +444,10 @@ def _dense_rows(ys: array, stages: array, k7: tuple[float, ...], n: int) -> np.n
                 np.multiply(_D[s - 1], k[s], out=r3)
             np.add(r4, r3, out=r4)
         np.multiply(h, r4, out=r4)
-        times_k7(h[:-1], h[-1], r3)
+        times_k7(h[:, :-1], h[:, -1], r3)
         np.subtract(d, r3, out=r3)
         np.subtract(r3, p, out=r3)
-    return rows
+    return rows.transpose(2, 0, 1)
 
 
 def integrate(p: JacobiProblem,

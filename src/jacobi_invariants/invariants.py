@@ -377,14 +377,14 @@ def _antiderivative_t(g: Expr) -> Expr | None:
         if (core.kind == ex.POW and core.args[0].kind == ex.VAR
                 and core.args[1].kind == ex.RAT and core.args[1].value != -1):
             k = core.args[1].value
-            parts.append(ex.Rat(c / (k + 1)) * ex.T ** ex.Rat(k + 1))
+            parts.append(ex.Rat(c, k + 1) * ex.T ** ex.Rat(k + 1))
             continue
         if core.kind == ex.EXP:
             arg = core.args[0]
             slope = simplify(ex.diff(arg, "t"))
             if slope.kind == ex.RAT and slope.value != 0 and \
                     simplify(ex.diff(slope, "t")) == ex.ZERO:
-                parts.append(ex.Rat(c / slope.value) * core)
+                parts.append(ex.Rat(c, slope.value) * core)
                 continue
         return None
     out = parts[0]

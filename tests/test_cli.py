@@ -695,6 +695,43 @@ def test_dumps_refuses_a_record():
         dumps({"termination": termination})
 
 
+def _dumps_by_json(obj, indent=0):
+    """dumps written with one json.dumps call per key and leaf: the text
+    dumps keeps."""
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad1}{json.dumps(str(k))}: {_dumps_by_json(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        items = [f"{pad1}{_dumps_by_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    return dumps(obj, indent)  # a float
+
+
+def test_dumps_writes_the_text_of_json_dumps_per_leaf():
+    # a run whose parameter name and expression strings are not ASCII, and
+    # leaves of every kind: keys and strings escaped as json.dumps escapes
+    # them, true/false/null and ints as it writes them
+    data = dict(JAC_FILE, B="κ*exp(-(t+x)/2)", rho1="κ", delta1="2*κ*exp((t+x)/2)",
+                params={"κ": 1.0})
+    problem, exprs = load_problem(data)
+    report, code, _ = cli.run_pipeline(problem, exprs, data)
+    assert code == 0 and report["problem"]["params"] == {"κ": 1.0}
+    leaves = {"κ ω": ["é", "\u2028", "\x00\x1f\x7f", 'q"\\/', "🙂"], "t": True, "f": False,
+              "none": None, "ints": [0, -7, 10 ** 30], 3: {}, "e": []}
+    for obj in (report, leaves, "κ", 5, None):
+        text = dumps(obj)
+        assert text == _dumps_by_json(obj) and text.isascii()
+    assert '"B": "\\u03ba*exp(-(t+x)/2)"' in dumps(report)
+
+
 def test_load_problem_rejects_bad_domain():
     from jacobi_invariants.cli import InputError
 

@@ -474,6 +474,52 @@ def test_rational_print_parse_roundtrip(q):
     assert simplify(parse(pprint(Rat(q)))) == Rat(q)
 
 
+def test_constants_divide_exactly():
+    # a constant's value is an int when integral and a Fraction otherwise;
+    # division and negative powers of constants stay exact
+    assert parse("2^-3").value == Fraction(1, 8)
+    assert parse("3^-2").value == Fraction(1, 9)  # 1/9 is no float
+    assert simplify(parse("(3*x)^-2")) == parse("(1/9) * x^-2")
+    assert type(parse("6/3").value) is int and parse("6/3").value == 2
+    assert parse("6/4").value == Fraction(3, 2)
+    assert type(parse("6/4").value) is Fraction
+    assert type(Rat(True).value) is int and Rat(True) == Rat(1)
+    whole, halves = Rat(2), Rat(Fraction(4, 2))
+    assert type(halves.value) is int
+    assert whole == halves and hash(whole) == hash(halves)
+    assert ex._key(whole) == ex._key(halves) and pprint(whole) == pprint(halves)
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_rat_value_is_an_int_exactly_when_integral(a, b):
+    value = Rat(a, b).value
+    assert value == Fraction(a, b)
+    assert (type(value) is int) == (a % b == 0)
+
+
+def test_an_integer_polynomial_builds_no_fraction(monkeypatch):
+    # integer coefficients fold with int arithmetic: parse, simplify, both
+    # derivatives and a zero check decided without sampling build no Fraction
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    e = parse("3*t^2*x^4 - 2*x + 7 + x*(x+1)")
+    s = simplify(e)
+    for var in "tx":
+        diff(e, var)
+    box = (0.0, 1.0, 0.0, 1.0)
+    monkeypatch.setattr(ex, "sample_points", lambda *args: pytest.fail("sampled"))
+    assert not zero_check(e, box) and zero_check(s - s, box).structural
+    assert not built
+    Rat(1, 2)
+    assert len(built) == 1
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_simplify_idempotent_hypothesis(seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacobi_invariants import expr as ex
-from jacobi_invariants.expr import Param, Rat, parse, simplify
+from jacobi_invariants.expr import Param, Rat, parse, pprint, simplify
 from jacobi_invariants.integrate import evaluate_along, integrate
 from jacobi_invariants.invariants import (
     FIRST_INTEGRAL,
@@ -23,6 +23,7 @@ from jacobi_invariants.invariants import (
     nonlocal_general_signed,
     nonlocal_timedep_phi0,
     product_first_integral,
+    _antiderivative_t,
 )
 from jacobi_invariants.problem import JacobiProblem
 from helpers import local_exprs, on_states, spec_value
@@ -284,6 +285,18 @@ def test_general_degenerate_denominator():
                       domain=(0.0, 1.0, -1.0, 1.0))
     with pytest.raises(DegenerateDenominatorError):
         general_aux(p, Rat(1), ex.ZERO)
+
+
+@pytest.mark.parametrize("text, antiderivative", [
+    ("t^2", "((1/3) * (t ^ 3))"),
+    ("2*t^2", "((2/3) * (t ^ 3))"),
+    ("exp(3*t)", "((1/3) * exp((3 * t)))"),
+    ("5*exp(3*t)", "((5/3) * exp((3 * t)))"),
+    ("(1/2)*exp((2/3)*t)", "((3/4) * exp(((2/3) * t)))")])
+def test_antiderivative_coefficients_are_exact(text, antiderivative):
+    # an integral coefficient over an integral exponent or slope is a
+    # rational, never the float an int true division gives
+    assert pprint(_antiderivative_t(parse(text))) == antiderivative
 
 
 # ------------------------------------------------------- drift invariants

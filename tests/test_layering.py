@@ -90,3 +90,28 @@ def test_start_up_loads_no_dataclasses_or_inspect(tmp_path, name):
     # in inspect, ast, dis and tokenize
     assert not _loaded(name, "import jacobi_invariants")
     assert not _loaded(name, _check_and_catalog_list(tmp_path)[0])
+
+
+def _float_divisions_into_rat(tree):
+    """Line numbers of ``Rat(...)`` and ``ex.Rat(...)`` calls whose
+    arguments hold a true division."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "Rat":
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+                   for sub in ast.walk(arg)):
+                yield node.lineno
+
+
+def test_no_true_division_builds_a_constant():
+    # a constant's value may be an int, and an int true division is a
+    # float: an exact quotient is Rat(n, d)
+    assert list(_float_divisions_into_rat(ast.parse("ex.Rat(c / k) + Rat(2 * (a / b))"))) == [1, 1]
+    found = {path.name: lines for path in sorted(SOURCE.glob("*.py"))
+             if (lines := list(_float_divisions_into_rat(ast.parse(path.read_text()))))}
+    assert not found
