@@ -115,10 +115,14 @@ _NUM_KEYS = ("t0", "t_end", "x0", "v0")
 
 
 def _number(value) -> float:
-    """A JSON number as a float; true and false are not numbers."""
+    """A JSON number as a float, an integer beyond float range as an
+    infinity of its sign; true and false are not numbers."""
     if isinstance(value, bool):
         raise TypeError("boolean is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_problem(data: dict) -> tuple[JacobiProblem, dict[str, Expr]]:
@@ -129,7 +133,8 @@ def load_problem(data: dict) -> tuple[JacobiProblem, dict[str, Expr]]:
             raise InputError(f"missing required key {key!r}")
     exprs: dict[str, Expr] = {}
     for key in _EXPR_KEYS:
-        if key in data and data[key] is not None:
+        # an optional expression may be null, as if absent; phi and B not
+        if data.get(key) is not None or key in ("phi", "B"):
             if not isinstance(data[key], str):
                 raise InputError(f"{key!r} must be an expression string")
             try:
@@ -173,7 +178,7 @@ def read_problem_file(path: str) -> tuple[JacobiProblem, dict[str, Expr], dict]:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
     problem, exprs = load_problem(data)
     return problem, exprs, data
@@ -383,15 +388,16 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
 
 # ------------------------------------------------------------- commands
 
+# what a problem file can make loading or checking raise: each is an
+# ``error:`` line and exit 2
+_INPUT_ERRORS = (InputError, ex.UnboundParameterError, ex.IllPosedDomainError)
+
+
 def cmd_check(args) -> int:
     try:
         problem, exprs, data = read_problem_file(args.file)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         report, _ = run_checks(problem, exprs)
-    except (InputError, ex.IllPosedDomainError) as err:
+    except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     report = {"schema": SCHEMA_VERSION, "problem": _problem_echo(data), **report}
@@ -405,7 +411,7 @@ def cmd_run(args) -> int:
         report, code, traj = run_pipeline(
             problem, exprs, data, tol=args.tol, grid=args.grid,
             oracle=args.oracle, threshold=args.threshold)
-    except (InputError, ex.IllPosedDomainError, IntegrationError) as err:
+    except (*_INPUT_ERRORS, IntegrationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out == "csv":

@@ -1208,7 +1208,57 @@ def _c_mul(args: list[Expr]) -> Expr:
 
 
 def _c_mul_flat(factors: list[Expr]) -> Expr:
-    """Product of canonical non-ADD factors."""
+    """Product of canonical non-ADD factors.
+
+    Most products multiply factors of distinct bases, which need no
+    merging, so one pass comes first: it flattens MUL factors one level,
+    folds the rationals into the coefficient and keeps every other factor
+    node as it is.  At the first base seen twice (a power's base, or the
+    factor itself) or a second exp factor it hands the product to
+    ``_c_mul_merge``.  Otherwise it gives the merge loop's tree: each
+    base's merged factor is the factor itself, and a lone exp factor of
+    canonical input is its own normal form.  A lone rational factor is
+    reused as the coefficient node.
+    """
+    flat: list[Expr] = []
+    for f in factors:
+        if f.kind == MUL:
+            flat.extend(f.args)
+        else:
+            flat.append(f)
+    coeff = _COEFF_ONE
+    rat = None  # the rational factor; False once there is a second
+    out: list[Expr] = []
+    bases: set[Expr] = set()
+    exp = False
+    for f in flat:
+        k = f.kind
+        if k == RAT:
+            coeff = f.value if coeff is _COEFF_ONE else coeff * f.value
+            rat = f if rat is None else False
+        elif k == EXP:
+            if exp:
+                return _c_mul_merge(factors)
+            exp = True
+            out.append(f)
+        else:
+            b = f.args[0] if k == POW else f
+            if b in bases:
+                return _c_mul_merge(factors)
+            bases.add(b)
+            out.append(f)
+    if coeff == 0:
+        return ZERO
+    if len(out) > 1:
+        out.sort(key=_key)
+    if coeff != 1 or not out:
+        out.insert(0, rat or Rat(coeff))
+    return out[0] if len(out) == 1 else Expr(MUL, tuple(out))
+
+
+def _c_mul_merge(factors: list[Expr]) -> Expr:
+    """``_c_mul_flat`` by merging: the powers of each base are summed into
+    one, the exp factors into one, and what that folds is merged again."""
     work = list(factors)
     for _ in range(8):  # exp extraction can feed new factors back in once
         flat: list[Expr] = []

@@ -165,6 +165,39 @@ def test_non_utf8_problem_file_exit_2(tmp_path, capsys, command):
     assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
 
 
+def _problem_text(**change) -> str:
+    return json.dumps(dict(PG18_FILE, **change))
+
+
+# problem files that must be refused as input errors, with a fragment of
+# the message: one row per hostile input
+HOSTILE_FILES = {
+    "phi_null": (_problem_text(phi=None), "'phi' must be an expression string"),
+    "B_null": (_problem_text(B=None), "'B' must be an expression string"),
+    "t0_beyond_floats": (_problem_text(t0=10 ** 400), "'t0' must be finite"),
+    "param_beyond_floats": (_problem_text(params={"k": -10 ** 400}), "'k' must be finite"),
+    "domain_beyond_floats": (_problem_text(domain=[0.0, 0.4, 0.4, 10 ** 400]),
+                             "'domain' must be finite"),
+    "digits_past_the_int_limit": (_problem_text(t0=0).replace('"t0": 0', '"t0": 1' + "0" * 5000),
+                                  "is not valid JSON"),
+    "B_unbound": (_problem_text(B="k*x"), "parameter 'k' is not bound"),
+    "phi_unbound": (_problem_text(phi="k*x"), "parameter 'k' is not bound"),
+    "delta2_unbound": (_problem_text(delta2="k - x^2/2"), "parameter 'k' is not bound"),
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["run"], ["run", "--oracle"]],
+                         ids=["check", "run", "run_oracle"])
+@pytest.mark.parametrize("name", HOSTILE_FILES)
+def test_hostile_problem_files_exit_2(tmp_path, capsys, name, command):
+    text, message = HOSTILE_FILES[name]
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, out, err = run_main([*command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, reason", [
     ({"B": "x/2^2000"}, "constant beyond float range"),
     ({"B": "sin(x*x*x)", "x0": 1e120}, "sin of infinite value"),

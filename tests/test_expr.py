@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobi_invariants import expr as ex
@@ -558,6 +558,38 @@ def test_a_power_no_other_factor_shares_comes_back_as_the_same_node():
     assert len(s.args) == len(factors)
     for factor in factors:
         assert any(o is factor for o in s.args), pprint(factor)
+
+
+# canonical non-ADD factors: bases that repeat (x, t, k, ln(x), a nested
+# power that folds when squared), exp factors, rationals zero, integral and
+# not, and products that flatten into the list
+PRODUCT_FACTORS = [simplify(parse(text)) for text in (
+    "x", "x^2", "x^(-1)", "x^(1/2)", "(x^(5/2))^(1/2)", "t", "t^(-3)", "k", "k^(1/3)",
+    "ln(x)", "ln(x)^2", "sin(t)", "(t + x)^(1/3)", "exp(t)", "exp(x^2)", "exp(-t - x)",
+    "0", "1", "-1", "2", "3/2", "-1/3", "2*t*x^3", "(-5/7)*k*sin(t)", "x*exp(t)",
+    "(1/2)*x^(-2)",
+)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_FACTORS), max_size=6))
+# (x^(5/2))^(1/2) squared folds to x^(5/2), which the merge loop merges
+# with x^(-1) in a second round
+@example([PRODUCT_FACTORS[4], PRODUCT_FACTORS[2], PRODUCT_FACTORS[4]])
+def test_the_one_pass_product_gives_the_merge_loops_tree(factors):
+    one_pass, merged = ex._c_mul_flat(factors), ex._c_mul_merge(factors)
+    assert one_pass == merged
+    assert pprint(one_pass) == pprint(merged)
+
+
+def test_a_product_of_distinct_bases_needs_no_merge(monkeypatch):
+    monomial = simplify(parse("(7/5)*t^2*x^(-3)"))
+    k = Param("k")
+    for name in ("_c_pow", "_c_add", "_c_mul_merge"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    product = ex._c_mul([monomial, k])
+    assert pprint(product) == "((7/5) * k * (t ^ 2) * (x ^ (-3)))"
+    assert product.args[0] is monomial.args[0]
 
 
 # ------------------------------------------------------------- zero check
