@@ -3,8 +3,10 @@
 Constants are exact rationals (decimal literals are converted on parse), so
 cancellations like (1/2)*2 = 1 are structural rather than floating-point.
 A constant's value is an ``int`` when integral and a ``Fraction`` (with a
-denominator above 1) otherwise; the two compare and hash alike, and every
-division of constants goes through ``Fraction``.
+denominator above 1) otherwise; the two compare and hash alike.  The
+simplifier folds constants on (numerator, denominator) integer pairs and
+builds one value per result; the parser divides constants through
+``Fraction``.
 Named identifiers other than t and x are free scalar parameters.  Exponents
 of ``^`` are restricted to constant (t,x-free) expressions.
 
@@ -128,7 +130,11 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.kind, self.value, self.name, self.args))
+            value = self.value
+            if type(value) is Fraction:
+                # the reduced pair hashes without Fraction's modular inverse
+                value = value.as_integer_ratio()
+            self._hash = hash((self.kind, value, self.name, self.args))
         return self._hash
 
     def __repr__(self):
@@ -183,6 +189,8 @@ def _coerce(v) -> Expr:
 
 def Rat(v, q=None) -> Expr:
     """The constant v, or v/q exactly: an int when integral, else a Fraction."""
+    if type(v) is int and q is None:
+        return Expr(RAT, value=v)
     if q is not None or not isinstance(v, (int, Fraction)):
         v = Fraction(v, q)
     return Expr(RAT, value=v.numerator if v.denominator == 1 else v)
@@ -954,7 +962,7 @@ def _key(e: Expr):
         return e._key
     k = e.kind
     if k == RAT:
-        n, d = e.value.numerator, e.value.denominator
+        n, d = e.value.as_integer_ratio()
         try:
             value = n / d
         except OverflowError:
@@ -970,9 +978,47 @@ def _key(e: Expr):
     return key
 
 
-# the coefficient of a term without a rational factor, and of a product
-# before its first rational factor, which replaces it unmultiplied
-_COEFF_ONE = 1
+def _fold(n: int, d: int) -> int | Fraction:
+    """The value n/d, for d > 0, in a constant's form: an int when d
+    divides n, else a Fraction, whose construction reduces the pair.  A
+    node of a value in that form needs no ``Rat``: ``Expr(RAT, value=v)``."""
+    if d == 1:
+        return n
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _product(values: list) -> int | Fraction:
+    """The product of constant values: numerators and denominators are
+    multiplied as integers and the result is built once.  A lone value is
+    returned as it is, and no values multiply to 1."""
+    if len(values) < 2:
+        return values[0] if values else 1
+    n = d = 1
+    for v in values:
+        if type(v) is int:
+            n *= v
+        else:
+            vn, vd = v.as_integer_ratio()
+            n *= vn
+            d *= vd
+    return _fold(n, d)
+
+
+def _sum(values: list) -> int | Fraction:
+    """The sum of constant values, cross-multiplied on integer pairs and
+    built once."""
+    n, d = 0, 1
+    for v in values:
+        if type(v) is int:
+            n += v * d
+        else:
+            vn, vd = v.as_integer_ratio()
+            if vd == d:
+                n += vn
+            else:
+                n = n * vd + vn * d
+                d *= vd
+    return _fold(n, d)
 
 
 def _as_coeff_core(term: Expr) -> tuple[int | Fraction, Expr | None]:
@@ -983,19 +1029,22 @@ def _as_coeff_core(term: Expr) -> tuple[int | Fraction, Expr | None]:
         rest = term.args[1:]
         core = rest[0] if len(rest) == 1 else Expr(MUL, rest)
         return term.args[0].value, core
-    return _COEFF_ONE, term
+    return 1, term
 
 
 def _with_coeff(c: int | Fraction, core: Expr | None) -> Expr | None:
-    if c == 0:
-        return None
+    # a Fraction is never 0 or 1
+    if type(c) is int:
+        if c == 0:
+            return None
+        if c == 1 and core is not None:
+            return core
+    coeff = Expr(RAT, value=c)  # c is in a constant's form already
     if core is None:
-        return Rat(c)
-    if c == 1:
-        return core
+        return coeff
     if core.kind == MUL:
-        return Expr(MUL, (Rat(c),) + core.args)
-    return Expr(MUL, (Rat(c), core))
+        return Expr(MUL, (coeff,) + core.args)
+    return Expr(MUL, (coeff, core))
 
 
 def _c_add(args: list[Expr]) -> Expr:
@@ -1005,24 +1054,25 @@ def _c_add(args: list[Expr]) -> Expr:
             flat.extend(a.args)
         else:
             flat.append(a)
-    # core -> [coefficient, the term itself while no other term shares
-    # the core]; coefficients are folded only where terms combine
+    # core -> [the term itself while no other term shares the core, then
+    # the coefficients]; coefficients are summed only where terms combine
     acc: dict[Expr | None, list] = {}
     for term in flat:
         c, core = _as_coeff_core(term)
         entry = acc.get(core)
         if entry is None:
-            acc[core] = [c, term]
+            acc[core] = [term, c]
         else:
-            entry[0] += c
-            entry[1] = None
+            entry[0] = None
+            entry.append(c)
     out = []
-    for core, (c, term) in acc.items():
+    for core, entry in acc.items():
+        term = entry[0]
         if term is None:
-            term = _with_coeff(c, core)
+            term = _with_coeff(_sum(entry[1:]), core)
             if term is None:
                 continue
-        elif not c:
+        elif type(entry[1]) is int and entry[1] == 0:  # a Fraction is never 0
             continue
         out.append(term)
     if not out:
@@ -1039,31 +1089,26 @@ def _c_add(args: list[Expr]) -> Expr:
 _MAX_FOLD_BITS = 4096
 
 
-def _too_big(base: int | Fraction, n: int) -> bool:
-    size = max(abs(base.numerator), base.denominator).bit_length()
-    return size > 1 and size * abs(n) > _MAX_FOLD_BITS
-
-
 def _rat_pow(base: int | Fraction, expo: int | Fraction) -> int | Fraction | None:
     """Exact rational power, or None when not exactly representable or
-    larger than _MAX_FOLD_BITS.  An int to a negative power is a float, so
-    a negative power goes through Fraction."""
-    if expo.denominator == 1:
-        n = expo.numerator
-        if base == 0:
-            return 0 if n > 0 else (1 if n == 0 else None)
-        return None if _too_big(base, n) else (Fraction(base) if n < 0 else base) ** n
-    if base == 0:
-        return 0 if expo > 0 else None
-    q = expo.denominator
-    if base < 0 and q % 2 == 0:
+    larger than _MAX_FOLD_BITS.  The power is taken on the integer pair
+    of the base (or of its exact root), whose powers stay coprime."""
+    n, d = base.as_integer_ratio()
+    p, q = expo.as_integer_ratio()
+    if n == 0:
+        return 0 if p > 0 else (1 if p == 0 else None)
+    if q != 1:
+        if n < 0 and q % 2 == 0:
+            return None
+        n, d = _exact_root(n, q), _exact_root(d, q)
+        if n is None or d is None:
+            return None
+    size = max(abs(n), d).bit_length()
+    if size > 1 and size * abs(p) > _MAX_FOLD_BITS:
         return None
-    rn = _exact_root(base.numerator, q)
-    rd = _exact_root(base.denominator, q)
-    if rn is None or rd is None:
-        return None
-    root = Fraction(rn, rd)
-    return None if _too_big(root, expo.numerator) else root ** expo.numerator
+    if p < 0:  # an int to a negative power would be a float
+        n, d, p = (d, n, -p) if n > 0 else (-d, -n, -p)
+    return _fold(n ** p, d ** p)
 
 
 def _exact_root(n: int, q: int) -> int | None:
@@ -1089,7 +1134,7 @@ def _exact_root(n: int, q: int) -> int | None:
 def _c_pow(base: Expr, expo: Expr) -> Expr:
     if expo.kind != RAT and (depends_on(expo, "t") or depends_on(expo, "x")):
         raise NonConstantExponentError(f"exponent {expo} depends on t or x")
-    if expo.kind == RAT:
+    if expo.kind == RAT and type(expo.value) is int:  # a Fraction is never 0 or 1
         if expo.value == 0:
             return ONE
         if expo.value == 1:
@@ -1217,8 +1262,9 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
     factor itself) or a second exp factor it hands the product to
     ``_c_mul_merge``.  Otherwise it gives the merge loop's tree: each
     base's merged factor is the factor itself, and a lone exp factor of
-    canonical input is its own normal form.  A lone rational factor is
-    reused as the coefficient node.
+    canonical input is its own normal form.  The rational factors are
+    multiplied once, as integer pairs (``_product``); a lone one is reused
+    as the coefficient node.
     """
     flat: list[Expr] = []
     for f in factors:
@@ -1226,7 +1272,7 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
             flat.extend(f.args)
         else:
             flat.append(f)
-    coeff = _COEFF_ONE
+    rats: list = []  # the values of the rational factors
     rat = None  # the rational factor; False once there is a second
     out: list[Expr] = []
     bases: set[Expr] = set()
@@ -1234,7 +1280,7 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
     for f in flat:
         k = f.kind
         if k == RAT:
-            coeff = f.value if coeff is _COEFF_ONE else coeff * f.value
+            rats.append(f.value)
             rat = f if rat is None else False
         elif k == EXP:
             if exp:
@@ -1247,12 +1293,14 @@ def _c_mul_flat(factors: list[Expr]) -> Expr:
                 return _c_mul_merge(factors)
             bases.add(b)
             out.append(f)
-    if coeff == 0:
+    coeff = _product(rats)
+    unit = type(coeff) is int  # a Fraction is never 0 or 1
+    if unit and coeff == 0:
         return ZERO
     if len(out) > 1:
         out.sort(key=_key)
-    if coeff != 1 or not out:
-        out.insert(0, rat or Rat(coeff))
+    if not (unit and coeff == 1) or not out:
+        out.insert(0, rat or Expr(RAT, value=coeff))
     return out[0] if len(out) == 1 else Expr(MUL, tuple(out))
 
 
@@ -1268,15 +1316,14 @@ def _c_mul_merge(factors: list[Expr]) -> Expr:
             else:
                 flat.append(f)
         work = flat
-        coeff = _COEFF_ONE
+        rats: list = []  # the values of the rational factors
         # base -> exponents, and base -> its first factor, in order
         powers: dict[Expr, list[Expr]] = {}
         first: dict[Expr, Expr] = {}
         exp_args: list[Expr] = []
         for f in work:
             if f.kind == RAT:
-                # the first rational factor is the coefficient so far
-                coeff = f.value if coeff is _COEFF_ONE else coeff * f.value
+                rats.append(f.value)
             elif f.kind == EXP:
                 exp_args.append(f.args[0])
             else:
@@ -1287,8 +1334,10 @@ def _c_mul_merge(factors: list[Expr]) -> Expr:
                     first[b] = f
                 else:
                     exps.append(c)
-        if coeff == 0:
+        coeff = _product(rats)
+        if type(coeff) is int and coeff == 0:  # a Fraction is never 0
             return ZERO
+        rats = [coeff]  # and what the merges fold to a constant
         out: list[Expr] = []
         retry: list[Expr] = []
         for b, f in first.items():
@@ -1296,7 +1345,7 @@ def _c_mul_merge(factors: list[Expr]) -> Expr:
             # a base no other factor shares keeps its node and its caches
             merged = f if len(exps) == 1 else _c_pow(b, _c_add(exps))
             if merged.kind == RAT:
-                coeff *= merged.value
+                rats.append(merged.value)
             elif merged.kind in (MUL, EXP, ADD):
                 retry.append(merged)  # e.g. pulled-out root coefficient
             else:
@@ -1313,23 +1362,25 @@ def _c_mul_merge(factors: list[Expr]) -> Expr:
             if merged.kind == EXP:
                 out.append(merged)
             elif merged.kind == RAT:
-                coeff *= merged.value
+                rats.append(merged.value)
             else:
                 retry.append(merged)
+        coeff = _product(rats)
+        unit = type(coeff) is int
         if not retry:
-            if coeff == 0:
+            if unit and coeff == 0:
                 return ZERO
             out.sort(key=_key)
             if not out:
-                return Rat(coeff)
-            if coeff != 1:
-                out = [Rat(coeff)] + out
+                return Expr(RAT, value=coeff)
+            if not (unit and coeff == 1):
+                out = [Expr(RAT, value=coeff)] + out
             if len(out) == 1:
                 return out[0]
             return Expr(MUL, tuple(out))
         work = out + retry
-        if coeff != 1:
-            work.append(Rat(coeff))
+        if not (unit and coeff == 1):
+            work.append(Expr(RAT, value=coeff))
         if any(f.kind == ADD for f in work):
             return _c_mul(work)
     raise ExprError("product normalization did not converge")

@@ -520,6 +520,97 @@ def test_an_integer_polynomial_builds_no_fraction(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_fold_builds_one_fraction_per_result(monkeypatch):
+    # coefficients fold on integer pairs: a product or a sum of several
+    # non-integral constants builds its value once, and an integral one
+    # builds none; the tree is flat, since the parser folds (1/2)*(2/3)
+    # itself and nests a + b + c
+    product = ex.Expr(ex.MUL, (Rat(1, 2), Rat(2, 3), Rat(3, 4), Rat(5, 7), X))
+    total = ex.Expr(ex.ADD, (product, Rat(1, 6) * X, Rat(5, 12) * X))
+    want = simplify(parse("(16/21)*x"))
+    whole = ex.Expr(ex.ADD, (ex.Expr(ex.MUL, (Rat(2, 3), Rat(3, 2), T)),
+                             Rat(2, 3) * X, Rat(1, 3) * X))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert pprint(simplify(whole)) == "(t + x)" and not built
+    assert simplify(total) == want
+    assert len(built) == 2  # 5/28, then 16/21
+
+
+# rationals small and of 1,000 bits and more, of either sign
+RATIONALS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(lambda n, d, sign: Fraction(sign * n, d),
+              st.integers(min_value=2 ** 1000, max_value=2 ** 1100),
+              st.integers(min_value=1, max_value=2 ** 1050), st.sampled_from([1, -1])),
+)
+# distinct canonical cores; None is the core of a constant term
+CORES = [None, *(simplify(parse(text)) for text in ("x", "t^2", "k*sin(t)", "x^(1/2)*exp(t)"))]
+
+
+def _coefficient(node):
+    c, _ = ex._as_coeff_core(node)
+    assert (type(c) is int) == (Fraction(c).denominator == 1), pprint(node)
+    return Fraction(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, max_size=5), st.lists(st.sampled_from(CORES[1:]), unique=True, max_size=3),
+       st.randoms(use_true_random=False))
+@example([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)], [CORES[1]], random.Random(0))
+@example([Fraction(2, 3), Fraction(3, 2), 0], [], random.Random(0))
+def test_products_fold_coefficients_as_fraction_arithmetic(values, cores, rng):
+    factors = [Rat(v) for v in values] + cores
+    rng.shuffle(factors)
+    want = math.prod(values, start=Fraction(1))
+    for product in (ex._c_mul_flat(factors), ex._c_mul_merge(factors)):
+        if want == 0:
+            assert product == ex.ZERO
+            continue
+        assert _coefficient(product) == want
+        assert ex._as_coeff_core(product)[1] == (ex._c_mul_flat(cores) if cores else None)
+
+
+# the sum a core's coefficients reach: 0, an int or a non-integer
+TARGETS = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction), RATIONALS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(RATIONALS, min_size=2, max_size=4), TARGETS),
+                min_size=1, max_size=len(CORES)),
+       st.randoms(use_true_random=False))
+def test_sums_fold_coefficients_as_fraction_arithmetic(groups, rng):
+    # at least 3 terms per shared core, the last one making the sum reach
+    # its target
+    terms, want = [], {}
+    for core, (values, target) in zip(CORES, groups):
+        values = values + [target - sum(values)]
+        terms += [simplify(ex.Expr(ex.MUL, (Rat(v), core))) if core else Rat(v) for v in values]
+        if target:
+            want[core] = target
+    rng.shuffle(terms)
+    s = ex._c_add(terms)
+    got = {ex._as_coeff_core(term)[1]: _coefficient(term)
+           for term in (s.args if s.kind == ex.ADD else (s,)) if term != ex.ZERO}
+    assert got == want
+
+
+def test_equal_constants_are_one_key_whatever_built_them():
+    for same in ([Rat(2), Rat(Fraction(4, 2)), parse("6/3")],
+                 [parse("6/4"), Rat(3, 2), Rat(Fraction(3, 2))],
+                 [Rat(Fraction(10 ** 400, 3)), Rat(10 ** 400, 3), parse(f"{10 ** 400}/3")]):
+        table = {same[0]: "found", ex.Expr(ex.MUL, (same[0], X)): "found"}
+        for node in same:
+            assert node == same[0] and hash(node) == hash(same[0])
+            assert table[node] == table[ex.Expr(ex.MUL, (node, X))] == "found"
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_simplify_idempotent_hypothesis(seed):

@@ -115,3 +115,33 @@ def test_no_true_division_builds_a_constant():
     found = {path.name: lines for path in sorted(SOURCE.glob("*.py"))
              if (lines := list(_float_divisions_into_rat(ast.parse(path.read_text()))))}
     assert not found
+
+
+# Fraction's private API: the keyword that skips normalization (3.10 and
+# 3.11), its slots, and the constructor from a coprime pair (3.12 on)
+PRIVATE_FRACTION_NAMES = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+
+
+def _private_fraction_uses(tree):
+    """Line numbers of keywords, attributes and strings (as in getattr)
+    that name Fraction's private API."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword):
+            name = node.arg
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in PRIVATE_FRACTION_NAMES:
+            yield node.lineno
+
+
+def test_no_module_uses_private_fraction_api():
+    # requires-python is >=3.10, and that API differs between 3.10 and 3.13
+    probe = "Fraction(n, d, _normalize=False)\nq._numerator\ngetattr(Fraction, '_from_coprime_ints')"
+    assert sorted(_private_fraction_uses(ast.parse(probe))) == [1, 2, 3]
+    found = {path.name: lines for path in sorted(SOURCE.glob("*.py"))
+             if (lines := list(_private_fraction_uses(ast.parse(path.read_text()))))}
+    assert not found
