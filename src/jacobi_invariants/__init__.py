@@ -6,7 +6,6 @@ from .expr import (
     ParseError,
     diff,
     evaluate,
-    is_identically_zero,
     parse,
     pprint,
     simplify,
@@ -65,7 +64,6 @@ __all__ = [
     "first_integral_autonomous",
     "general_aux",
     "integrate",
-    "is_identically_zero",
     "nonlocal_autonomous",
     "nonlocal_general",
     "nonlocal_timedep_phi0",

@@ -250,9 +250,9 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
                                  "(symbolic input preferred; see README)")
             for check in validate_lagrangian(problem, L):
                 add(check)
-            aux_p, aux_m = inv._autonomous_aux(problem, exprs["delta2"])
+            aux_p, aux_m = inv.autonomous_aux(problem, exprs["delta2"])
             add(check_y_ode(problem, aux_p.bbar))
-            specs.append(inv._energy_integral(problem, exprs["delta2"]))
+            specs.append(inv.first_integral_autonomous(problem, exprs["delta2"]))
             closed = nonlocal_autonomous(problem, aux_p)
             specs += [closed, nonlocal_autonomous(problem, aux_m)]
             family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
@@ -263,8 +263,7 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
                 add(check)
             check = check_accumulator(problem, exprs["eta"], exprs["delta2"])
             add(check)
-            closed = inv._accumulator_constant(problem, exprs["eta"], exprs["delta2"],
-                                               check, autonomous=False)
+            closed = inv.nonlocal_timedep_phi0(problem, exprs["eta"], exprs["delta2"], check)
             specs.append(closed)
             family = PerturbationFamily(a=ex.ONE, b=ex.ZERO, sign=0)
         else:
@@ -274,7 +273,7 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
             checks = check_general_hypotheses(problem, rho1, rho2)
             for check in checks:
                 add(check)
-            closed = inv._general_constant(problem, rho1, rho2, checks)
+            closed = inv.nonlocal_general(problem, rho1, rho2, checks)
             specs.append(closed)
             fi_check = {"name": "first_integral_condition",
                         "passed": closed.kind == FIRST_INTEGRAL,
@@ -284,7 +283,7 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
             hypotheses.append(fi_check)
             if oracle and fi_check["passed"]:  # every other check passed above
                 try:
-                    aux_p, _ = inv._general_aux(problem)
+                    aux_p, _ = inv.general_aux(problem)
                 except (HypothesisError, DegenerateDenominatorError) as err:
                     raise InputError(f"oracle family unavailable: {err}") from err
                 family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
@@ -467,13 +466,18 @@ def _float_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
+# 1024 times the default grid; a grid's arrays are allocated whole
+GRID_MAX = 2 ** 20
+
+
 def _grid_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"grid must be at least 2, got {value}")
+    if not 2 <= value <= GRID_MAX:
+        raise argparse.ArgumentTypeError(
+            f"grid must lie in [2, {GRID_MAX}], got {value}")
     return value
 
 

@@ -1506,8 +1506,3 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
         return ZeroCheck(True, structural=False, skipped=skipped,
                          warning=warning, max_residual=worst)
     return ZeroCheck(False, structural=False, skipped=skipped, max_residual=worst)
-
-
-def is_identically_zero(e: Expr, domain: tuple[float, float, float, float],
-                        samples: int = SAMPLES, params: dict[str, float] | None = None) -> bool:
-    return zero_check(e, domain, samples, params).is_zero

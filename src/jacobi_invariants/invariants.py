@@ -22,17 +22,7 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr, pprint, simplify, zero_check
-from .problem import (
-    AUTONOMOUS,
-    GENERAL,
-    TIME_INDEPENDENT_PHI,
-    CheckReport,
-    Frozen,
-    JacobiProblem,
-    LagrangianData,
-    classify,
-    validate_lagrangian,
-)
+from .problem import CheckReport, Frozen, JacobiProblem
 
 FIRST_INTEGRAL = "FirstIntegral"
 NONLOCAL_CONSTANT = "NonlocalConstant"
@@ -152,14 +142,8 @@ class InvariantSpec(Frozen):
 
 
 # ------------------------------------------------------------ autonomous
-# A public constructor guards its regime and hands over to a private
-# builder, which cli.run_checks calls directly after its own checks.
-
-def _require(p: JacobiProblem, regime: str) -> None:
-    tag = classify(p).tag
-    if tag != regime:
-        raise HypothesisError(f"problem is {tag}, not {regime}")
-
+# The builders assume the regime and the hypotheses that cli.run_checks,
+# the one dispatch on the regime, has classified and checked.
 
 def autonomous_aux(p: JacobiProblem,
                    delta2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
@@ -168,12 +152,6 @@ def autonomous_aux(p: JacobiProblem,
     Builds a = e^(-phi/2), bbar = sqrt(2*delta2*e^(-phi)) (principal root)
     and b = -(1/2)*phi_x*bbar - bbar_x, then verifies bbar*b == B.
     """
-    _require(p, AUTONOMOUS)
-    return _autonomous_aux(p, delta2)
-
-
-def _autonomous_aux(p: JacobiProblem,
-                    delta2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     # guard the radicand in its defining form: points where e^(-phi) itself
     # is undefined lie outside the problem domain and are skipped
     raw_radicand = ex.Rat(2) * delta2 * ex.Exp(-p.phi)
@@ -208,17 +186,8 @@ def check_y_ode(p: JacobiProblem, bbar: Expr) -> CheckReport:
 
 def first_integral_autonomous(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
     """Energy-like first integral (1/2)*v^2*e^phi - delta2."""
-    _require(p, AUTONOMOUS)
-    reports = validate_lagrangian(p, LagrangianData(ex.ZERO, delta2))
-    if not reports[0].passed:
-        raise HypothesisError(
-            f"delta2 inconsistent with B: residual {reports[0].residual}")
-    return _energy_integral(p, delta2)
-
-
-def _energy_integral(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
     # its hypothesis -d_x(delta2) = e^phi*B is the factorization bbar*b == B
-    # times e^phi, which the dispatch has checked already
+    # times e^phi, which autonomous_aux checks
     return InvariantSpec(name="energy_integral", kind=FIRST_INTEGRAL,
                          poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: simplify(-delta2)})
 
@@ -267,50 +236,36 @@ def check_accumulator(p: JacobiProblem, eta: Expr, delta2: Expr) -> CheckReport:
         "accumulator_hypothesis", resid, zero_check(resid, p.domain, params=p.params))
 
 
-def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr) -> InvariantSpec:
+def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr,
+                          check: CheckReport) -> InvariantSpec:
     """Accumulator constant for phi_t = 0:
     (1/2)*v^2*e^phi + (eta_t - delta2) - int d_t(eta_t - delta2) dt.
 
-    Requires e^phi*B = d_x(eta_t - delta2); a true first integral only when
-    the problem is autonomous (then the accumulator integrand vanishes).
+    Requires e^phi*B = d_x(eta_t - delta2), the hypothesis that ``check``
+    (from check_accumulator) reports; a true first integral when the
+    accumulator integrand vanishes, which it does on autonomous problems.
     """
-    tag = classify(p).tag
-    if tag not in (TIME_INDEPENDENT_PHI, AUTONOMOUS):
-        raise HypothesisError(f"problem is {tag}; needs phi_t = 0")
-    return _accumulator_constant(p, eta, delta2, check_accumulator(p, eta, delta2),
-                                 tag == AUTONOMOUS)
-
-
-def _accumulator_constant(p: JacobiProblem, eta: Expr, delta2: Expr,
-                          check: CheckReport, autonomous: bool) -> InvariantSpec:
     if not check.passed:
         raise HypothesisError(
             f"e^phi*B = d_x(eta_t - delta2) fails; residual {check.residual}")
     psi = simplify(ex.diff(eta, "t") - delta2)
+    integrand = simplify(ex.diff(psi, "t"))
     return InvariantSpec(
         name="accumulator_constant",
-        kind=FIRST_INTEGRAL if autonomous else NONLOCAL_CONSTANT,
+        kind=FIRST_INTEGRAL if integrand == ex.ZERO else NONLOCAL_CONSTANT,
         poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: psi},
-        integrands=(simplify(ex.diff(psi, "t")),),
+        integrands=(integrand,),
         linear_channels=((Fraction(-1), 0),),
     )
 
 
 # ------------------------------------------------------------- general
 
-def general_aux(p: JacobiProblem, rho1: Expr,
-                rho2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
+def general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     """Factorization for phi_t != 0:
     bbar(+/-) = +/- 4*(B_t + B*phi_t) / (2*phi_tt + phi_t^2),
     b(+/-)    = +/- (1/4)*(2*phi_tt + phi_t^2) / (d_t ln B + phi_t).
     """
-    _require(p, GENERAL)
-    if zero_check(rho1, p.domain, params=p.params).is_zero:
-        raise HypothesisError("rho1 must not vanish identically")
-    return _general_aux(p)
-
-
-def _general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
     phi_t = ex.diff(p.phi, "t")
     den = simplify(ex.Rat(2) * ex.diff(phi_t, "t") + phi_t * phi_t)
     if zero_check(den, p.domain, params=p.params).is_zero:
@@ -393,18 +348,14 @@ def _antiderivative_t(g: Expr) -> Expr | None:
     return simplify(out)
 
 
-def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr) -> InvariantSpec:
+def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr,
+                     reports: list[CheckReport]) -> InvariantSpec:
     """Dressed constant for phi_t != 0:
     (v*e^(phi/2) + 2*rho1/D) * exp(int (D/2)*(1 + (rho2/rho1)*e^(-phi/2)) dt)
     with D = d_t(2*ln(phi_t) + phi).  Downgraded to a first integral with a
-    closed-form exponent when the integrand depends on t alone.
+    closed-form exponent when the integrand depends on t alone.  Requires
+    the hypotheses that ``reports`` (from check_general_hypotheses) cover.
     """
-    _require(p, GENERAL)
-    return _general_constant(p, rho1, rho2, check_general_hypotheses(p, rho1, rho2))
-
-
-def _general_constant(p: JacobiProblem, rho1: Expr, rho2: Expr,
-                      reports: list[CheckReport]) -> InvariantSpec:
     failed = [r for r in reports if not r.passed]
     if failed:
         raise HypothesisError(f"hypothesis {failed[0].name} fails "

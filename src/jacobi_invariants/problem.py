@@ -72,16 +72,14 @@ class Frozen:
 class JacobiProblem(Frozen):
     """Coefficients, parameters, initial state and sampling domain."""
 
-    # the classify() result and the last rhs() built, as (channels,
-    # function); the problem is immutable
-    __slots__ = ("phi", "B", "params", "t0", "t_end", "x0", "v0", "domain",
-                 "_classified", "_rhs")
+    # the last rhs() built, as (channels, function); the problem is immutable
+    __slots__ = ("phi", "B", "params", "t0", "t_end", "x0", "v0", "domain", "_rhs")
 
     def __init__(self, phi: Expr, B: Expr, params: dict[str, float] | None = None,
                  t0: float = 0.0, t_end: float = 1.0, x0: float = 0.0, v0: float = 0.0,
                  domain: tuple[float, float, float, float] | None = None):
         self._set(phi=phi, B=B, params={} if params is None else params, t0=t0,
-                  t_end=t_end, x0=x0, v0=v0, domain=domain, _classified=None, _rhs=None)
+                  t_end=t_end, x0=x0, v0=v0, domain=domain, _rhs=None)
         if not self.t_end > self.t0:
             raise ProblemError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
         if self.domain is not None:
@@ -151,14 +149,7 @@ class CheckReport(NamedTuple):
 
 
 def classify(p: JacobiProblem) -> Classification:
-    """Split into the three regimes by whether phi_t and B_t vanish;
-    computed once per problem."""
-    if p._classified is None:
-        object.__setattr__(p, "_classified", _classify(p))
-    return p._classified
-
-
-def _classify(p: JacobiProblem) -> Classification:
+    """Split into the three regimes by whether phi_t and B_t vanish."""
     phi_t = ex.diff(p.phi, "t")
     zc_phi = zero_check(phi_t, p.domain, params=p.params)
     warnings = []

@@ -18,6 +18,7 @@ from jacobi_invariants.catalog import exact_solution
 from jacobi_invariants.integrate import drift_report, evaluate_along, integrate
 from jacobi_invariants.invariants import (
     HypothesisError,
+    check_accumulator,
     check_general_hypotheses,
     nonlocal_timedep_phi0,
     product_first_integral,
@@ -206,8 +207,10 @@ def test_criterion_6_hypothesis_gates(loaded, capsys):
         resid = simplify(ex.Exp(fx.problem.phi) * fx.problem.B - diff(psi, "x"))
         zc = zero_check(resid, fx.problem.domain, params=fx.problem.params)
         results.append((f"{fid} hypothesis", zc.is_zero and zc.structural))
+        mutated = simplify(delta2 + ex.X)
         try:
-            nonlocal_timedep_phi0(fx.problem, eta, simplify(delta2 + ex.X))
+            nonlocal_timedep_phi0(fx.problem, eta, mutated,
+                                  check_accumulator(fx.problem, eta, mutated))
             results.append((f"{fid} mutated fails", False))
         except HypothesisError:
             results.append((f"{fid} mutated fails", True))

@@ -257,16 +257,15 @@ def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
 
 def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
     # the Autonomous family reuses the checked factorization; the General
-    # one needs _general_aux, which stays off the check path
+    # one needs general_aux, which stays off the check path
     calls = []
-    for module, name in ((invariants_module, "_autonomous_aux"),
-                         (invariants_module, "_general_aux")):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name,
+    for name in ("autonomous_aux", "general_aux"):
+        original = getattr(invariants_module, name)
+        monkeypatch.setattr(invariants_module, name,
                             lambda *args, f=original, n=name: calls.append(n) or f(*args))
-    for fid, oracle, want in (("PG18", True, ["_autonomous_aux"]),
+    for fid, oracle, want in (("PG18", True, ["autonomous_aux"]),
                               ("JAC_EXACT", False, []),
-                              ("JAC_EXACT", True, ["_general_aux"])):
+                              ("JAC_EXACT", True, ["general_aux"])):
         problem, exprs = load_problem(catalog.get(fid).data)
         calls.clear()
         _, built = cli.run_checks(problem, exprs, oracle=oracle)
@@ -521,6 +520,9 @@ def test_domain_error_prints_a_capped_node(tmp_path, capsys):
     ["run", "{file}", "--threshold", "0"],
     ["catalog", "run", "PG18", "--grid", "1"],
     ["catalog", "run", "PG18", "--tol", "1e-13"],
+    ["run", "{file}", "--grid", "1048577"],     # above 2**20, 1024 times the default
+    ["run", "{file}", "--grid", "1000000000000"],
+    ["catalog", "run", "PG18", "--grid", "1048577"],
 ])
 def test_bad_numeric_options_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "pg18.json", PG18_FILE)

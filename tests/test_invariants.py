@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from jacobi_invariants import catalog
 from jacobi_invariants import expr as ex
-from jacobi_invariants.expr import Param, Rat, parse, pprint, simplify
+from jacobi_invariants.cli import load_problem, run_checks
+from jacobi_invariants.expr import Param, Rat, parse, pprint, simplify, zero_check
 from jacobi_invariants.integrate import evaluate_along, integrate
 from jacobi_invariants.invariants import (
     FIRST_INTEGRAL,
@@ -14,6 +16,7 @@ from jacobi_invariants.invariants import (
     MismatchedAuxPairError,
     NegativeRadicandError,
     autonomous_aux,
+    check_accumulator,
     check_general_hypotheses,
     check_y_ode,
     first_integral_autonomous,
@@ -36,6 +39,16 @@ def pg18(loaded):
 
 def free_particle():
     return JacobiProblem(phi=ex.ZERO, B=ex.ZERO, t0=0.0, t_end=1.0, x0=0.0, v0=1.0)
+
+
+def accumulator_constant(p, eta, delta2):
+    """The phi_t = 0 constant with its hypothesis checked first, as the
+    dispatch builds it."""
+    return nonlocal_timedep_phi0(p, eta, delta2, check_accumulator(p, eta, delta2))
+
+
+def general_constant(p, rho1, rho2):
+    return nonlocal_general(p, rho1, rho2, check_general_hypotheses(p, rho1, rho2))
 
 
 # ----------------------------------------------------------- autonomous aux
@@ -68,8 +81,9 @@ def test_autonomous_aux_negative_radicand():
         autonomous_aux(p, parse("-k*x"))  # radicand -2kx < 0 for x > 0
 
 
-def test_autonomous_aux_wrong_regime(loaded):
-    with pytest.raises(HypothesisError):
+def test_autonomous_aux_rejects_a_time_dependent_forcing_by_factorization(loaded):
+    # PG4's B depends on t, so no factor built from delta2 = t*x matches it
+    with pytest.raises(HypothesisError, match="factorization"):
         autonomous_aux(loaded["PG4"].problem, parse("t*x"))
 
 
@@ -108,9 +122,12 @@ def test_first_integral_autonomous_forms(all_fixtures, loaded):
             assert doubled[d] == simplify(parse(text)), (fid, d)
 
 
-def test_first_integral_requires_consistent_delta2(pg18):
-    with pytest.raises(HypothesisError):
-        first_integral_autonomous(pg18.problem, parse("2*x^2 + x"))
+def test_first_integral_requires_consistent_delta2():
+    data = dict(catalog.get("PG18").data, delta2="2*x^2 + x")
+    report, _ = run_checks(*load_problem(data))
+    checks = {h["name"]: h["passed"] for h in report["hypotheses"]}
+    assert checks["lagrangian_constraint"] is False
+    assert not report["pass"]
 
 
 def test_nonlocal_autonomous_free_particle():
@@ -165,7 +182,7 @@ def test_product_rejects_mismatched_pair(pg18):
 
 def test_theorem3_pg4_structure(loaded):
     fx = loaded["PG4"]
-    spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
+    spec = accumulator_constant(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
     assert spec.kind == NONLOCAL_CONSTANT
     assert spec.poly[2] == Rat(1, 2)
     assert spec.poly[0] == simplify(parse("-2*x^3 - t*x"))
@@ -175,7 +192,7 @@ def test_theorem3_pg4_structure(loaded):
 
 def test_theorem3_pg20_structure(loaded):
     fx = loaded["PG20"]
-    spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
+    spec = accumulator_constant(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
     assert spec.poly[2] == simplify(parse("1/2 * x^(-1)"))
     assert spec.poly[0] == simplify(parse("-2*t*x - 2*x^2"))
     # d_t(eta_t - delta2) = -2x, entering as +2*Int[x] through the -w term
@@ -185,11 +202,11 @@ def test_theorem3_pg20_structure(loaded):
 def test_theorem3_hypothesis_failure():
     p = JacobiProblem(phi=ex.ZERO, B=parse("-(6*x^2+t)"), t0=0, t_end=0.5, x0=1.0)
     with pytest.raises(HypothesisError):
-        nonlocal_timedep_phi0(p, parse("-2*x^3*t"), parse("t*x + x"))
+        accumulator_constant(p, parse("-2*x^3*t"), parse("t*x + x"))
 
 
 def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
-    spec3 = nonlocal_timedep_phi0(pg18.problem, ex.ZERO, pg18.exprs["delta2"])
+    spec3 = accumulator_constant(pg18.problem, ex.ZERO, pg18.exprs["delta2"])
     assert spec3.kind == FIRST_INTEGRAL
     assert simplify(spec3.integrands[0]) == Rat(0)
     fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
@@ -205,7 +222,7 @@ def test_theorem3_reduces_to_energy_on_autonomous(pg18, trajectories):
 def test_theorem3_drift(loaded):
     for fid in ("PG4", "PG20"):
         fx = loaded[fid]
-        spec = nonlocal_timedep_phi0(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
+        spec = accumulator_constant(fx.problem, fx.exprs["eta"], fx.exprs["delta2"])
         traj = integrate(fx.problem, spec.integrands, (1e-10, 1e-10))
         series = evaluate_along(traj, spec, 512)
         rel = series.max_drift() / max(1.0, abs(series.initial()))
@@ -216,7 +233,7 @@ def test_theorem3_drift(loaded):
 
 def test_general_aux_exact_fixture(loaded):
     fx = loaded["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
+    aux_p, aux_m = general_aux(fx.problem)
     assert aux_p.bbar == simplify(parse("2*rho*exp(-(t+x)/2)"))
     assert aux_p.b == Rat(1, 2)
     assert aux_m.bbar == simplify(parse("-2*rho*exp(-(t+x)/2)"))
@@ -234,13 +251,11 @@ def test_general_rejects_vanishing_rho1(loaded):
     fx = loaded["JAC_EXACT"]
     with pytest.raises(HypothesisError):
         check_general_hypotheses(fx.problem, ex.ZERO, Rat(1))
-    with pytest.raises(HypothesisError):
-        general_aux(fx.problem, ex.ZERO, Rat(1))
 
 
 def test_general_constant_structure_and_downgrade(loaded):
     fx = loaded["JAC_EXACT"]
-    spec = nonlocal_general(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
+    spec = general_constant(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     assert spec.kind == FIRST_INTEGRAL
     assert not spec.integrands  # closed-form exponent found
     assert simplify(spec.exp_closed_arg) == simplify(parse("t/2"))
@@ -251,7 +266,7 @@ def test_general_constant_structure_and_downgrade(loaded):
 
 def test_general_constant_equals_itilde_on_trajectory(loaded, trajectories):
     fx = loaded["JAC_EXACT"]
-    spec = nonlocal_general(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
+    spec = general_constant(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
     series = evaluate_along(trajectories["JAC_EXACT"], spec, 512)
     assert series.initial() == pytest.approx(-2.0, abs=1e-12)
     assert series.max_drift() < 1e-8
@@ -259,7 +274,7 @@ def test_general_constant_equals_itilde_on_trajectory(loaded, trajectories):
 
 def test_general_sign_collapse(loaded):
     fx = loaded["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
+    aux_p, aux_m = general_aux(fx.problem)
     sp = nonlocal_general_signed(fx.problem, aux_p)
     sm = nonlocal_general_signed(fx.problem, aux_m)
     traj = integrate(fx.problem, sp.integrands + sm.integrands, (1e-10, 1e-10))
@@ -273,18 +288,13 @@ def test_general_sign_collapse(loaded):
     assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(a)))
 
 
-def test_general_requires_nonzero_phi_t(pg18):
-    with pytest.raises(HypothesisError):
-        nonlocal_general(pg18.problem, Param("rho"), ex.ZERO)
-
-
 def test_general_degenerate_denominator():
     # phi = 2 ln(t+1): 2 phi_tt + phi_t^2 = 0 identically
     p = JacobiProblem(phi=parse("2*ln(t+1)"), B=parse("exp(x)"),
                       t0=0.0, t_end=1.0, x0=0.0, v0=0.0,
                       domain=(0.0, 1.0, -1.0, 1.0))
     with pytest.raises(DegenerateDenominatorError):
-        general_aux(p, Rat(1), ex.ZERO)
+        general_aux(p)
 
 
 @pytest.mark.parametrize("text, antiderivative", [
@@ -311,16 +321,14 @@ def test_every_constructed_invariant_drifts_below_1e6(loaded, constructed,
 
 
 def test_factorization_invariant_for_every_aux(loaded):
-    from jacobi_invariants.expr import is_identically_zero
-
     for fid in ("PG18", "PG21", "PG22"):
         fx = loaded[fid]
         aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
-        assert is_identically_zero(
+        assert zero_check(
             simplify(aux_p.bbar * aux_p.b - fx.problem.B),
-            fx.problem.domain, params=fx.problem.params)
+            fx.problem.domain, params=fx.problem.params).is_zero
     fx = loaded["JAC_EXACT"]
-    aux_p, _ = general_aux(fx.problem, fx.exprs["rho1"], fx.exprs["rho2"])
-    assert is_identically_zero(
+    aux_p, _ = general_aux(fx.problem)
+    assert zero_check(
         simplify(aux_p.bbar * aux_p.b - fx.problem.B),
-        fx.problem.domain, params=fx.problem.params)
+        fx.problem.domain, params=fx.problem.params).is_zero

@@ -145,3 +145,61 @@ def test_no_module_uses_private_fraction_api():
     found = {path.name: lines for path in sorted(SOURCE.glob("*.py"))
              if (lines := list(_private_fraction_uses(ast.parse(path.read_text()))))}
     assert not found
+
+
+# the regime tags a classification returns
+REGIME_TAGS = {"AUTONOMOUS", "TIME_INDEPENDENT_PHI", "GENERAL"}
+
+
+def _calls_by_function(tree, name: str):
+    """(enclosing function, line) of each call of ``name`` or ``x.name``;
+    None for a call at module level."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    yield function, child.lineno
+            yield from visit(child, function)
+    return list(visit(tree, None))
+
+
+def _imported_names(tree):
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_the_regime_is_dispatched_once_in_run_checks():
+    # the builders in invariants assume the regime that cli.run_checks
+    # classified, and classify no problem themselves
+    calls = {path.stem: [f for f, _ in found] for path in sorted(SOURCE.glob("*.py"))
+             if (found := _calls_by_function(ast.parse(path.read_text()), "classify"))}
+    assert calls == {"cli": ["run_checks"]}
+    tree = ast.parse((SOURCE / "invariants.py").read_text())
+    read = _imported_names(tree) | {node.attr for node in ast.walk(tree)
+                                    if isinstance(node, ast.Attribute)}
+    assert not read & (REGIME_TAGS | {"classify"})
+
+
+def _private_reads_of_invariants(tree):
+    """Names starting with ``_`` that the module imports from, or reads
+    as attributes of, the invariants module."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in (None, "jacobi_invariants")
+               for alias in node.names if alias.name == "invariants"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("invariants"):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and node.attr.startswith("_")):
+            yield node.attr
+
+
+def test_cli_reads_no_private_name_of_invariants():
+    probe = "from . import invariants as inv\nfrom .invariants import _b\ninv._a(inv.c)"
+    assert sorted(_private_reads_of_invariants(ast.parse(probe))) == ["_a", "_b"]
+    assert not list(_private_reads_of_invariants(ast.parse((SOURCE / "cli.py").read_text())))

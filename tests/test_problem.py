@@ -7,7 +7,6 @@ import pytest
 import scalar_reference
 
 from jacobi_invariants import expr as ex
-from jacobi_invariants import problem as problem_module
 from jacobi_invariants.expr import Rat, parse
 from jacobi_invariants.problem import (
     AUTONOMOUS,
@@ -55,21 +54,6 @@ def test_classify_three_regimes(pg18):
     pj = JacobiProblem(phi=parse("t+x"), B=parse("rho*exp(-(t+x)/2)"),
                        params={"rho": 1.0}, t0=0, t_end=4, x0=2 * math.log(4), v0=-1)
     assert classify(pj).tag == GENERAL
-
-
-def test_classify_is_computed_once_per_problem(monkeypatch, pg18):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return ex.zero_check(*args, **kwargs)
-
-    monkeypatch.setattr(problem_module, "zero_check", counting)
-    first = classify(pg18)
-    assert first.tag == AUTONOMOUS and len(calls) == 2
-    calls.clear()
-    assert classify(pg18) is first
-    assert calls == []
 
 
 def test_classify_stable_under_forcing_rescaling(pg18):
