@@ -23,14 +23,12 @@ from .invariants import (
     nonlocal_autonomous,
     nonlocal_general,
     nonlocal_timedep_phi0,
-    product_first_integral,
 )
 from .problem import (
     Classification,
     JacobiProblem,
     LagrangianData,
     classify,
-    euler_lagrange_residual,
     rhs,
     validate_lagrangian,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "diff",
     "drift_gate",
     "drift_report",
-    "euler_lagrange_residual",
     "evaluate",
     "evaluate_along",
     "first_integral_autonomous",
@@ -70,7 +67,6 @@ __all__ = [
     "oracle_constant",
     "parse",
     "pprint",
-    "product_first_integral",
     "rhs",
     "simplify",
     "validate_lagrangian",

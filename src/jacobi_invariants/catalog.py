@@ -9,8 +9,6 @@ so initial data is fixed at x0 = 1, v0 = 0.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -21,19 +19,13 @@ class UnknownFixtureError(KeyError):
 class Fixture(NamedTuple):
     """One built-in problem: ``data`` is the problem file that ``run``
     reads, and ``catalog run ID`` is ``run`` on it with ``drift_threshold``.
-
-    ``poly_targets`` maps velocity powers to the classical form's
-    coefficients, which equal the constructed first integral scaled by
-    ``normalization`` (the autonomous classical forms are unhalved, twice
-    the energy-like construction).
-    """
+    The paper's classical forms and the closed-form solution of JAC_EXACT
+    are test data, kept beside the tests that check them."""
 
     id: str
     data: dict
     drift_threshold: float = 1e-6
     notes: str = ""
-    poly_targets: dict[int, str] | None = None
-    normalization: Fraction = Fraction(1)
 
 
 # The expression strings are in the canonical printer's form, which the
@@ -48,8 +40,6 @@ _FIXTURES = {fx.id: fx for fx in (
               "delta1": "0", "delta2": "(2 * (x ^ 2))"},
         notes="x'' - (1/2)x^-1 x'^2 - 4x^2 = 0; blow-up scan: escape at "
               "t ~ 1.308 from (1,0), 60% bound 0.78; window kept at 0.4.",
-        poly_targets={2: "x^(-1)", 0: "-4*x^(2)"},
-        normalization=Fraction(2),
     ),
     Fixture(
         id="PG21",
@@ -59,8 +49,6 @@ _FIXTURES = {fx.id: fx for fx in (
               "delta1": "0", "delta2": "(2 * (x ^ (3/2)))"},
         notes="x'' - (3/4)x^-1 x'^2 - 3x^2 = 0; blow-up scan: escape at "
               "t ~ 1.399 from (1,0); window 0.8 = 60%.",
-        poly_targets={2: "x^(-3/2)", 0: "-4*x^(3/2)"},
-        normalization=Fraction(2),
     ),
     Fixture(
         id="PG22",
@@ -71,8 +59,6 @@ _FIXTURES = {fx.id: fx for fx in (
         notes="x'' - (3/4)x^-1 x'^2 + 1 = 0; the orbit from (1,0) touches "
               "x = 0 at t = 2 exactly (x = (1 - t^2/4)^2), where ln x "
               "leaves its domain; window 1.2 = 60%.",
-        poly_targets={2: "x^(-3/2)", 0: "-4*x^(-1/2)"},
-        normalization=Fraction(2),
     ),
     Fixture(
         id="PG4",
@@ -112,7 +98,6 @@ _FIXTURES = {fx.id: fx for fx in (
               "log argument >= 1 for all t >= 0, no blow-up; window 4.0. "
               "Initial data read off the closed-form solution at t = 0: "
               "x0 = 2*ln(4), v0 = -1.",
-        poly_targets={1: "exp(t/2)*exp((t+x)/2)", 0: "2*rho*exp(t/2)"},
     ),
 )}
 
@@ -127,33 +112,3 @@ def get(fixture_id: str) -> Fixture:
 
 def ids() -> tuple[str, ...]:
     return tuple(_FIXTURES)
-
-
-def exact_solution(rho: float, itilde: float, jtilde: float):
-    """Closed-form solution of the JAC_EXACT equation:
-    x(t) = 2*ln(2*rho*e^(-t/2) - (1/2)*itilde*e^(-t) + jtilde).
-
-    Returns (x, xdot) callables; raises ValueError where the log argument
-    is not positive.
-    """
-
-    def arg(t: float) -> float:
-        return 2.0 * rho * math.exp(-t / 2.0) - 0.5 * itilde * math.exp(-t) + jtilde
-
-    def arg_dot(t: float) -> float:
-        return -rho * math.exp(-t / 2.0) + 0.5 * itilde * math.exp(-t)
-
-    def x(t: float) -> float:
-        a = arg(t)
-        if a <= 0.0:
-            raise ValueError(f"log argument {a:g} <= 0 at t = {t:g}")
-        return 2.0 * math.log(a)
-
-    def xdot(t: float) -> float:
-        a = arg(t)
-        if a <= 0.0:
-            raise ValueError(f"log argument {a:g} <= 0 at t = {t:g}")
-        return 2.0 * arg_dot(t) / a
-
-    return x, xdot
-

@@ -1448,14 +1448,12 @@ class ZeroCheck:
     """Outcome of an identically-zero test; ``structural`` marks a zero
     established by simplification alone."""
 
-    __slots__ = ("is_zero", "structural", "skipped", "warning", "max_residual")
+    __slots__ = ("is_zero", "structural", "warning")
 
-    def __init__(self, is_zero, structural, skipped=0, warning=None, max_residual=0.0):
+    def __init__(self, is_zero, structural, warning=None):
         self.is_zero = is_zero
         self.structural = structural
-        self.skipped = skipped
         self.warning = warning
-        self.max_residual = max_residual
 
     def __bool__(self):
         return self.is_zero
@@ -1482,7 +1480,6 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
     params = params or {}
     terms = s.args if s.kind == ADD else (s,)
     skipped = 0
-    worst = 0.0
     ok = True
     for (tv, xv) in sample_points(domain, samples):
         try:
@@ -1493,7 +1490,6 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
         # the fsum of the terms is what _eval computes for an ADD
         resid = abs(math.fsum(vals) if s.kind == ADD else vals[0])
         scale = max(abs(v) for v in vals)
-        worst = max(worst, resid)
         if not resid < 1e-12 * (1.0 + scale):
             ok = False
             break
@@ -1503,6 +1499,5 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
     if ok:
         warning = ("zero established by sampling only; "
                    "structural simplification left " + pprint(s))
-        return ZeroCheck(True, structural=False, skipped=skipped,
-                         warning=warning, max_residual=worst)
-    return ZeroCheck(False, structural=False, skipped=skipped, max_residual=worst)
+        return ZeroCheck(True, structural=False, warning=warning)
+    return ZeroCheck(False, structural=False)

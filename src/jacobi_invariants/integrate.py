@@ -552,10 +552,6 @@ class EvalSeries(NamedTuple):
     def truncated(self) -> bool:
         return self.error is not None
 
-    @property
-    def abort_point(self) -> tuple[float, float] | None:
-        return None if self.error is None else (self.error.t, self.error.x)
-
     def max_drift(self) -> float:
         import numpy as np
 

@@ -4,7 +4,7 @@ Three regimes:
 
 * autonomous (phi_t = B_t = 0): an exponential-dressed pair I+/I- built
   from the factorization B = b*Bbar, and the energy-like first integral
-  (1/2)*v^2*e^phi - delta2 recovered as (1/2)*I+*I-;
+  (1/2)*v^2*e^phi - delta2, which equals (1/2)*I+*I-;
 * phi_t = 0, B_t != 0: a constant with one additive accumulator channel,
   (1/2)*v^2*e^phi + (eta_t - delta2) - int d_t(eta_t - delta2) dt;
 * phi_t != 0: a single exponential-dressed constant built from the
@@ -44,10 +44,6 @@ class NegativeRadicandError(Exception):
 
 
 class DegenerateDenominatorError(Exception):
-    pass
-
-
-class MismatchedAuxPairError(Exception):
     pass
 
 
@@ -208,23 +204,6 @@ def nonlocal_autonomous(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantS
     )
 
 
-def product_first_integral(iplus: InvariantSpec, iminus: InvariantSpec) -> InvariantSpec:
-    """(1/2)*I+*I-; the exponential dressings cancel pairwise and drop out."""
-    if (not iplus.integrands or iplus.integrands != iminus.integrands
-            or iplus.exp_sign != -iminus.exp_sign or iplus.exp_sign == 0
-            or iplus.linear_channels or iminus.linear_channels):
-        raise MismatchedAuxPairError(
-            "inputs must share one accumulator with opposite exponential signs")
-    poly: dict[int, Expr] = {}
-    for d1, c1 in iplus.poly.items():
-        for d2, c2 in iminus.poly.items():
-            d = d1 + d2
-            term = ex.HALF * c1 * c2
-            poly[d] = simplify(poly[d] + term) if d in poly else simplify(term)
-    poly = {d: c for d, c in poly.items() if not (c.kind == ex.RAT and c.value == 0)}
-    return InvariantSpec(name="product_integral", kind=FIRST_INTEGRAL, poly=poly)
-
-
 # ------------------------------------------------- time-independent phi
 
 def check_accumulator(p: JacobiProblem, eta: Expr, delta2: Expr) -> CheckReport:
@@ -380,19 +359,3 @@ def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr,
     return InvariantSpec(name="general_constant",
                          kind=FIRST_INTEGRAL if t_only else NONLOCAL_CONSTANT,
                          poly=poly, integrands=(integrand,), exp_sign=+1, exp_channel=0)
-
-
-def nonlocal_general_signed(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:
-    """One sign of the general dressed pair, (v + s*bbar_s)*e^(phi/2)*exp(s*u),
-    u' = b_s.  Both signs collapse to the same constant."""
-    half_phi = simplify(ex.HALF * p.phi)
-    s = aux.sign
-    return InvariantSpec(
-        name=f"general_constant_{'plus' if s > 0 else 'minus'}",
-        kind=NONLOCAL_CONSTANT,
-        poly={1: simplify(ex.Exp(half_phi)),
-              0: simplify(ex.Rat(s) * aux.bbar * ex.Exp(half_phi))},
-        integrands=(simplify(aux.b),),
-        exp_sign=s,
-        exp_channel=0,
-    )

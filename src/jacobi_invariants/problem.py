@@ -134,7 +134,6 @@ class CheckReport(NamedTuple):
     structural: bool
     residual: str
     warning: str | None = None
-    max_residual: float = 0.0
 
     @classmethod
     def from_zero_check(cls, name: str, residual: Expr, zc: ZeroCheck) -> "CheckReport":
@@ -144,7 +143,6 @@ class CheckReport(NamedTuple):
             structural=zc.structural,
             residual=ex.pprint(ex.simplify(residual)),
             warning=zc.warning,
-            max_residual=zc.max_residual,
         )
 
 
@@ -271,24 +269,3 @@ def validate_lagrangian(p: JacobiProblem, L: LagrangianData) -> list[CheckReport
             "delta1_is_dx_eta", diff_eta,
             zero_check(diff_eta, p.domain, params=p.params)))
     return reports
-
-
-def euler_lagrange_residual(p: JacobiProblem, L: LagrangianData):
-    """Closure (t, x, v, a) -> (d/dt dL/dv - dL/dx) with the chain rule expanded.
-
-    Zero along exact solutions of the equation of motion whenever the
-    Lagrangian constraint holds.
-    """
-    ephi = ex.Exp(p.phi)
-    # d/dt(e^phi v + delta1) = e^phi(phi_t v + phi_x v^2) + e^phi a
-    #                          + dt(delta1) + dx(delta1) v
-    # dL/dx = (1/2) phi_x e^phi v^2 + dx(delta1) v + dx(delta2)
-    c_a = ex.compile_fn(ex.simplify(ephi), p.params)
-    c_v2 = ex.compile_fn(ex.simplify(ex.Rat(1, 2) * ex.diff(p.phi, "x") * ephi), p.params)
-    c_v1 = ex.compile_fn(ex.simplify(ex.diff(p.phi, "t") * ephi), p.params)
-    c_v0 = ex.compile_fn(ex.simplify(ex.diff(L.delta1, "t") - ex.diff(L.delta2, "x")), p.params)
-
-    def residual(t: float, x: float, v: float, a: float) -> float:
-        return c_a(t, x) * a + c_v2(t, x) * v * v + c_v1(t, x) * v + c_v0(t, x)
-
-    return residual

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -9,6 +11,12 @@ from jacobi_invariants import expr as ex
 from jacobi_invariants.integrate import REFINE, integrate
 from jacobi_invariants.problem import JacobiProblem, LagrangianData
 from jacobi_invariants.verify import integrated_oracle
+
+# pyproject's pythonpath setting puts src/ on the path of this process
+# only; the commands that tests start as child processes read it here
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,31 @@
 """Small functions only the tests need: a spec's compiled evaluator over
 arrays and at one point, its coefficients as point functions, the
-oracle's offset, the blow-up scan that chose the fixtures' windows and a
-copy of an expression tree with no memo filled."""
+oracle's offset, the blow-up scan that chose the fixtures' windows, a
+copy of an expression tree with no memo filled and an expression in
+sympy.
+
+Beside them, the constructions of the paper that the acceptance tests
+check and no command reports: the product (1/2)*I+*I- of the autonomous
+dressed pair, one sign of the general dressed pair, the Euler-Lagrange
+residual, the closed-form solution of JAC_EXACT and the fixtures'
+classical forms."""
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from jacobi_invariants import expr as ex
+from jacobi_invariants.expr import Expr, simplify
 from jacobi_invariants.integrate import integrate
-from jacobi_invariants.problem import JacobiProblem
+from jacobi_invariants.invariants import (
+    FIRST_INTEGRAL,
+    NONLOCAL_CONSTANT,
+    AuxiliaryFunctions,
+    InvariantSpec,
+)
+from jacobi_invariants.problem import JacobiProblem, LagrangianData
 
 
 def on_states(spec, params=None):
@@ -61,3 +79,130 @@ def blowup_scan(p, horizon: float = 12.0, tol: float = 1e-6) -> tuple[str, float
     probe = JacobiProblem(p.phi, p.B, p.params, p.t0, p.t0 + horizon, p.x0, p.v0, p.domain)
     traj = integrate(probe, (), (tol, tol))
     return traj.termination.status, traj.t_last
+
+
+def to_sympy(sp, e, symbols=None):
+    """e as a sympy expression over real symbols, parameters included;
+    ``symbols`` maps a name to the symbol to use in its place."""
+    k = e.kind
+    if k == ex.RAT:
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if k in (ex.VAR, ex.PARAM):
+        return (symbols or {}).get(e.name) or sp.Symbol(e.name, real=True)
+    a = [to_sympy(sp, arg, symbols) for arg in e.args]
+    if k == ex.ADD:
+        return sp.Add(*a)
+    if k == ex.MUL:
+        return sp.Mul(*a)
+    if k == ex.SUB:
+        return a[0] - a[1]
+    if k == ex.DIV:
+        return a[0] / a[1]
+    if k == ex.POW:
+        return a[0] ** a[1]
+    if k == ex.NEG:
+        return -a[0]
+    return {ex.EXP: sp.exp, ex.LN: sp.log, ex.SQRT: sp.sqrt,
+            ex.SIN: sp.sin, ex.COS: sp.cos}[k](a[0])
+
+
+# ------------------------------------------- constructions the tests check
+
+class ClassicalForm(NamedTuple):
+    """Velocity powers mapped to the paper's classical first integral's
+    coefficients, which equal the constructed one times ``normalization``:
+    the autonomous forms are unhalved, twice the energy-like construction.
+    The classical forms of PG4 and PG20 are quoted in their notes."""
+
+    poly: dict[int, str]
+    normalization: Fraction = Fraction(1)
+
+
+CLASSICAL_FORMS = {
+    "PG18": ClassicalForm({2: "x^(-1)", 0: "-4*x^(2)"}, Fraction(2)),
+    "PG21": ClassicalForm({2: "x^(-3/2)", 0: "-4*x^(3/2)"}, Fraction(2)),
+    "PG22": ClassicalForm({2: "x^(-3/2)", 0: "-4*x^(-1/2)"}, Fraction(2)),
+    "JAC_EXACT": ClassicalForm({1: "exp(t/2)*exp((t+x)/2)", 0: "2*rho*exp(t/2)"}),
+}
+
+
+def product_first_integral(iplus: InvariantSpec, iminus: InvariantSpec) -> InvariantSpec:
+    """(1/2)*I+*I-; the exponential dressings cancel pairwise and drop out."""
+    if (not iplus.integrands or iplus.integrands != iminus.integrands
+            or iplus.exp_sign != -iminus.exp_sign or iplus.exp_sign == 0
+            or iplus.linear_channels or iminus.linear_channels):
+        raise ValueError("inputs must share one accumulator with opposite exponential signs")
+    poly: dict[int, Expr] = {}
+    for d1, c1 in iplus.poly.items():
+        for d2, c2 in iminus.poly.items():
+            d = d1 + d2
+            term = ex.HALF * c1 * c2
+            poly[d] = simplify(poly[d] + term) if d in poly else simplify(term)
+    poly = {d: c for d, c in poly.items() if not (c.kind == ex.RAT and c.value == 0)}
+    return InvariantSpec(name="product_integral", kind=FIRST_INTEGRAL, poly=poly)
+
+
+def nonlocal_general_signed(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:
+    """One sign of the general dressed pair, (v + s*bbar_s)*e^(phi/2)*exp(s*u),
+    u' = b_s.  Both signs collapse to the same constant."""
+    half_phi = simplify(ex.HALF * p.phi)
+    s = aux.sign
+    return InvariantSpec(
+        name=f"general_constant_{'plus' if s > 0 else 'minus'}",
+        kind=NONLOCAL_CONSTANT,
+        poly={1: simplify(ex.Exp(half_phi)),
+              0: simplify(ex.Rat(s) * aux.bbar * ex.Exp(half_phi))},
+        integrands=(simplify(aux.b),),
+        exp_sign=s,
+        exp_channel=0,
+    )
+
+
+def euler_lagrange_residual(p: JacobiProblem, L: LagrangianData):
+    """Closure (t, x, v, a) -> (d/dt dL/dv - dL/dx) with the chain rule expanded.
+
+    Zero along exact solutions of the equation of motion whenever the
+    Lagrangian constraint holds.
+    """
+    ephi = ex.Exp(p.phi)
+    # d/dt(e^phi v + delta1) = e^phi(phi_t v + phi_x v^2) + e^phi a
+    #                          + dt(delta1) + dx(delta1) v
+    # dL/dx = (1/2) phi_x e^phi v^2 + dx(delta1) v + dx(delta2)
+    c_a = ex.compile_fn(ex.simplify(ephi), p.params)
+    c_v2 = ex.compile_fn(ex.simplify(ex.Rat(1, 2) * ex.diff(p.phi, "x") * ephi), p.params)
+    c_v1 = ex.compile_fn(ex.simplify(ex.diff(p.phi, "t") * ephi), p.params)
+    c_v0 = ex.compile_fn(ex.simplify(ex.diff(L.delta1, "t") - ex.diff(L.delta2, "x")), p.params)
+
+    def residual(t: float, x: float, v: float, a: float) -> float:
+        return c_a(t, x) * a + c_v2(t, x) * v * v + c_v1(t, x) * v + c_v0(t, x)
+
+    return residual
+
+
+def exact_solution(rho: float, itilde: float, jtilde: float):
+    """Closed-form solution of the JAC_EXACT equation:
+    x(t) = 2*ln(2*rho*e^(-t/2) - (1/2)*itilde*e^(-t) + jtilde).
+
+    Returns (x, xdot) callables; raises ValueError where the log argument
+    is not positive.
+    """
+
+    def arg(t: float) -> float:
+        return 2.0 * rho * math.exp(-t / 2.0) - 0.5 * itilde * math.exp(-t) + jtilde
+
+    def arg_dot(t: float) -> float:
+        return -rho * math.exp(-t / 2.0) + 0.5 * itilde * math.exp(-t)
+
+    def x(t: float) -> float:
+        a = arg(t)
+        if a <= 0.0:
+            raise ValueError(f"log argument {a:g} <= 0 at t = {t:g}")
+        return 2.0 * math.log(a)
+
+    def xdot(t: float) -> float:
+        a = arg(t)
+        if a <= 0.0:
+            raise ValueError(f"log argument {a:g} <= 0 at t = {t:g}")
+        return 2.0 * arg_dot(t) / a
+
+    return x, xdot

@@ -232,8 +232,9 @@ def spec_fn(spec, params):
 
 
 def evaluate_along(traj, spec, grid):
-    """(ts, values, truncated, abort_point) of the invariant on a uniform
-    grid, stopping at the first point outside the domain."""
+    """(ts, values, truncated, (t, x) of the stopping DomainError or None)
+    of the invariant on a uniform grid, stopping at the first point
+    outside the domain."""
     channels = [traj.channel_of(g) for g in spec.integrands]
     fn = spec_fn(spec, traj.problem.params)
     ts = np.linspace(traj.t0, traj.t_last, grid)

@@ -14,24 +14,28 @@ import numpy as np
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import Rat, diff, evaluate, parse, simplify, zero_check
-from jacobi_invariants.catalog import exact_solution
 from jacobi_invariants.integrate import drift_report, evaluate_along, integrate
 from jacobi_invariants.invariants import (
     HypothesisError,
     check_accumulator,
     check_general_hypotheses,
     nonlocal_timedep_phi0,
-    product_first_integral,
 )
 from jacobi_invariants.problem import (
     LagrangianData,
     lagrangian_residual_expr,
-    euler_lagrange_residual,
     rhs,
 )
 from jacobi_invariants.verify import integrated_oracle, oracle_constant, oracle_vs_closed
 from conftest import SAFE_ENV, random_tree
-from helpers import local_exprs, on_states
+from helpers import (
+    CLASSICAL_FORMS,
+    euler_lagrange_residual,
+    exact_solution,
+    local_exprs,
+    on_states,
+    product_first_integral,
+)
 
 
 def announce(capsys, num: int, desc: str, ok: bool, detail: str = ""):
@@ -43,19 +47,18 @@ def announce(capsys, num: int, desc: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def test_criterion_1_autonomous_first_integrals(all_fixtures, constructed,
-                                                trajectories, capsys):
+def test_criterion_1_autonomous_first_integrals(constructed, trajectories, capsys):
     """Doubled energy form equals xdot^2 x^-alpha - beta*gamma*x^(-2/gamma)
     structurally; relative drift < 1e-6 at tol 1e-10."""
     ok = True
     details = []
     for fid in ("PG18", "PG21", "PG22"):
-        fx = all_fixtures[fid]
+        form = CLASSICAL_FORMS[fid]
         spec = constructed[fid][0]
-        doubled = {d: simplify(Rat(fx.normalization) * c)
+        doubled = {d: simplify(Rat(form.normalization) * c)
                    for d, c in local_exprs(spec).items()}
         structural = all(doubled[d] == simplify(parse(text))
-                         for d, text in fx.poly_targets.items())
+                         for d, text in form.poly.items())
         series = evaluate_along(trajectories[fid], spec, 1024)
         rel = series.max_drift() / max(1.0, abs(series.initial()))
         ok = ok and structural and rel < 1e-6
@@ -112,15 +115,14 @@ def test_criterion_3_time_free_phi_constants(all_fixtures, constructed,
     announce(capsys, 3, "PG4/PG20 nonlocal constants", ok, "; ".join(details))
 
 
-def test_criterion_4_general_fixture(all_fixtures, loaded, constructed,
-                                     trajectories, capsys):
+def test_criterion_4_general_fixture(loaded, constructed, trajectories, capsys):
     """The general construction simplifies to e^(t/2)(xdot e^((t+x)/2)+2 rho);
     drift < 1e-8 along the numeric trajectory and the closed-form solution;
     closed-form ODE residual < 1e-10 at 200 points."""
     spec = constructed["JAC_EXACT"][0]
     le = local_exprs(spec)
     structural = all(le[d] == simplify(parse(text))
-                     for d, text in all_fixtures["JAC_EXACT"].poly_targets.items())
+                     for d, text in CLASSICAL_FORMS["JAC_EXACT"].poly.items())
 
     series = evaluate_along(trajectories["JAC_EXACT"], spec, 1024)
     drift_traj = series.max_drift()

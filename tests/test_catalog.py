@@ -5,10 +5,9 @@ import pytest
 
 from jacobi_invariants import catalog
 from jacobi_invariants import expr as ex
-from jacobi_invariants.catalog import exact_solution
 from jacobi_invariants.expr import parse, simplify
 from jacobi_invariants.problem import classify, validate_lagrangian
-from helpers import blowup_scan, local_exprs, on_states
+from helpers import blowup_scan, exact_solution, local_exprs, on_states
 
 
 def test_ids_and_unknown():
@@ -42,9 +41,8 @@ def test_safe_windows_stay_inside_escape_scan(loaded):
         assert fx.problem.t_end <= 0.6 * t_esc + 1e-9, (fid, t_esc)
 
 
-def test_pg18_doubled_expected_form(all_fixtures, constructed):
+def test_pg18_doubled_expected_form(constructed):
     spec = constructed["PG18"][0]
-    assert all_fixtures["PG18"].normalization == 2
     doubled = {d: simplify(ex.Rat(2) * c) for d, c in local_exprs(spec).items()}
     assert doubled[2] == simplify(parse("x^(-1)"))
     assert doubled[0] == simplify(parse("-4*x^2"))

@@ -32,7 +32,7 @@ from jacobi_invariants.expr import (
     zero_check,
 )
 from conftest import SAFE_ENV, random_tree
-from helpers import fresh
+from helpers import fresh, to_sympy
 
 
 # ------------------------------------------------------------------ parse
@@ -835,7 +835,7 @@ def test_polynomial_normal_form_coefficients_equal_sympy_exactly():
         e = _random_polynomial(rng)
         got = _coefficients(simplify(e))
         want = {degrees: Fraction(int(c.p), int(c.q))
-                for degrees, c in sp.Poly(sp.expand(_to_sympy(sp, e)), t, x).terms() if c != 0}
+                for degrees, c in sp.Poly(sp.expand(to_sympy(sp, e)), t, x).terms() if c != 0}
         assert got == want, pprint(e)
         zeros += not want
     assert zeros >= 40  # the p*q - q*p shape, at least
@@ -851,29 +851,6 @@ def test_a_term_no_other_shares_comes_back_as_the_same_node():
         for term, d in zip(terms, degrees):
             if degrees.count(d) == 1:
                 assert any(o is term for o in out), (pprint(term), pprint(s))
-
-def _to_sympy(sp, e):
-    """e as a sympy expression over real symbols, parameters included."""
-    k = e.kind
-    if k == ex.RAT:
-        return sp.Rational(e.value.numerator, e.value.denominator)
-    if k in (ex.VAR, ex.PARAM):
-        return sp.Symbol(e.name, real=True)
-    a = [_to_sympy(sp, arg) for arg in e.args]
-    if k == ex.ADD:
-        return sp.Add(*a)
-    if k == ex.MUL:
-        return sp.Mul(*a)
-    if k == ex.SUB:
-        return a[0] - a[1]
-    if k == ex.DIV:
-        return a[0] / a[1]
-    if k == ex.POW:
-        return a[0] ** a[1]
-    if k == ex.NEG:
-        return -a[0]
-    return {ex.EXP: sp.exp, ex.LN: sp.log, ex.SQRT: sp.sqrt,
-            ex.SIN: sp.sin, ex.COS: sp.cos}[k](a[0])
 
 
 def _sympy_values(sp, f, points):
@@ -912,14 +889,14 @@ def test_simplify_and_diff_agree_with_sympy():
 
     while trees < 150:
         e = random_tree(rng, rng.randint(1, 4))
-        ref = _to_sympy(sp, e)
+        ref = to_sympy(sp, e)
         want = _sympy_values(sp, ref, points)
         if all(v is None for v in want):
             continue
         trees += 1
-        check("simplify", want, _sympy_values(sp, _to_sympy(sp, simplify(e)), points), e)
+        check("simplify", want, _sympy_values(sp, to_sympy(sp, simplify(e)), points), e)
         for var in ("t", "x"):
             check("diff", _sympy_values(sp, sp.diff(ref, sp.Symbol(var, real=True)), points),
-                  _sympy_values(sp, _to_sympy(sp, diff(e, var)), points), e)
+                  _sympy_values(sp, to_sympy(sp, diff(e, var)), points), e)
     # most points are defined on both sides: 748 of 750 and 1,496 of 1,500
     assert compared["simplify"] >= 600 and compared["diff"] >= 1200

@@ -87,8 +87,8 @@ def test_evaluate_along_truncates_where_the_pointwise_loop_does(grid):
     assert truncated and series.truncated
     assert 1 < len(values) < grid
     assert same_bits(series.ts, ts) and same_bits(series.values, values)
-    assert series.abort_point == abort
-    assert all(type(c) is float for c in series.abort_point)
+    assert (series.error.t, series.error.x) == abort
+    assert all(type(c) is float for c in (series.error.t, series.error.x))
     assert abort[1] <= 0.0
     assert abort[0] == pytest.approx(np.pi / 2, abs=3.0 / (grid - 1))
 
@@ -111,7 +111,7 @@ def test_a_pass_truncates_each_series_where_its_pointwise_loop_does(monkeypatch)
     assert 1 < len(got[0].values) < BLOCK < len(got[1].values) < 2 * BLOCK
     for spec, series in zip((early, late), got):
         ts, values, truncated, abort = ref.evaluate_along(traj, spec, 3000)
-        assert truncated and series.abort_point == abort, spec.name
+        assert truncated and (series.error.t, series.error.x) == abort, spec.name
         assert same_bits(series.ts, ts) and same_bits(series.values, values), spec.name
     # reads are served from the store, with no sampling
     assert evaluate_along(traj, late, 3000) is got[1]

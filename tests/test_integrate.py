@@ -58,7 +58,7 @@ def test_harmonic_like_cosine():
 
 
 def test_exactly_solvable_general_fixture_solution():
-    from jacobi_invariants.catalog import exact_solution
+    from helpers import exact_solution
 
     x_cf, _ = exact_solution(1.0, -2.0, 1.0)
     p = JacobiProblem(phi=parse("t+x"), B=parse("rho*exp(-(t+x)/2)"),

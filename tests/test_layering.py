@@ -2,7 +2,8 @@
 invariants never need an array, and the layers that do build arrays load
 numpy on first use, so the package, ``check`` and ``catalog list`` start
 without it.  They start without ``dataclasses`` and ``inspect`` too: the
-package's records are NamedTuples and slotted classes."""
+package's records are NamedTuples and slotted classes.  Every function,
+class and method the package defines is read by the package itself."""
 
 import ast
 import json
@@ -203,3 +204,68 @@ def test_cli_reads_no_private_name_of_invariants():
     probe = "from . import invariants as inv\nfrom .invariants import _b\ninv._a(inv.c)"
     assert sorted(_private_reads_of_invariants(ast.parse(probe))) == ["_a", "_b"]
     assert not list(_private_reads_of_invariants(ast.parse((SOURCE / "cli.py").read_text())))
+
+
+# definitions that nothing in src/ reads, all kept for bench/tracing.py,
+# which wraps oracle_constant and Trajectory.state by name; ROADMAP item
+# 1, the benchmark change that retargets the tracer, frees each
+UNREFERENCED = {
+    "verify.oracle_constant",      # ROADMAP item 1: a traced span
+    "verify._prefix_simpson",      # ROADMAP item 1: oracle_constant's quadrature
+    "integrate.Trajectory.state",  # ROADMAP item 1: the tracer's leaf method
+    "integrate.AugmentedState",    # ROADMAP item 1: what Trajectory.state returns
+}
+
+
+def _unreferenced(modules: dict[str, ast.AST]) -> list[str]:
+    """Qualified names of the functions, classes and methods of modules
+    that no live code reads.  A read inside the definition itself does not
+    count, nor one inside a definition that is unreferenced in turn.  A
+    method counts attribute reads (``obj.name``) only, anything else bare
+    names too; dunder methods are called implicitly and are left out."""
+    defs, reads = [], {}
+
+    def visit(node, qualified, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs.append((f"{qualified}.{name}", name,
+                                 isinstance(node, ast.ClassDef), child))
+                visit(child, f"{qualified}.{name}", enclosing | {child})
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                reads.setdefault(child.id, []).append((False, enclosing))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.setdefault(child.attr, []).append((True, enclosing))
+            visit(child, qualified, enclosing)
+
+    for module, tree in modules.items():
+        visit(tree, module, frozenset())
+    dead: set = set()
+    while True:
+        now = {node for _, name, method, node in defs
+               if not any((attribute or not method) and node not in within
+                          and not within & dead
+                          for attribute, within in reads.get(name, ()))}
+        if now == dead:
+            return sorted(qualified for qualified, _, _, node in defs if node in dead)
+        dead = now
+
+
+def test_every_definition_in_src_is_read_in_src():
+    # a function that only tests call belongs beside them, in helpers.py;
+    # __init__ re-exports names, which is not a use
+    probe = ("def helper(): pass\n"
+             "def unused(): return helper()\n"
+             "def recursive(): return recursive()\n"
+             "def used(state): return state\n"
+             "class C:\n"
+             "    def state(self): return state\n"
+             "    def __len__(self): return 0\n"
+             "used(C)\n")
+    assert _unreferenced({"m": ast.parse(probe)}) == [
+        "m.C.state", "m.helper", "m.recursive", "m.unused"]
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
+    assert set(_unreferenced(modules)) == UNREFERENCED

@@ -18,13 +18,13 @@ from jacobi_invariants.problem import (
     ProblemError,
     canonical,
     classify,
-    euler_lagrange_residual,
     lagrangian_residual_expr,
     read_channel,
     rhs,
     validate_lagrangian,
 )
 from jacobi_invariants.verify import integrated_oracle
+from helpers import euler_lagrange_residual
 
 
 @pytest.fixture
