@@ -9,6 +9,8 @@ builds one value per result; the parser divides constants through
 ``Fraction``.
 Named identifiers other than t and x are free scalar parameters.  Exponents
 of ``^`` are restricted to constant (t,x-free) expressions.
+Every tree has the normal form's ten node kinds: a - b, a / b, -a and
+sqrt(a) are built as a + (-1)*b, a * b^(-1), (-1)*a and a^(1/2).
 
 ``simplify`` rewrites to a canonical normal form: sums and products are
 flattened, sorted and collected, constants folded, exp/ln pairs cancelled.
@@ -31,18 +33,14 @@ RAT = "rat"
 PARAM = "param"
 VAR = "var"
 ADD = "add"
-SUB = "sub"
 MUL = "mul"
-DIV = "div"
 POW = "pow"
-NEG = "neg"
 EXP = "exp"
 LN = "ln"
-SQRT = "sqrt"
 SIN = "sin"
 COS = "cos"
 
-_FUNCS = (EXP, LN, SQRT, SIN, COS)
+_FUNCS = (EXP, LN, SIN, COS)
 _KIND = operator.attrgetter("kind")
 
 
@@ -63,7 +61,7 @@ _MAX_NODE_TEXT = 80
 
 
 class DomainError(ExprError):
-    """Evaluation left the real domain (ln<=0, sqrt<0, division by zero...).
+    """Evaluation left the real domain (ln<=0, zero to a negative power...).
     ``expr`` is the failing node, or the source of a compiled template whose
     own arithmetic overflowed."""
 
@@ -143,7 +141,7 @@ class Expr:
     def __str__(self):
         return pprint(self)
 
-    # arithmetic sugar; results are raw trees, call simplify() for canon form
+    # arithmetic sugar; raw trees of the normal form's kinds, call simplify() for the form
     def __add__(self, other):
         return Expr(ADD, (self, _coerce(other)))
 
@@ -151,10 +149,10 @@ class Expr:
         return Expr(ADD, (_coerce(other), self))
 
     def __sub__(self, other):
-        return Expr(SUB, (self, _coerce(other)))
+        return Expr(ADD, (self, -_coerce(other)))
 
     def __rsub__(self, other):
-        return Expr(SUB, (_coerce(other), self))
+        return Expr(ADD, (_coerce(other), -self))
 
     def __mul__(self, other):
         return Expr(MUL, (self, _coerce(other)))
@@ -163,16 +161,16 @@ class Expr:
         return Expr(MUL, (_coerce(other), self))
 
     def __truediv__(self, other):
-        return Expr(DIV, (self, _coerce(other)))
+        return Expr(MUL, (self, Expr(POW, (_coerce(other), MINUS_ONE))))
 
     def __rtruediv__(self, other):
-        return Expr(DIV, (_coerce(other), self))
+        return Expr(MUL, (_coerce(other), Expr(POW, (self, MINUS_ONE))))
 
     def __pow__(self, other):
         return Expr(POW, (self, _coerce(other)))
 
     def __neg__(self):
-        return Expr(NEG, (self,))
+        return Expr(MUL, (MINUS_ONE, self))
 
 
 def _coerce(v) -> Expr:
@@ -218,7 +216,7 @@ def Ln(a) -> Expr:
 
 
 def Sqrt(a) -> Expr:
-    return Expr(SQRT, (_coerce(a),))
+    return Expr(POW, (_coerce(a), HALF))
 
 
 def Sin(a) -> Expr:
@@ -254,7 +252,7 @@ def is_constant(e: Expr) -> bool:
 
 # ---------------------------------------------------------------- parsing
 
-_KNOWN_FUNCS = {"exp": EXP, "ln": LN, "sqrt": SQRT, "sin": SIN, "cos": COS}
+_KNOWN_FUNCS = {"exp": Exp, "ln": Ln, "sqrt": Sqrt, "sin": Sin, "cos": Cos}
 
 
 # Nesting levels (parentheses, unary minus, exponents, and one per operator
@@ -346,7 +344,7 @@ def _parse_sum(tz) -> Expr:
             tz.next()
             _descend(tz, off)  # a binary chain is one tree level per operator
             rhs = _parse_term(tz)
-            e = Expr(ADD if val == "+" else SUB, (e, rhs))
+            e = e + rhs if val == "+" else e - rhs
         else:
             tz.depth = depth
             return e
@@ -366,7 +364,7 @@ def _parse_term(tz) -> Expr:
             elif val == "*" and e.kind == RAT and rhs.kind == RAT:
                 e = Rat(e.value * rhs.value)
             else:
-                e = Expr(MUL if val == "*" else DIV, (e, rhs))
+                e = e * rhs if val == "*" else e / rhs
         else:
             tz.depth = depth
             return e
@@ -378,7 +376,7 @@ def _parse_unary(tz) -> Expr:
     if kind == "op" and val == "-":
         tz.next()
         inner = _parse_unary(tz)
-        e = Rat(-inner.value) if inner.kind == RAT else Expr(NEG, (inner,))
+        e = Rat(-inner.value) if inner.kind == RAT else -inner
     else:
         e = _parse_power(tz)
     tz.depth -= 1
@@ -418,7 +416,7 @@ def _parse_atom(tz) -> Expr:
             ckind, cval, coff = tz.next()
             if not (ckind == "op" and cval == ")"):
                 raise ParseError("expected ')'", coff)
-            return Expr(_KNOWN_FUNCS[val], (arg,))
+            return _KNOWN_FUNCS[val](arg)
         if val == "t":
             return T
         if val == "x":
@@ -436,7 +434,8 @@ def _parse_atom(tz) -> Expr:
 # ---------------------------------------------------------------- printing
 
 def pprint(e: Expr) -> str:
-    """Fully parenthesized infix form; re-parses to the same canonical tree."""
+    """Fully parenthesized infix form; re-parses to the same canonical tree.
+    A sum prints a term (-c)*rest as a subtraction of c*rest."""
     k = e.kind
     if k == RAT:
         v = e.value
@@ -448,8 +447,6 @@ def pprint(e: Expr) -> str:
         return e.name
     if k in _FUNCS:
         return f"{k}({pprint(e.args[0])})"
-    if k == NEG:
-        return f"(-{pprint(e.args[0])})"
     if k == ADD:
         parts = [pprint(e.args[0])]
         for a in e.args[1:]:
@@ -459,12 +456,8 @@ def pprint(e: Expr) -> str:
             else:
                 parts.append(f" + {pprint(a)}")
         return "(" + "".join(parts) + ")"
-    if k == SUB:
-        return f"({pprint(e.args[0])} - {pprint(e.args[1])})"
     if k == MUL:
         return "(" + " * ".join(pprint(a) for a in e.args) + ")"
-    if k == DIV:
-        return f"({pprint(e.args[0])} / {pprint(e.args[1])})"
     if k == POW:
         return f"({pprint(e.args[0])} ^ {pprint(e.args[1])})"
     raise ExprError(f"unknown node kind {k!r}")
@@ -517,21 +510,11 @@ def _eval(e: Expr, t, x, params) -> float:
             raise DomainError(e, t, x, "overflow in sum") from None
         except ValueError:  # inf + -inf
             raise DomainError(e, t, x, "sum of opposite infinities") from None
-    if k == SUB:
-        return _eval(e.args[0], t, x, params) - _eval(e.args[1], t, x, params)
     if k == MUL:
         out = 1.0
         for a in e.args:
             out *= _eval(a, t, x, params)
         return out
-    if k == DIV:
-        num = _eval(e.args[0], t, x, params)
-        den = _eval(e.args[1], t, x, params)
-        if den == 0.0:
-            raise DomainError(e, t, x, "division by zero")
-        return num / den
-    if k == NEG:
-        return -_eval(e.args[0], t, x, params)
     if k == POW:
         base = _eval(e.args[0], t, x, params)
         expo = _eval(e.args[1], t, x, params)
@@ -547,11 +530,6 @@ def _eval(e: Expr, t, x, params) -> float:
         if v <= 0.0:
             raise DomainError(e, t, x, "ln of non-positive value")
         return math.log(v)
-    if k == SQRT:
-        v = _eval(e.args[0], t, x, params)
-        if v < 0.0:
-            raise DomainError(e, t, x, "sqrt of negative value")
-        return math.sqrt(v)
     if k == SIN or k == COS:
         v = _eval(e.args[0], t, x, params)
         try:
@@ -781,9 +759,6 @@ def _literal(value) -> str | None:
     return f"({text})" if text[0] == "-" else text
 
 
-_MATH_NAMES = {EXP: "exp", LN: "log", SQRT: "sqrt", SIN: "sin", COS: "cos"}
-
-
 def _pysrc(e: Expr) -> str:
     """Fast-path source of e; the operations that can leave the real domain
     raise one of _FAST_ERRORS.  A parameter is written as its name
@@ -802,14 +777,8 @@ def _pysrc(e: Expr) -> str:
     args = [_pysrc(a) for a in e.args]
     if k == ADD:
         return "(" + "+".join(args) + ")"
-    if k == SUB:
-        return f"({args[0]}-{args[1]})"
     if k == MUL:
         return "(" + "*".join(args) + ")"
-    if k == NEG:
-        return f"(-{args[0]})"
-    if k == DIV:
-        return f"({args[0]}/{args[1]})"
     if k == POW:
         expo = e.args[1]
         if expo.kind == RAT and _literal(expo.value) is not None:
@@ -825,8 +794,8 @@ def _pysrc(e: Expr) -> str:
             return (f"(math.pow(_b,{args[1]}) if (_b:={args[0]}) != -1e999 "
                     f"else _pw(_b,{args[1]}))")
         return f"_pw({args[0]},{args[1]})"
-    if k in _FUNCS:
-        return f"math.{_MATH_NAMES[k]}({args[0]})"
+    if k in _FUNCS:  # each is named as its math function, but for ln
+        return f"math.{'log' if k == LN else k}({args[0]})"
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -866,10 +835,6 @@ def _diff(e: Expr, var: str) -> Expr:
         return ONE if e.name == var else ZERO
     if k == ADD:
         return Expr(ADD, tuple(_diff(a, var) for a in e.args))
-    if k == SUB:
-        return Expr(SUB, (_diff(e.args[0], var), _diff(e.args[1], var)))
-    if k == NEG:
-        return Expr(NEG, (_diff(e.args[0], var),))
     if k == MUL:
         terms = []
         for i in range(len(e.args)):
@@ -877,10 +842,6 @@ def _diff(e: Expr, var: str) -> Expr:
             factors[i] = _diff(e.args[i], var)
             terms.append(Expr(MUL, tuple(factors)))
         return Expr(ADD, tuple(terms)) if len(terms) > 1 else terms[0]
-    if k == DIV:
-        f, g = e.args
-        num = Expr(SUB, (Expr(MUL, (_diff(f, var), g)), Expr(MUL, (f, _diff(g, var)))))
-        return Expr(DIV, (num, Expr(POW, (g, Rat(2)))))
     if k == POW:
         base, c = e.args  # exponent is constant by construction
         down = Expr(POW, (base, Expr(ADD, (c, MINUS_ONE))))
@@ -888,13 +849,11 @@ def _diff(e: Expr, var: str) -> Expr:
     if k == EXP:
         return Expr(MUL, (e, _diff(e.args[0], var)))
     if k == LN:
-        return Expr(DIV, (_diff(e.args[0], var), e.args[0]))
-    if k == SQRT:
-        return Expr(DIV, (_diff(e.args[0], var), Expr(MUL, (Rat(2), e))))
+        return _diff(e.args[0], var) / e.args[0]
     if k == SIN:
         return Expr(MUL, (Cos(e.args[0]), _diff(e.args[0], var)))
     if k == COS:
-        return Expr(NEG, (Expr(MUL, (Sin(e.args[0]), _diff(e.args[0], var))),))
+        return -Expr(MUL, (Sin(e.args[0]), _diff(e.args[0], var)))
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -929,14 +888,6 @@ def _norm(e: Expr) -> Expr:
 
 def _rewrite(e: Expr) -> Expr:
     k = e.kind
-    if k == NEG:
-        return _c_mul([MINUS_ONE, _norm(e.args[0])])
-    if k == SUB:
-        return _c_add([_norm(e.args[0]), _c_mul([MINUS_ONE, _norm(e.args[1])])])
-    if k == DIV:
-        return _c_mul([_norm(e.args[0]), _c_pow(_norm(e.args[1]), MINUS_ONE)])
-    if k == SQRT:
-        return _c_pow(_norm(e.args[0]), HALF)
     if k == ADD:
         return _c_add([_norm(a) for a in e.args])
     if k == MUL:
@@ -947,10 +898,8 @@ def _rewrite(e: Expr) -> Expr:
         return _c_exp(_norm(e.args[0]))
     if k == LN:
         return _c_ln(_norm(e.args[0]))
-    if k == SIN:
-        return _c_trig(SIN, _norm(e.args[0]))
-    if k == COS:
-        return _c_trig(COS, _norm(e.args[0]))
+    if k == SIN or k == COS:
+        return _c_trig(k, _norm(e.args[0]))
     raise ExprError(f"unknown node kind {k!r}")
 
 

@@ -64,23 +64,23 @@ class InvariantSpec(Frozen):
     """A constructed constant of motion.
 
     The local part is a polynomial in the velocity with (t,x)-coefficients,
-    optionally dressed by exp(sign*u) for one accumulator channel u and/or a
-    closed-form factor exp(g(t)); additive channels enter linearly.  Channel
-    indices refer to this spec's own ``integrands`` tuple.
+    optionally dressed by exp(sign*u0) for its first accumulator channel
+    and/or a closed-form factor exp(g(t)); additive channels enter linearly.
+    Channel indices refer to this spec's own ``integrands`` tuple.
     """
 
     # the last evaluator compiled, as (params items, function); the spec is
     # immutable
-    __slots__ = ("name", "kind", "poly", "integrands", "exp_sign", "exp_channel",
-                 "linear_channels", "exp_closed_arg", "_compiled")
+    __slots__ = ("name", "kind", "poly", "integrands", "exp_sign", "linear_channels",
+                 "exp_closed_arg", "_compiled")
 
     def __init__(self, name: str, kind: str, poly: dict[int, Expr],
-                 integrands: tuple[Expr, ...] = (), exp_sign: int = 0, exp_channel: int = 0,
+                 integrands: tuple[Expr, ...] = (), exp_sign: int = 0,
                  linear_channels: tuple[tuple[Fraction, int], ...] = (),
                  exp_closed_arg: Expr | None = None):
         self._set(name=name, kind=kind, poly=poly, integrands=integrands, exp_sign=exp_sign,
-                  exp_channel=exp_channel, linear_channels=linear_channels,
-                  exp_closed_arg=exp_closed_arg, _compiled=None)
+                  linear_channels=linear_channels, exp_closed_arg=exp_closed_arg,
+                  _compiled=None)
 
     def compiled(self, params: dict[str, float] | None = None):
         """Evaluator over many states: ``fn(T, X, V, U0, ..) -> (values,
@@ -97,8 +97,7 @@ class InvariantSpec(Frozen):
 
     def _compile(self, params: dict[str, float] | None):
         exprs = {f"c{d}": c for d, c in sorted(self.poly.items())}
-        template = ex.velocity_poly({d: f"c{d}" for d in self.poly}, self.exp_sign,
-                                    f"u{self.exp_channel}")
+        template = ex.velocity_poly({d: f"c{d}" for d in self.poly}, self.exp_sign, "u0")
         if self.exp_closed_arg is not None:
             exprs["closed"] = self.exp_closed_arg
             template = f"({template})*math.exp({{closed}})"
@@ -118,7 +117,7 @@ class InvariantSpec(Frozen):
                 parts.append(f"{c} * xdot^{d}")
         body = " + ".join(parts) if parts else "0"
         if self.exp_sign != 0:
-            g = pprint(simplify(self.integrands[self.exp_channel]))
+            g = pprint(simplify(self.integrands[0]))
             s = "-" if self.exp_sign < 0 else ""
             body = f"({body}) * exp({s}Int[{g}])"
         if self.exp_closed_arg is not None:
@@ -200,7 +199,6 @@ def nonlocal_autonomous(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantS
               0: simplify(ex.Rat(sign) * aux.bbar * ex.Exp(half_phi))},
         integrands=(g,),
         exp_sign=-sign,
-        exp_channel=0,
     )
 
 
@@ -358,4 +356,4 @@ def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr,
     # the channel is kept for evaluation
     return InvariantSpec(name="general_constant",
                          kind=FIRST_INTEGRAL if t_only else NONLOCAL_CONSTANT,
-                         poly=poly, integrands=(integrand,), exp_sign=+1, exp_channel=0)
+                         poly=poly, integrands=(integrand,), exp_sign=+1)

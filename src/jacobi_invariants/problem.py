@@ -8,6 +8,7 @@ d_t(delta1) - d_x(delta2) = e^phi * B.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import expr as ex
@@ -96,6 +97,13 @@ class JacobiProblem(Frozen):
             raise ProblemError(f"coefficients undefined at the initial point: {err}") from err
         if self.domain is None:
             object.__setattr__(self, "domain", default_domain(self.t0, self.t_end, self.x0))
+        tmin, tmax, xmin, xmax = self.domain
+        # the step bounds scale with the window and the sample points with
+        # the domain; a width beyond float range makes them inf or nan
+        if not all(map(math.isfinite, (self.t_end - self.t0, tmax - tmin, xmax - xmin))):
+            raise ProblemError(f"window [{self.t0}, {self.t_end}] and domain "
+                               f"{list(self.domain)} must have widths within float range")
+        if domain is None:
             return
         # the sampled zero test compares with an absolute 1e-12, which a
         # residual vanishing to second order at a point of the box stays

@@ -155,7 +155,7 @@ def integrated_oracle(p: JacobiProblem, L: LagrangianData,
     return InvariantSpec(
         name="oracle", kind=NONLOCAL_CONSTANT,
         poly={1: ex.simplify(e["dLdv_1"] * a), 0: ex.simplify(e["dLdv_0"] * a)},
-        integrands=channels, exp_sign=fam.sign, exp_channel=0,
+        integrands=channels, exp_sign=fam.sign,
         linear_channels=((Fraction(-1), len(channels) - 1),))
 
 

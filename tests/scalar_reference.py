@@ -221,7 +221,7 @@ def spec_fn(spec, params):
         for d, cf in coeff_fns:
             val += cf(t, x) * v ** d
         if spec.exp_sign != 0:
-            val *= math.exp(spec.exp_sign * u[spec.exp_channel])
+            val *= math.exp(spec.exp_sign * u[0])
         if closed_fn is not None:
             val *= math.exp(closed_fn(t, x))
         for c, i in spec.linear_channels:

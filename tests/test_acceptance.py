@@ -32,6 +32,7 @@ from helpers import (
     CLASSICAL_FORMS,
     euler_lagrange_residual,
     exact_solution,
+    exact_solution_residual,
     local_exprs,
     on_states,
     product_first_integral,
@@ -134,22 +135,7 @@ def test_criterion_4_general_fixture(loaded, constructed, trajectories, capsys):
     vals, err = fn(ts, np.array([x_cf(t) for t in ts]), np.array([v_cf(t) for t in ts]), [])
     assert err is None
     drift_cf = max(abs(v - vals[0]) for v in vals)
-
-    def arg(t):
-        return 2 * rho * math.exp(-t / 2) - 0.5 * itld * math.exp(-t) + jtld
-
-    def arg_d(t):
-        return -rho * math.exp(-t / 2) + 0.5 * itld * math.exp(-t)
-
-    def arg_dd(t):
-        return 0.5 * rho * math.exp(-t / 2) - 0.5 * itld * math.exp(-t)
-
-    worst_resid = 0.0
-    for t in np.linspace(0.0, 4.0, 200):
-        a = arg(t)
-        xdd = 2 * (arg_dd(t) * a - arg_d(t) ** 2) / a ** 2
-        resid = xdd + 0.5 * v_cf(t) ** 2 + v_cf(t) + rho * math.exp(-(t + x_cf(t)) / 2)
-        worst_resid = max(worst_resid, abs(resid))
+    worst_resid = exact_solution_residual(rho, itld, jtld)
 
     ok = structural and drift_traj < 1e-8 and drift_cf < 1e-8 and worst_resid < 1e-10
     announce(capsys, 4, "exactly solvable general fixture", ok,

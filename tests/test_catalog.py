@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from jacobi_invariants import catalog
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import parse, simplify
 from jacobi_invariants.problem import classify, validate_lagrangian
-from helpers import blowup_scan, exact_solution, local_exprs, on_states
+from helpers import blowup_scan, exact_solution, exact_solution_residual, local_exprs, on_states
 
 
 def test_ids_and_unknown():
@@ -57,25 +55,7 @@ def test_exact_solution_against_finite_differences():
 
 
 def test_exact_solution_ode_residual():
-    # residual of x'' + (1/2)x'^2 + x' + rho*e^(-(t+x)/2) with the analytic
-    # second derivative of the closed form
-    rho, itld, jtld = 1.0, -2.0, 1.0
-    x, v = exact_solution(rho, itld, jtld)
-
-    def arg(t):
-        return 2 * rho * math.exp(-t / 2) - 0.5 * itld * math.exp(-t) + jtld
-
-    def arg_d(t):
-        return -rho * math.exp(-t / 2) + 0.5 * itld * math.exp(-t)
-
-    def arg_dd(t):
-        return 0.5 * rho * math.exp(-t / 2) - 0.5 * itld * math.exp(-t)
-
-    for t in np.linspace(0.0, 4.0, 200):
-        a = arg(t)
-        xdd = 2 * (arg_dd(t) * a - arg_d(t) ** 2) / a ** 2
-        resid = xdd + 0.5 * v(t) ** 2 + v(t) + rho * math.exp(-(t + x(t)) / 2)
-        assert abs(resid) < 1e-10
+    assert exact_solution_residual(1.0, -2.0, 1.0) < 1e-10
 
 
 def test_exact_solution_guards_log_domain():

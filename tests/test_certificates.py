@@ -46,7 +46,7 @@ def certified(problem, spec: InvariantSpec) -> bool:
     u = sp.symbols(f"u0:{len(spec.integrands)}", real=True)
     inv = sp.Add(*(to_sp(c) * V ** d for d, c in spec.poly.items()))
     if spec.exp_sign != 0:
-        inv *= sp.exp(spec.exp_sign * u[spec.exp_channel])
+        inv *= sp.exp(spec.exp_sign * u[0])
     if spec.exp_closed_arg is not None:
         inv *= sp.exp(to_sp(spec.exp_closed_arg))
     inv += sp.Add(*(sp.Rational(c.numerator, c.denominator) * u[i]
@@ -63,7 +63,7 @@ def mutated(spec: InvariantSpec) -> InvariantSpec:
     poly = dict(spec.poly)
     poly[1] = ex.simplify(poly.get(1, ex.ZERO) + ex.Rat(1, 1000) * ex.X)
     return InvariantSpec(spec.name, spec.kind, poly, spec.integrands, spec.exp_sign,
-                         spec.exp_channel, spec.linear_channels, spec.exp_closed_arg)
+                         spec.linear_channels, spec.exp_closed_arg)
 
 
 @pytest.mark.parametrize("fid", catalog.ids())

@@ -183,6 +183,15 @@ HOSTILE_FILES = {
     "B_unbound": (_problem_text(B="k*x"), "parameter 'k' is not bound"),
     "phi_unbound": (_problem_text(phi="k*x"), "parameter 'k' is not bound"),
     "delta2_unbound": (_problem_text(delta2="k - x^2/2"), "parameter 'k' is not bound"),
+    "window_wider_than_floats": (
+        _problem_text(phi="0", B="x", delta2="2 - x^2/2", t0=-1e308, t_end=1e308, x0=0.5,
+                      domain=[-1e308, 1e308, -1.9, 1.9]),
+        "must have widths within float range"),
+    # the default domain's x side is 2*(2|x0| + 1) wide; a linear B keeps
+    # the coefficients finite at x0
+    "default_domain_wider_than_floats": (
+        _problem_text(phi="0", B="x", delta2="2 - x^2/2", t_end=1.0, x0=1e308, domain=None),
+        "must have widths within float range"),
 }
 
 

@@ -55,10 +55,8 @@ def test_parse_param_power():
 def test_parse_exp_of_negated_sum():
     e = parse("exp(-(t+x)/2)")
     assert e.kind == ex.EXP
-    inner = e.args[0]
-    assert inner.kind == ex.DIV
-    assert inner.args[0].kind == ex.NEG
-    assert inner.args[0].args[0] == T + X
+    negated = ex.Expr(ex.MUL, (ex.MINUS_ONE, T + X))
+    assert e.args[0] == ex.Expr(ex.MUL, (negated, ex.Expr(ex.POW, (Rat(2), ex.MINUS_ONE))))
 
 
 def test_parse_whitespace_insensitive():
@@ -92,15 +90,25 @@ def test_parse_error_carries_offset():
 # every character the tokenizer knows, and a few it does not
 PARSE_ALPHABET = "0123456789.+-*/^()tx abceklnopqrsinx_,@\n"
 
+# the node kinds of the normal form, the only ones any tree is built from
+NORMAL_KINDS = {ex.RAT, ex.PARAM, ex.VAR, ex.ADD, ex.MUL, ex.POW,
+                ex.EXP, ex.LN, ex.SIN, ex.COS}
+
+
+def _kinds(e: ex.Expr) -> set[str]:
+    return {e.kind}.union(*map(_kinds, e.args))
+
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), st.text(alphabet=PARSE_ALPHABET, max_size=60)))
 def test_parse_accepts_or_raises_parse_error(text):
-    # any text parses, or raises ParseError, never any other exception
+    # any text parses, or raises ParseError, never any other exception;
+    # what parses is built from the normal form's kinds
     try:
-        parse(text)
+        e = parse(text)
     except ParseError:
-        pass
+        return
+    assert _kinds(e) <= NORMAL_KINDS
 
 
 def test_parse_depth_limited():
@@ -283,7 +291,7 @@ def test_compile_fn_array_flags_each_domain_failure(text, x):
 def test_compile_fn_array_takes_the_slow_path_value_where_it_exists():
     # 1 + x - 1 rounds to 0 left to right but not under fsum, so the fast
     # path divides by zero and the slow evaluator returns a value
-    e = ex.Expr(ex.DIV, (ex.ONE, ex.Expr(ex.ADD, (ex.ONE, X, Rat(-1)))))
+    e = ex.ONE / ex.Expr(ex.ADD, (ex.ONE, X, Rat(-1)))
     want = compile_fn(e)(0.0, 1e-17)
     assert want == pytest.approx(1e17)
     values, err = _series(e)([0.0, 0.0], [0.5, 1e-17])
@@ -418,11 +426,15 @@ def test_nonconstant_exponent_leaves_no_memo_filled():
 
 
 def test_roundtrip_500_random_trees():
-    # printing the simplified tree and re-parsing reproduces it exactly
+    # printing the simplified tree and re-parsing reproduces it exactly;
+    # the operators and the parser build only the normal form's kinds
     rng = random.Random(20250810)
     for _ in range(500):
-        s = simplify(random_tree(rng, rng.randint(1, 8)))
-        assert simplify(parse(pprint(s))) == s
+        e = random_tree(rng, rng.randint(1, 8))
+        s = simplify(e)
+        reparsed = parse(pprint(s))
+        assert _kinds(e) <= NORMAL_KINDS and _kinds(reparsed) <= NORMAL_KINDS
+        assert simplify(reparsed) == s
 
 
 def test_simplify_preserves_value_at_100_points():
