@@ -3,19 +3,33 @@ series evaluation layers: one step, one dense-output state, one compiled
 scalar call and one Python float operation at a time.  The parity tests
 hold the generated integration loop and its dense rows, the block
 sampling and the generated series loops to these bit for bit, and the
-fused right-hand side of ``problem.rhs`` to ``rhs`` here."""
+fused right-hand side of ``problem.rhs`` to ``rhs`` here.
+
+The DOP853 coefficients come from scipy's own module, not from the
+integrator's, so a wrong coefficient there shows as a mismatch."""
 
 import math
 from collections import Counter
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import DomainError
 from jacobi_invariants.integrate import (
-    _A, _BLOWUP_BOUND, _C, _D, _E, _MAX_CONSECUTIVE_REJECTS, BLOW_UP, COMPLETED,
-    DOMAIN_ABORT, STEP_FAILURE, IntegrationError)
+    _BLOWUP_BOUND, _MAX_CONSECUTIVE_REJECTS, BLOW_UP, COMPLETED, DOMAIN_ABORT,
+    STEP_FAILURE, IntegrationError)
 from jacobi_invariants.problem import read_channel
+
+# stage s + 1 is at C[s] with weights A[s][:s] on the stages before it:
+# 12 stages of the step, the 13th at its end (FSAL), 3 of the dense output
+C = dop853.C.tolist()
+A = [row[:s] for s, row in enumerate(dop853.A.tolist())]
+B, E5, E3 = dop853.B.tolist(), dop853.E5.tolist(), dop853.E3.tolist()
+D = dop853.D.tolist()
+# the order of the error estimate; the step controller's exponents are
+# 0.7 and 0.4 over it, and the starting step's root is one over it plus 1
+ORDER = 7
 
 
 def weighted(weights, ks, i):
@@ -52,21 +66,22 @@ def initial_step(f, inputs, controlled, t0, y0, f0, t_end, hmin, atol, rtol):
         return max(h0 * 0.1, 1e-10 * (t_end - t0))
     d2 = norm([f1[i] - f0[i] for i in range(controlled)], sc) / h0
     dm = max(d1, d2)
-    h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
+    h1 = (0.01 / dm) ** (1 / (ORDER + 1)) if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100.0 * h0, h1, t_end - t0)
 
 
 def integrate(problem, integrands, tol, f, quadratures=0):
     """The steps of ``integrate.integrate`` one at a time on the right-hand
-    side f, each with its quartic dense-output rows computed from its own
-    stages as Python floats; the last ``quadratures`` of the integrands are
-    outside step control.
+    side f, each with its seventh-order dense-output rows computed from its
+    own stages as Python floats; the last ``quadratures`` of the integrands
+    are outside step control.
 
     Returns (ts, ys, rows, termination, counts): rows has shape
-    (steps, 5, n), termination is (status, t, point, detail) and counts
-    has the RHS calls, the attempted steps (``attempts``) and the stage
-    calls that attempts ended by a DomainError did not reach
-    (``unreached``)."""
+    (steps, 8, n), termination is (status, t, point, detail) and counts
+    has the RHS calls, the attempted steps (``attempts``), the attempts
+    that passed the error test and took the dense-output stages
+    (``dense``), and the stage calls that attempts ended by a DomainError
+    did not reach (``unreached``)."""
     atol, rtol = tol
     n = 2 + len(integrands)
     controlled = n - quadratures
@@ -78,13 +93,19 @@ def integrate(problem, integrands, tol, f, quadratures=0):
         counts["calls"] += 1
         return f(*point)
 
+    def stages(ks, t, h, y, upto):
+        """Append stages len(ks) + 1.. upto of the step (t, y, h) to ks."""
+        for s in range(len(ks), upto):
+            trial = [y[i] + h * weighted(A[s], ks, i) for i in range(n)]
+            ks.append(call(t + C[s] * h, *(trial[i] for i in inputs)))
+
     t0, t_end = problem.t0, problem.t_end
     hmin = 1e-12 * (t_end - t0)
     y = (float(problem.x0), float(problem.v0)) + (0.0,) * (n - 2)
     ts, ys, rows = [t0], [y], []
 
     def finish(*termination):
-        return (np.array(ts), np.array(ys), np.array(rows).reshape(-1, 5, n),
+        return (np.array(ts), np.array(ys), np.array(rows).reshape(-1, 8, n),
                 termination, counts)
 
     try:
@@ -99,46 +120,52 @@ def integrate(problem, integrands, tol, f, quadratures=0):
         if last:
             h = t_end - t
         counts["attempts"] += 1
-        ks = [k1]
+        ks, planned = [k1], 12
         try:
-            for s in range(1, 7):
-                trial = [y[i] + h * weighted(_A[s], ks, i) for i in range(n)]
-                ks.append(call(t + _C[s] * h, *(trial[i] for i in inputs)))
+            stages(ks, t, h, y, 12)
+            y_new = tuple(y[i] + h * weighted(B, ks, i) for i in range(n))
+            ks.append(call(t + C[12] * h, *(y_new[i] for i in inputs)))
+            # step control reads the controlled components; the quadrature
+            # ones are integrated with the step but outside its error norm.
+            # A non-finite channel value, or quadrature derivative, at the
+            # new state rejects the step
+            err5 = err3 = 0.0
+            for i in range(controlled):
+                a, b = abs(y[i]), abs(y_new[i])
+                scale = atol + rtol * (a if a > b else b)
+                e, g = weighted(E5, ks, i) / scale, weighted(E3, ks, i) / scale
+                err5, err3 = err5 + e * e, err3 + g * g
+            deno = err5 + 0.01 * err3
+            err = h * err5 / math.sqrt((deno if deno > 0.0 else 1.0) * controlled)
+            if not all(map(math.isfinite, (err, *y_new[2:], *ks[12][controlled:]))):
+                err = 10.0
+            if err <= 1.0:
+                counts["dense"] += 1
+                planned = 15
+                stages(ks, t, h, y, 16)
         except DomainError as exc:
-            counts["unreached"] += 6 - len(ks)
+            counts["unreached"] += planned - len(ks)
             if h > 8.0 * hmin and rejects < _MAX_CONSECUTIVE_REJECTS:
                 rejects += 1
                 just_rejected = True
                 h *= 0.25
                 continue
             return finish(DOMAIN_ABORT, t, (exc.t, exc.x), str(exc))
-        y_new = tuple(trial)
-        # step control reads the controlled components; the quadrature
-        # ones are integrated with the step but outside its error norm.  A
-        # non-finite channel value, or quadrature derivative, at the new
-        # state rejects the step
-        scales = []
-        for i in range(controlled):
-            a, b = abs(y[i]), abs(y_new[i])
-            scales.append(atol + rtol * (a if a > b else b))
-        err = norm([h * weighted(_E, ks, i) for i in range(controlled)], scales)
-        if not all(map(math.isfinite, (err, *y_new[2:], *ks[6][controlled:]))):
-            err = 10.0
         if err <= 1.0:
             d = [y_new[i] - y[i] for i in range(n)]
-            p = [h * k1[i] - d[i] for i in range(n)]
-            rows.append([list(y), d, p,
-                         [d[i] - h * ks[6][i] - p[i] for i in range(n)],
-                         [h * weighted(_D, ks, i) for i in range(n)]])
+            rows.append([list(y), d, [h * k1[i] - d[i] for i in range(n)],
+                         [2.0 * d[i] - h * (ks[12][i] + k1[i]) for i in range(n)],
+                         *([h * weighted(w, ks, i) for i in range(n)] for w in D)])
             t = t_end if last else t + h
             y = y_new
             ts.append(t)
             ys.append(y)
             if abs(y[0]) + abs(y[1]) > _BLOWUP_BOUND:
                 return finish(BLOW_UP, t, (t, y[0]), f"|x|+|v| exceeded {_BLOWUP_BOUND:g}")
-            k1 = ks[6]
+            k1 = ks[12]
             rejects = 0
-            fac = 0.9 * err ** (-0.175) * errprev ** 0.1 if err > 0 else 5.0
+            fac = (0.9 * err ** (-0.7 / ORDER) * errprev ** (0.4 / ORDER)
+                   if err > 0 else 5.0)
             fac = min(1.0 if just_rejected else 5.0, max(0.2, fac))
             errprev = max(err, 1e-4)
             just_rejected = False
@@ -149,13 +176,15 @@ def integrate(problem, integrands, tol, f, quadratures=0):
             if rejects >= _MAX_CONSECUTIVE_REJECTS and h <= hmin * 4.0:
                 return finish(STEP_FAILURE, t, (t, y[0]),
                               f"{rejects} consecutive rejected steps at minimum step size")
-            h *= max(0.2, 0.9 * err ** (-0.25))
+            h *= max(0.2, 0.9 * err ** (-1 / ORDER))
     return finish(COMPLETED, t, None, "")
 
 
 def state(traj, t: float) -> np.ndarray:
-    """Dense-output state [x, v, u...] at one t, per the quartic
-    continuous extension of the Dormand-Prince pair."""
+    """Dense-output state [x, v, u...] at one t, per the seventh-order
+    continuous extension of DOP853, in the form of scipy's
+    ``Dop853DenseOutput``: the rows from the last inwards, each added and
+    the sum multiplied by theta and 1 - theta in turn."""
     ts = traj.ts
     if not (ts[0] <= t <= ts[-1]):
         raise IntegrationError(f"t={t} outside integrated window")
@@ -166,7 +195,10 @@ def state(traj, t: float) -> np.ndarray:
     h = ts[k + 1] - ts[k]
     theta = (t - ts[k]) / h
     r = traj.conts[k]
-    return r[0] + theta * (r[1] + (1 - theta) * (r[2] + theta * (r[3] + (1 - theta) * r[4])))
+    y = r[7] * theta
+    for j, row in enumerate(r[6:0:-1]):
+        y = (y + row) * ((1 - theta) if j % 2 == 0 else theta)
+    return r[0] + y
 
 
 def rhs(p, integrands=()):

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 import json
 import math
 import pathlib
@@ -24,7 +25,9 @@ from jacobi_invariants.integrate import (
     _A,
     _B,
     _C,
-    _E,
+    _D,
+    _E3,
+    _E5,
     _dense_rows,
     _loop,
     drift_report,
@@ -126,12 +129,20 @@ def test_domain_abort_status():
     assert traj.t_last == pytest.approx(0.5, abs=1e-3)
 
 
+# the new value of a component is y + h*(sum of _B[s]*k_s), summed left to
+# right: with stages of one size k, near the largest float once the step is
+# at its floor, the partial sums reach W*k (W = 6.4), so the sum overflows
+# once k passes the largest float over W
+W = max(map(abs, itertools.accumulate(_B)))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_step_that_overflows_a_dressed_channel_is_rejected():
     # the integrand exp(u) reads a channel u = 800*t, whose exponential
     # leaves float range at t = 0.887.  The channel that integrates exp(u)
-    # is under step control, and just before that its trial stages, sums
-    # of stages near the largest float, overflow to inf without an error.
+    # is under step control, and just before that its new value, a sum of
+    # stages near the largest float, overflows to inf without an error, at
+    # a size of the stages W times below it (see W).
     # A step that makes it inf is rejected, as one that makes a quadrature
     # inf is, until the step reaches its floor: every accepted state is
     # finite, and the dense rows built from the last stages hold inf and
@@ -139,20 +150,21 @@ def test_a_step_that_overflows_a_dressed_channel_is_rejected():
     p, integrands, tol, quadratures = EARLY_ENDS["dressing_overflow"]
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.termination.status == STEP_FAILURE
-    assert traj.t_last == pytest.approx(math.log(np.finfo(float).max) / 800, abs=1e-3)
+    assert traj.t_last == pytest.approx(math.log(np.finfo(float).max / W) / 800, abs=1e-3)
     assert np.isfinite(traj.ys).all()
     assert not np.isfinite(traj.conts).all()
 
 
 def test_a_quadrature_that_overflows_silently_ends_the_run():
     # t^200 * x^200 along x = t overflows to inf, without an error, once t
-    # passes about 5.9; as a quadrature it is outside the error norm, but
-    # a step that makes it inf is rejected all the same, until the step
-    # reaches its floor
+    # passes about 5.9, and the step's sum of such stages W times below
+    # that; as a quadrature it is outside the error norm, but a step that
+    # makes it inf is rejected all the same, until the step reaches its
+    # floor
     p, integrands, tol, quadratures = EARLY_ENDS["quadrature_inf"]
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.termination.status == STEP_FAILURE
-    assert traj.t_last == pytest.approx(34.8 ** 0.5, abs=0.02)
+    assert traj.t_last == pytest.approx((np.finfo(float).max / W) ** (1 / 400), abs=0.02)
     assert np.isfinite(traj.ys).all()
 
 
@@ -163,7 +175,7 @@ def test_a_controlled_channel_that_overflows_silently_ends_the_run():
     p, integrands, tol, quadratures = EARLY_ENDS["channel_inf"]
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.termination.status == STEP_FAILURE
-    assert traj.t_last == pytest.approx(34.8 ** 0.5, abs=0.02)
+    assert traj.t_last == pytest.approx((np.finfo(float).max / W) ** (1 / 400), abs=0.02)
     assert np.isfinite(traj.ys).all()
 
 
@@ -226,70 +238,87 @@ DRESSED = (parse("x^2"), parse("t*x"),
            Integrand((parse("exp(-x)"), parse("t"), parse("x")), sign=-1, channel=parse("t*x")))
 
 
+def test_tableau_matches_scipy_dop853():
+    # every coefficient, entry by entry, against scipy's DOP853 module:
+    # stages 1..12 of the step, the weights (stage 13's row), the two error
+    # estimates and the dense output's 3 stages and 4 rows
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert list(_C) == dop853.C.tolist()
+    assert len(_A) == 16 and all(list(_A[s]) == dop853.A[s, :s].tolist() for s in range(16))
+    assert not np.any(np.triu(dop853.A))
+    assert list(_B) == dop853.B.tolist() == dop853.A[12, :12].tolist()
+    assert list(_E5) == dop853.E5.tolist() and list(_E3) == dop853.E3.tolist()
+    assert [list(row) for row in _D] == dop853.D.tolist()
+
+
+DRESSED = (parse("x^2"), parse("t*x"),
+           Integrand((parse("exp(-x)"), parse("t"), parse("x")), sign=-1, channel=parse("t*x")))
+
+
 @pytest.mark.parametrize("integrands", [
     (), tuple(parse(g) for g in ("x^2", "t*x", "exp(-x)")), DRESSED])
-def test_one_step_matches_scipy_rk45_tableau(integrands):
-    # one step of the generated loop against one built from scipy's own
-    # Dormand-Prince coefficients on the same right-hand side, with 2 and 5
-    # components; in the last case the right-hand side reads the channel of t*x
-    RK45 = pytest.importorskip("scipy.integrate").RK45
-    assert np.array_equal(RK45.C, _C[:6]) and np.array_equal(RK45.B, _B)
-    assert all(np.array_equal(RK45.A[s, :s], _A[s]) for s in range(6))
-    assert np.array_equal(RK45.E, -np.array(_E))
+def test_one_step_matches_scipy_dop853(integrands):
+    # one step of the generated loop against scipy's DOP853 solver on the
+    # same right-hand side, with 2 and 5 components: the new state, its
+    # derivative, the error norm and the dense output.  In the last case
+    # the right-hand side reads the channel of t*x
+    ivp = pytest.importorskip("scipy.integrate._ivp.rk")
     p = JacobiProblem(phi=parse("x/2 + t/3"), B=parse("sin(x) + t*x"),
                       t0=0.0, t_end=1.0, x0=0.7, v0=-0.4)
     f = rhs(p, integrands)
     n = 2 + len(integrands)
     read = read_channel(integrands)
     inputs = (0, 1) if read is None else (0, 1, 2 + read)
-    # a window of one step h, which the loop takes whole unless it rejects it
-    t, t_end = 0.3, 0.35
+    # a window of one step h, which the loop takes whole unless it rejects
+    # it; every time in it is a binary fraction, so both take the same h
+    t, t_end = 0.25, 0.3125
     h = t_end - t
     y = (0.7, -0.4) + tuple(0.25 * (i + 1) for i in range(n - 2))
-    K = np.empty((7, n))
-    K[0] = k1 = f(t, *(y[i] for i in inputs))
-    for s in range(1, 6):
-        ys = np.array(y) + h * (K[:s].T @ RK45.A[s, :s])
-        K[s] = f(t + RK45.C[s] * h, *(float(ys[i]) for i in inputs))
-    want = np.array(y) + h * (K[:6].T @ RK45.B)
-    K[6] = f(t + h, *(float(want[i]) for i in inputs))
+    k1 = f(t, *(y[i] for i in inputs))
+    solver = ivp.DOP853(lambda t, y: np.array(f(t, *(float(y[i]) for i in inputs))),
+                        t, y, t_end, first_step=h, rtol=1e-3, atol=1e-6)
+    assert solver.step() is None and (solver.t, solver.step_size) == (t_end, h)
+    K = solver.K
 
     def run(scale):
         """The loop from (t, y) with atol = scale/1000 and rtol = scale:
-        (ts, ys, stages, k7)."""
+        (ts, ys, stages, k13)."""
         ts, ys, stages = array("d", [t]), array("d", y), array("d")
-        status, t_last, _, _, k7 = _loop(f, n, inputs)(
+        status, t_last, _, _, k13 = _loop(f, n, inputs)(
             t, t_end, h, 1e-12, y, k1, 1e-3 * scale, scale, ts, ys, stages)
         assert (status, t_last) == (COMPLETED, t_end)
-        return ts, ys, stages, k7
+        return ts, ys, stages, k13
 
-    # the error norm is the RMS of the scaled error vector; the estimate is
-    # a cancelling sum, so its rounding is bounded against the same norm of
-    # the magnitudes summed.  At scale s the norm is err/s, with err the
-    # norm at scale 1, and the step is taken when it is at most 1: the loop
-    # takes it at s just above err + bound and rejects it just below
-    # err - bound
-    sc = 1e-3 + np.maximum(np.abs(y), np.abs(want))
+    # at scale s the loop's norm is err/s, with err scipy's norm at scale 1,
+    # and the step is taken when it is at most 1.  The estimates are
+    # cancelling sums: each is bounded by its sum of magnitudes, and the
+    # norm grows with the fifth-order estimate and falls with the
+    # third-order one, so the loop takes the step at s just above the
+    # norm's upper bound and rejects it just below its lower bound
+    sc = 1e-3 + np.maximum(np.abs(y), np.abs(solver.y))
+    err = solver._estimate_error_norm(K, h, sc)
 
-    def rms(vec):
-        return float(np.sqrt(np.mean((vec / sc) ** 2)))
+    def norm(e5, e3):
+        return h * np.sum(e5 ** 2) / np.sqrt((np.sum(e5 ** 2) + 0.01 * np.sum(e3 ** 2)) * n)
 
-    err = rms(h * (K.T @ RK45.E))
-    bound = 1e-14 * rms(h * (np.abs(K.T) @ np.abs(RK45.E)))
-    assert len(run((err - bound) * (1 - 1e-14))[0]) > 2
-    ts, ys, stages, k7 = run((err + bound) * (1 + 1e-14))
+    e5, e3 = (np.abs(K.T @ E) / sc for E in (ivp.DOP853.E5, ivp.DOP853.E3))
+    u5, u3 = (1e-14 * (np.abs(K.T) @ np.abs(E)) / sc for E in (ivp.DOP853.E5, ivp.DOP853.E3))
+    lower = norm(np.maximum(e5 - u5, 0.0), e3 + u3) * (1 - 1e-14)
+    upper = norm(e5 + u5, np.maximum(e3 - u3, 0.0)) * (1 + 1e-14)
+    assert 0.0 < lower <= err <= upper < 2.0 * lower
+    assert len(run(lower * (1 - 1e-14))[0]) > 2
+    ts, ys, stages, k13 = run(upper * (1 + 1e-14))
     assert list(ts) == [t, t_end] and stages[0] == h
 
-    assert np.allclose(ys[n:], want, rtol=1e-14, atol=0.0)
-    assert np.allclose(k7, K[6], rtol=1e-14, atol=0.0)
+    assert np.allclose(ys[n:], solver.y, rtol=1e-14, atol=0.0)
+    assert np.allclose(k13, K[12], rtol=1e-14, atol=0.0)
     step = Trajectory(problem=p, integrands=(), ts=np.array(ts), ys=np.reshape(ys, (2, n)),
-                      conts=_dense_rows(ys, stages, k7, n),
+                      conts=_dense_rows(ys, stages, k13, n),
                       termination=Termination(COMPLETED, t_end), mean_step=h)
-    thetas = np.array([0.1, 0.5, 0.9])
-    got = step.sample(t + thetas * h)
-    powers = thetas[:, None] ** np.arange(1, 5)
-    dense = np.array(y) + h * (powers @ (K.T @ RK45.P).T)
-    assert np.allclose(got, dense, rtol=1e-14, atol=0.0)
+    dense = solver.dense_output()
+    assert isinstance(dense, ivp.Dop853DenseOutput)
+    times = t + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * h
+    assert np.allclose(step.sample(times), dense(times).T, rtol=1e-14, atol=0.0)
 
 
 # runs that end before t_end, all but the blow-up with rejected steps: by
@@ -297,12 +326,17 @@ def test_one_step_matches_scipy_rk45_tableau(integrands):
 # the domain and the step shrinks.  (problem, integrands, tol, quadratures);
 # in "quadrature_inf" and "channel_inf" the channel's t^200 * x^200, a
 # quadrature in one and under step control in the other, overflows to inf
-# without an error once t*x passes about 34.8, where x = t is 5.9
+# without an error once t*x passes about 34.8, where x = t is 5.9.  In
+# "dense_domain_abort" the forcing is undefined on a gap of 1/1000 at
+# t = 0.08, which one attempt's trial stages all miss and one of its
+# dense-output stages hits
 EARLY_ENDS = {
     "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
                                    t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
     "domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt(1/2 - t)"),
                                    t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
+    "dense_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt((t - 0.08)*(t - 0.081))"),
+                                         t0=0.0, t_end=3.0, x0=0.0, v0=0.0), (), 1e-6, ()),
     "channel_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("ln(1 - t)"),
                                            t0=0.0, t_end=2.0, x0=0.0, v0=0.0),
                              (parse("x"),), 1e-9, ()),
@@ -342,7 +376,7 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
     # every accepted state and dense-output coefficient of the generated
     # loop and the one-pass row build, bit for bit against a step-by-step
     # integration whose rows are Python floats: on each fixture's channels,
-    # over multi-period windows of about 2.6k and 0.85k steps, and on runs
+    # over multi-period windows of 339 and 155 steps, and on runs
     # that end early, with inf and nan in the last rows of the overflowing
     # one.  The fixtures and long windows carry the oracle's channels as
     # quadratures after the invariants'
@@ -361,7 +395,7 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
 def test_inlined_loop_matches_the_call_path(name, monkeypatch):
     # the loop inlines the fused right-hand side's fast path at every stage,
-    # and calls a wrapped right-hand side instead, 6 times per accepted
+    # and calls a wrapped right-hand side instead, 15 times per accepted
     # step.  Both give the same bits and the same end, also where the fast
     # path fails: the domain-abort, channel-abort and dressing-overflow runs
     # go through the inlined loop's fallback to the calls
@@ -379,7 +413,7 @@ def test_inlined_loop_matches_the_call_path(name, monkeypatch):
 
     monkeypatch.setattr(module, "rhs", wrapped)
     called = integrate(p, integrands, (tol, tol), quadratures)
-    assert len(calls) >= 6 * (len(called.ts) - 1)
+    assert len(calls) >= 15 * (len(called.ts) - 1)
     for got, want in ((inlined.ts, called.ts), (inlined.ys, called.ys),
                       (inlined.conts, called.conts)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -404,10 +438,14 @@ def test_quadrature_channels_stay_out_of_step_control(name):
 
 
 @pytest.mark.parametrize("name", tuple(EARLY_ENDS))
-def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
+def test_rhs_calls_are_two_plus_twelve_per_attempted_and_three_per_accepted_step(
+        monkeypatch, name):
     # k1 and the starting-step heuristic make one call each, every
-    # attempted step six (FSAL reuses the seventh); an attempt ended by a
-    # DomainError makes only the calls up to the stage that raised
+    # attempted step twelve (FSAL reuses the thirteenth) and every one that
+    # passes the error test three more, for its dense output: each accepted
+    # step, and in "dense_domain_abort" one whose dense-output stage leaves
+    # the domain.  An attempt ended by a DomainError makes only the calls
+    # up to the stage that raised
     integrate_module = importlib.import_module("jacobi_invariants.integrate")
     p, integrands, tol, quadratures = EARLY_ENDS[name]
     channels = tuple(map(canonical, integrands + quadratures))
@@ -422,8 +460,32 @@ def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
     traj = integrate(p, integrands, (tol, tol), quadratures)
     *_, counts = scalar_reference.integrate(p, channels, (tol, tol), f, len(quadratures))
     assert counts["attempts"] > len(traj.conts) or name == "blow_up"
-    assert len(calls) == counts["calls"] == 2 + 6 * counts["attempts"] - counts["unreached"]
+    assert counts["dense"] - len(traj.conts) == (name == "dense_domain_abort")
+    assert len(calls) == counts["calls"] == (2 + 12 * counts["attempts"] + 3 * counts["dense"]
+                                             - counts["unreached"])
     assert (counts["unreached"] > 0) == ("domain" in name)
+
+
+def test_problems_of_one_shape_compile_the_loop_once():
+    # the loop's source inlines the right-hand side's, which names the
+    # parameters instead of writing their values: two forced oscillators
+    # that differ only in k2 and c share it, and the second compiles
+    # nothing, neither the loop nor anything else of its integration
+    p, q = (JacobiProblem(phi=ex.ZERO, B=parse("k2*x + c*t"), params=params, t0=0.0,
+                          t_end=3.0, x0=1.0, v0=0.0)
+            for params in ({"k2": 1.3, "c": 0.1}, {"k2": 2.1, "c": -0.07}))
+    integrands = (parse("c*x"),)
+    f, g = rhs(p, integrands), rhs(q, integrands)
+    ex._code.cache_clear()
+    _loop(f, 3, (0, 1))
+    assert ex._code.cache_info().misses == 1
+    _loop(g, 3, (0, 1))
+    assert ex._code.cache_info().misses == 1
+    integrate(p, integrands, (1e-10, 1e-10))
+    misses = ex._code.cache_info().misses
+    traj = integrate(q, integrands, (1e-10, 1e-10))
+    assert ex._code.cache_info().misses == misses
+    assert traj.termination.status == COMPLETED
 
 
 def test_tolerance_validation():
