@@ -598,34 +598,46 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None):
 
     The fast path uses plain math ops; on any numeric-domain failure the slow
     evaluator re-runs to raise a DomainError locating the offending node.
+    It re-runs too where the fast path's value is inf or nan, which float
+    products and sums reach without an error, and gives what ``evaluate``
+    gives there: its value (an overflowed product is inf for both) or
+    its DomainError (inf - inf is "sum of opposite infinities").
     """
     params = params or {}
     _check_bound(e, params)
-    fast = _define("fast", "t, x", [f"return {_pysrc(e)}"],
+    fast = _define("fast", "t, x", (f"return {_pysrc(e)}",),
                    {**_NAMESPACE, **_bindings(params)})
 
     def fn(t: float, x: float) -> float:
         try:
-            return fast(t, x)
+            value = fast(t, x)
         except _FAST_ERRORS:
             return _eval(e, t, x, params)
+        # value - value is 0.0 for a finite value, nan for inf or nan
+        return value if value - value == 0.0 else _eval(e, t, x, params)
 
     return fn
 
 
 @functools.lru_cache(maxsize=128)
-def _code(source: str):
-    """The compiled code of a generated source.  A source names parameters
-    instead of writing their values, so a parameter sweep repeats a few
-    sources; a run of distinct problems repeats none, hence the bound."""
+def _code(name: str, args: str, body: tuple[str, ...]):
+    """The compiled code of the generated function ``def name(args):``
+    with the source lines ``body``; the source text is built only here,
+    on a miss.  A source names parameters instead of writing their
+    values, so a parameter sweep repeats a few sources; a run of distinct
+    problems repeats none, hence the bound."""
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
     return compile(source, "<generated>", "exec")
 
 
-def _define(name: str, args: str, body: list[str], namespace: dict):
+def _define(name: str, args: str, body: tuple[str, ...] | list[str], namespace: dict):
     """Define a generated function in namespace and return it.  Each
-    distinct source is compiled once (while it stays in ``_code``'s
-    cache); the namespace, parameter values included, is bound anew."""
-    exec(_code(f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)), namespace)
+    distinct function is compiled once (while it stays in ``_code``'s
+    cache); the namespace, parameter values included, is bound anew.  A
+    caller that keeps one body tuple per shape (``integrate._loop_body``)
+    passes it as is, and its lines' hashes are cached, so a hit costs
+    little more than the lookup."""
+    exec(_code(name, args, tuple(body)), namespace)
     return namespace[name]
 
 

@@ -167,7 +167,9 @@ class Trajectory:
     """Accepted-step samples plus per-step dense-output coefficients.
 
     ``integrands`` are canonical, one per channel; ``ys`` has shape
-    (n_samples, 2 + n_channels) and ``conts`` (n_steps, 8, 2 + n_channels).
+    (n_samples, 2 + n_channels) and ``conts`` (n_steps, 8, 2 + n_channels),
+    a view of the contiguous (8, 2 + n_channels, n_steps) array that
+    ``_dense_rows`` builds and ``sample`` gathers from.
     """
 
     __slots__ = ("problem", "integrands", "ts", "ys", "conts", "termination", "mean_step",
@@ -196,7 +198,8 @@ class Trajectory:
 
     def sample(self, ts) -> np.ndarray:
         """Dense-output states [x, v, u_0..] at the times ts inside the
-        integrated window, shape (len(ts), 2 + n_channels)."""
+        integrated window, shape (len(ts), 2 + n_channels): the transposed
+        view of the contiguous (2 + n_channels, len(ts)) rows it forms."""
         import numpy as np
 
         ts = np.asarray(ts, dtype=float)
@@ -207,15 +210,23 @@ class Trajectory:
                                    f"[{grid[0]}, {grid[-1]}]")
         if len(grid) < 2:
             return np.tile(self.ys[-1], (len(ts), 1))
-        k = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, len(grid) - 2)
-        theta = ((ts - grid[k]) / (grid[k + 1] - grid[k]))[:, None]
-        r = self.conts[k]
-        # y = r0 + theta*(r1 + (1 - theta)*(r2 + theta*(r3 + ... theta*r7)))
-        y = r[:, 7]
+        # each t's step: the number of inner grid times at or before it
+        k = np.searchsorted(grid[1:-1], ts, side="right")
+        theta = (ts - grid[k]) / (grid[k + 1] - grid[k])
+        factors = (theta, 1 - theta)
+        # the rows of the steps of ts, (8, n, len(ts)), gathered at once
+        # from the (8, n, steps) array the conts view is made from
+        r = self.conts.transpose(1, 2, 0).take(k, axis=2)
+        # y = r0 + theta*(r1 + (1 - theta)*(r2 + theta*(r3 + ... theta*r7))),
+        # formed in place in r7's rows
+        y = r[7]
         for j in range(6, -1, -1):
-            y = r[:, j] + (theta if j % 2 == 0 else 1 - theta) * y
-        y[ts == grid[-1]] = self.ys[-1]
-        return y
+            np.multiply(factors[j % 2], y, out=y)
+            np.add(r[j], y, out=y)
+        last = ts == grid[-1]
+        if last.any():
+            y[:, last] = self.ys[-1][:, None]
+        return y.T
 
     def listed(self, ts: np.ndarray) -> Iterator[tuple[list[float], ...]]:
         """Yield the times ts and their dense-output states BLOCK points at
@@ -309,8 +320,9 @@ def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = 
     one such as a tracer's counting wrapper (also one that copied the
     attribute, whose code is its own), gets the call path alone: the same
     lines with the call in place of each inlined stage, 12 calls of f per
-    attempted step and 3 more per accepted one.  Each distinct source is
-    compiled once (``expr._define``), so problems of one shape share it.
+    attempted step and 3 more per accepted one.  Each distinct body is
+    compiled once (``expr._define``) and found again by the tuple that
+    ``_loop_body`` keeps per shape, so problems of one shape share it.
 
     The error norm is DOP853's: with e5 and e3 the sums of squares of the
     fifth- and third-order estimates over atol + rtol*max(|y|, |y_new|), it
@@ -486,7 +498,11 @@ def _dense_rows(ys: array, stages: array, k13: tuple[float, ...], n: int) -> np.
     ``Trajectory.sample`` reads them.  Each is formed element-wise in the
     order of its scalar formula, the sums left to right over the nonzero
     weights, so every coefficient is the Python float a per-step
-    computation gives, inf and nan included.
+    computation gives, inf and nan included.  The four _D rows have their
+    nonzero weights on the same stages, so they are formed together, one
+    multiply and one add per stage on a (4, n, steps) block; the first
+    four rows hold the terms until they are formed, so no other working
+    array is made.
     """
     import numpy as np
 
@@ -502,26 +518,39 @@ def _dense_rows(ys: array, stages: array, k13: tuple[float, ...], n: int) -> np.
     k[13] = np.empty((n, steps))
     k[13][:, :-1], k[13][:, -1] = k[1][:, 1:], k13
     y = np.frombuffer(ys).reshape(-1, n).T
-    y0, d, p, q, *r = rows
-    term = np.empty((n, steps))
+    y0, d, p, q = rows[:4]
+    r = rows[4:]
+    (first, weight), *rest = _dense_weights()
 
     with np.errstate(all="ignore"):
+        # the _D rows first, with rows[:4] as the block of their terms
+        np.multiply(weight, k[first], out=r)
+        for s, weight in rest:
+            np.multiply(weight, k[s], out=rows[:4])
+            np.add(r, rows[:4], out=r)
+        np.multiply(h, r, out=r)
         np.copyto(y0, y[:, :-1])
         np.subtract(y[:, 1:], y[:, :-1], out=d)
-        np.multiply(h, k[1], out=p)
-        np.subtract(p, d, out=p)
+        # 2*d - h*(k13 + k1), with p's row holding 2*d until p is formed
+        np.multiply(2.0, d, out=p)
         np.add(k[13], k[1], out=q)
         np.multiply(h, q, out=q)
-        np.multiply(2.0, d, out=term)
-        np.subtract(term, q, out=q)
-        for weights, row in zip(_D, r):
-            first, *rest = (s for s, w in enumerate(weights, 1) if w != 0.0)
-            np.multiply(weights[first - 1], k[first], out=row)
-            for s in rest:
-                np.multiply(weights[s - 1], k[s], out=term)
-                np.add(row, term, out=row)
-            np.multiply(h, row, out=row)
+        np.subtract(p, q, out=q)
+        np.multiply(h, k[1], out=p)
+        np.subtract(p, d, out=p)
     return rows.transpose(2, 0, 1)
+
+
+@functools.cache
+def _dense_weights():
+    """(stage, weights) for each stage with nonzero _D weights, in stage
+    order (1 and 6..16 in every row): the column of the four rows'
+    weights, shaped (4, 1, 1) to multiply a stage's (n, steps) rows into
+    a (4, n, steps) block."""
+    import numpy as np
+
+    return tuple((s, np.array([row[s - 1] for row in _D]).reshape(-1, 1, 1))
+                 for s, w in enumerate(_D[0], 1) if w != 0.0)
 
 
 def integrate(p: JacobiProblem,

@@ -8,16 +8,23 @@ Beside them, the constructions of the paper that the acceptance tests
 check and no command reports: the product (1/2)*I+*I- of the autonomous
 dressed pair, one sign of the general dressed pair, the Euler-Lagrange
 residual, the closed-form solution of JAC_EXACT with its ODE residual
-and the fixtures' classical forms."""
+and the fixtures' classical forms.
 
+Last, the runs that the integrator's and the sampler's parity tests
+share: the runs that end early, and each fixture's and long window's
+channels."""
+
+import json
 import math
+import pathlib
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from jacobi_invariants import catalog, cli
 from jacobi_invariants import expr as ex
-from jacobi_invariants.expr import Expr, simplify
+from jacobi_invariants.expr import Expr, parse, simplify
 from jacobi_invariants.integrate import integrate
 from jacobi_invariants.invariants import (
     FIRST_INTEGRAL,
@@ -25,7 +32,8 @@ from jacobi_invariants.invariants import (
     AuxiliaryFunctions,
     InvariantSpec,
 )
-from jacobi_invariants.problem import JacobiProblem, LagrangianData
+from jacobi_invariants.problem import Integrand, JacobiProblem, LagrangianData
+from jacobi_invariants.verify import integrated_oracle
 
 
 def on_states(spec, params=None):
@@ -221,3 +229,59 @@ def exact_solution_residual(rho: float, itilde: float, jtilde: float) -> float:
         resid = xdd + 0.5 * xdot(t) ** 2 + xdot(t) + rho * math.exp(-(t + x(t)) / 2)
         worst = max(worst, abs(resid))
     return worst
+
+
+# ------------------------------------------------------------ runs
+
+def free_particle(t_end=1.0, x0=0.0, v0=1.0):
+    return JacobiProblem(phi=ex.ZERO, B=ex.ZERO, t0=0.0, t_end=t_end, x0=x0, v0=v0)
+
+
+# runs that end before t_end, all but the blow-up with rejected steps: by
+# the error test, and by domain-creep retries, where a trial stage leaves
+# the domain and the step shrinks.  (problem, integrands, tol, quadratures);
+# in "quadrature_inf" and "channel_inf" the channel's t^200 * x^200, a
+# quadrature in one and under step control in the other, overflows to inf
+# without an error once t*x passes about 34.8, where x = t is 5.9.  In
+# "dense_domain_abort" the forcing is undefined on a gap of 1/1000 at
+# t = 0.08, which one attempt's trial stages all miss and one of its
+# dense-output stages hits
+EARLY_ENDS = {
+    "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
+                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
+    "domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt(1/2 - t)"),
+                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
+    "dense_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt((t - 0.08)*(t - 0.081))"),
+                                         t0=0.0, t_end=3.0, x0=0.0, v0=0.0), (), 1e-6, ()),
+    "channel_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("ln(1 - t)"),
+                                           t0=0.0, t_end=2.0, x0=0.0, v0=0.0),
+                             (parse("x"),), 1e-9, ()),
+    "dressing_overflow": (free_particle(t_end=2.0),
+                          (parse("800"), Integrand((ex.ONE,), sign=1, channel=parse("800"))),
+                          1e-8, ()),
+    "blow_up": (JacobiProblem(phi=parse("-ln(x)"), B=parse("-4*x^2"),
+                              t0=0.0, t_end=3.0, x0=1.0, v0=0.0), (), 1e-8, ()),
+    "quadrature_inf": (free_particle(t_end=10.0), (parse("x"),), 1e-8,
+                       (parse("t^200 * x^200"),)),
+    "channel_inf": (free_particle(t_end=10.0), (parse("t^200 * x^200"),), 1e-8, ()),
+}
+LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
+
+
+def load_named(name):
+    """(problem, exprs) of a catalog fixture or a long-window problem file."""
+    path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
+    return cli.load_problem(
+        json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data)
+
+
+def integration_case(name):
+    """(problem, integrands, tol, quadratures) of an EARLY_ENDS case, or of
+    a fixture or a long window with its invariants' channels and the
+    oracle's as quadratures."""
+    if name in EARLY_ENDS:
+        return EARLY_ENDS[name]
+    p, exprs = load_named(name)
+    _, built = cli.run_checks(p, exprs, oracle=True)
+    quadratures = integrated_oracle(p, built.lagrangian, built.family).integrands
+    return p, built.spec_integrands, 1e-10, quadratures

@@ -285,8 +285,9 @@ def test_run_checks_builds_the_oracle_family_only_on_request(monkeypatch):
 # (accepted steps, right-hand-side calls) of the two integrations of
 # run_fixture at its defaults, tol and tol / REFINE, which carry the
 # oracle's channels as quadratures after the invariants'; both Completed.
-# A catalog pass makes 1,009 accepted steps and 6,078 calls, so none is
-# rejected.  The steps are those of a run without the oracle.
+# A catalog pass makes 181 accepted steps and 2,739 calls, 2 + 15 per
+# accepted step in each run, so none is rejected.  The steps are those of
+# a run without the oracle.
 STEP_SEQUENCES = {
     "PG18": ((7, 107), (11, 167)),
     "PG21": ((14, 212), (23, 347)),
@@ -477,6 +478,30 @@ def test_run_pipeline_compiles_each_generated_function_once(monkeypatch):
     assert len(set(defined)) == len(defined)
     # and the loop, which integrate defines for both runs of the pair
     assert ex._code.cache_info().misses == len(defined) + 1
+
+
+def test_a_second_run_finds_every_generated_function_in_the_cache(monkeypatch):
+    # _code is keyed on the function's name, arguments and body, so a
+    # second run of PG18 builds no source text: each of its definitions,
+    # the loop's two included, is a hit
+    fx = catalog.get("PG18")
+
+    def run():
+        problem, exprs = load_problem(fx.data)
+        return cli.run_pipeline(problem, exprs, fx.data, oracle=True,
+                                threshold=fx.drift_threshold)[:2]
+
+    first = run()
+    defined = []
+    original = ex._define
+    for module in (ex, integrate_module):
+        monkeypatch.setattr(module, "_define",
+                            lambda *args: defined.append(args[0]) or original(*args))
+    before = ex._code.cache_info()
+    assert run() == first
+    after = ex._code.cache_info()
+    assert sorted(defined) == ["fast", "fused", "loop", "loop"] + ["series"] * 4
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(defined), 0)
 
 
 GOLDEN_CATALOG = pathlib.Path(__file__).parent / "data" / "catalog_all.json"

@@ -206,6 +206,33 @@ def test_compile_fn_matches_evaluate():
         f(0.5, -1.0)
 
 
+def test_compile_fn_gives_evaluate_where_the_fast_path_is_not_finite():
+    # float products overflow to inf without an error and inf - inf is
+    # nan: there the callable gives what evaluate gives, its DomainError
+    # or its value
+    e = parse("x*x*x - x*x*x")
+    with pytest.raises(DomainError) as want:
+        evaluate(e, 0.0, 1e120)
+    assert want.value.reason == "sum of opposite infinities"
+    with pytest.raises(DomainError) as got:
+        compile_fn(e)(0.0, 1e120)
+    assert str(got.value) == str(want.value)
+    cube = parse("x*x*x")
+    assert compile_fn(cube)(0.0, 1e120) == evaluate(cube, 0.0, 1e120) == math.inf
+
+
+def test_generated_functions_of_one_body_keep_their_names_and_arguments():
+    # the compiled-code cache is keyed on name, arguments and body together
+    body = ("return a",)
+    f = ex._define("f", "a", body, {})
+    g = ex._define("g", "a", body, {})
+    h = ex._define("f", "b, a", body, {})
+    assert (f.__name__, g.__name__, h.__name__) == ("f", "g", "f")
+    assert f.__code__ is not g.__code__ and f.__code__ is not h.__code__
+    assert (f(1), g(2), h(3, 4)) == (1, 2, 4)
+    assert ex._define("f", "a", list(body), {}).__code__ is f.__code__
+
+
 def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 

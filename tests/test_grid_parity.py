@@ -21,7 +21,7 @@ from jacobi_invariants.integrate import (BLOCK, IntegrationError, Trajectory, ev
 from jacobi_invariants.invariants import NONLOCAL_CONSTANT, InvariantSpec
 from jacobi_invariants.problem import JacobiProblem
 from jacobi_invariants.verify import _prefix_simpson, oracle_constant
-from helpers import spec_value
+from helpers import EARLY_ENDS, LONG_WINDOWS, free_particle, integration_case, spec_value
 
 
 def same_bits(a, b) -> bool:
@@ -51,7 +51,18 @@ def leaving_spec():
 
 
 def test_sample_matches_pointwise_state(trajectories):
-    for fid, traj in trajectories.items():
+    # the fixtures' runs, the long windows' and the runs that end early,
+    # three of them with inf and nan in their last rows; and two that end
+    # after one step, and after none, where a channel is undefined at t0
+    runs = dict(trajectories)
+    for name in LONG_WINDOWS + tuple(EARLY_ENDS):
+        p, integrands, tol, quadratures = integration_case(name)
+        runs[name] = integrate(p, integrands, (tol, tol), quadratures)
+    runs["one_step"] = integrate(free_particle(t_end=1e-3), (), (1e-10, 1e-10))
+    runs["no_step"] = integrate(free_particle(), (parse("ln(x)"),), (1e-10, 1e-10))
+    assert sum(not np.isfinite(traj.conts).all() for traj in runs.values()) == 3
+    assert (len(runs["one_step"].conts), len(runs["no_step"].conts)) == (1, 0)
+    for fid, traj in runs.items():
         ts = np.concatenate([np.linspace(traj.t0, traj.t_last, 1031), traj.ts])
         want = np.array([ref.state(traj, float(t)) for t in ts])
         assert same_bits(traj.sample(ts), want), fid
@@ -116,9 +127,6 @@ def test_a_pass_truncates_each_series_where_its_pointwise_loop_does(monkeypatch)
     # reads are served from the store, with no sampling
     assert evaluate_along(traj, late, 3000) is got[1]
     assert sizes == [BLOCK, BLOCK]
-
-
-LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
 
 
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS)

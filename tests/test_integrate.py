@@ -1,9 +1,7 @@
 import functools
 import importlib
 import itertools
-import json
 import math
-import pathlib
 from array import array
 
 import numpy as np
@@ -38,10 +36,7 @@ from jacobi_invariants.invariants import (InvariantSpec, first_integral_autonomo
                                          nonlocal_autonomous)
 from jacobi_invariants.problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 from jacobi_invariants.verify import integrated_oracle
-
-
-def free_particle(t_end=1.0, x0=0.0, v0=1.0):
-    return JacobiProblem(phi=ex.ZERO, B=ex.ZERO, t0=0.0, t_end=t_end, x0=x0, v0=v0)
+from helpers import EARLY_ENDS, LONG_WINDOWS, free_particle, integration_case, load_named
 
 
 def test_free_particle_exact():
@@ -321,56 +316,6 @@ def test_one_step_matches_scipy_dop853(integrands):
     assert np.allclose(step.sample(times), dense(times).T, rtol=1e-14, atol=0.0)
 
 
-# runs that end before t_end, all but the blow-up with rejected steps: by
-# the error test, and by domain-creep retries, where a trial stage leaves
-# the domain and the step shrinks.  (problem, integrands, tol, quadratures);
-# in "quadrature_inf" and "channel_inf" the channel's t^200 * x^200, a
-# quadrature in one and under step control in the other, overflows to inf
-# without an error once t*x passes about 34.8, where x = t is 5.9.  In
-# "dense_domain_abort" the forcing is undefined on a gap of 1/1000 at
-# t = 0.08, which one attempt's trial stages all miss and one of its
-# dense-output stages hits
-EARLY_ENDS = {
-    "step_failure": (JacobiProblem(phi=ex.ZERO, B=parse("1/(1/2 - t)"),
-                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
-    "domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt(1/2 - t)"),
-                                   t0=0.0, t_end=1.0, x0=0.0, v0=0.0), (), 1e-9, ()),
-    "dense_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("sqrt((t - 0.08)*(t - 0.081))"),
-                                         t0=0.0, t_end=3.0, x0=0.0, v0=0.0), (), 1e-6, ()),
-    "channel_domain_abort": (JacobiProblem(phi=ex.ZERO, B=parse("ln(1 - t)"),
-                                           t0=0.0, t_end=2.0, x0=0.0, v0=0.0),
-                             (parse("x"),), 1e-9, ()),
-    "dressing_overflow": (free_particle(t_end=2.0),
-                          (parse("800"), Integrand((ex.ONE,), sign=1, channel=parse("800"))),
-                          1e-8, ()),
-    "blow_up": (JacobiProblem(phi=parse("-ln(x)"), B=parse("-4*x^2"),
-                              t0=0.0, t_end=3.0, x0=1.0, v0=0.0), (), 1e-8, ()),
-    "quadrature_inf": (free_particle(t_end=10.0), (parse("x"),), 1e-8,
-                       (parse("t^200 * x^200"),)),
-    "channel_inf": (free_particle(t_end=10.0), (parse("t^200 * x^200"),), 1e-8, ()),
-}
-LONG_WINDOWS = ("free_oscillator_long", "forced_oscillator_long")
-
-
-def _load(name):
-    """(problem, exprs) of a catalog fixture or a long-window problem file."""
-    path = pathlib.Path(__file__).parent / "data" / f"{name}.json"
-    return cli.load_problem(
-        json.loads(path.read_text()) if name in LONG_WINDOWS else catalog.get(name).data)
-
-
-def _case(name):
-    """(problem, integrands, tol, quadratures) of an EARLY_ENDS case, or of
-    a fixture or a long window with its invariants' channels and the
-    oracle's as quadratures."""
-    if name in EARLY_ENDS:
-        return EARLY_ENDS[name]
-    p, exprs = _load(name)
-    _, built = cli.run_checks(p, exprs, oracle=True)
-    quadratures = integrated_oracle(p, built.lagrangian, built.family).integrands
-    return p, built.spec_integrands, 1e-10, quadratures
-
-
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
 def test_dense_rows_match_the_per_step_scalar_reference(name):
     # every accepted state and dense-output coefficient of the generated
@@ -380,7 +325,7 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
     # that end early, with inf and nan in the last rows of the overflowing
     # one.  The fixtures and long windows carry the oracle's channels as
     # quadratures after the invariants'
-    p, integrands, tol, quadratures = _case(name)
+    p, integrands, tol, quadratures = integration_case(name)
     traj = integrate(p, integrands, (tol, tol), quadratures)
     assert traj.integrands[:len(integrands)] == tuple(map(canonical, integrands))
     ts, ys, rows, termination, _ = scalar_reference.integrate(
@@ -399,7 +344,7 @@ def test_inlined_loop_matches_the_call_path(name, monkeypatch):
     # step.  Both give the same bits and the same end, also where the fast
     # path fails: the domain-abort, channel-abort and dressing-overflow runs
     # go through the inlined loop's fallback to the calls
-    p, integrands, tol, quadratures = _case(name)
+    p, integrands, tol, quadratures = integration_case(name)
     inlined = integrate(p, integrands, (tol, tol), quadratures)
     assert rhs(p, inlined.integrands).inline
     module = importlib.import_module("jacobi_invariants.integrate")
@@ -425,7 +370,7 @@ def test_quadrature_channels_stay_out_of_step_control(name):
     # the oracle's channels ride an oracle run as quadratures: with them or
     # without, the steps, the states and the dense rows of x, v and the
     # invariants' channels are the same bits
-    p, exprs = _load(name)
+    p, exprs = load_named(name)
     _, built = cli.run_checks(p, exprs, oracle=True)
     oracle = integrated_oracle(p, built.lagrangian, built.family)
     bare, carried = (integrate(p, built.spec_integrands, (1e-10, 1e-10), quadratures)

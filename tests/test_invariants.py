@@ -85,6 +85,37 @@ def test_autonomous_aux_negative_radicand():
         autonomous_aux(p, parse("-k*x"))  # radicand -2kx < 0 for x > 0
 
 
+def test_autonomous_aux_radicand_guard_skips_a_point_beyond_float_range(pg18, monkeypatch):
+    # at x = 1e120 the radicand's x*x*x - x*x*x is inf - inf on floats, a
+    # nan that the guard's val < 0 would let pass; the radicand's callable
+    # raises evaluate's DomainError there instead, and the guard skips the
+    # point
+    seen = []
+    original_fn, original_points = ex.compile_fn, ex.sample_points
+
+    def recording_fn(e, params=None):
+        fn = original_fn(e, params)
+
+        def call(t, x):
+            try:
+                seen.append((x, fn(t, x)))
+            except ex.DomainError as err:
+                seen.append((x, err.reason))
+                raise
+            return seen[-1][1]
+
+        return call
+
+    monkeypatch.setattr(ex, "compile_fn", recording_fn)
+    monkeypatch.setattr(ex, "sample_points",
+                        lambda domain, n: [*original_points(domain, n), (0.0, 1e120)])
+    delta2 = pg18.exprs["delta2"] + parse("x*x*x - x*x*x")
+    aux_p, _ = autonomous_aux(pg18.problem, delta2)
+    assert seen[-1] == (1e120, "sum of opposite infinities")
+    assert all(math.isfinite(value) and value >= 0.0 for _, value in seen[:-1])
+    assert aux_p.bbar == simplify(parse("2*x^(3/2)"))
+
+
 def test_autonomous_aux_rejects_a_time_dependent_forcing_by_factorization(loaded):
     # PG4's B depends on t, so no factor built from delta2 = t*x matches it
     with pytest.raises(HypothesisError, match="factorization"):
