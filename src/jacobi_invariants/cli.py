@@ -178,7 +178,9 @@ def read_problem_file(path: str) -> tuple[JacobiProblem, dict[str, Expr], dict]:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, an integer past the digit limit, or arrays or
+        # objects nested past the recursion limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
     problem, exprs = load_problem(data)
     return problem, exprs, data

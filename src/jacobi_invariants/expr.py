@@ -713,25 +713,13 @@ def compile_fused(template: str, exprs: dict[str, Expr],
     On any fast-path failure the template runs again over the separate
     ``compile_fn`` callables, in its own order, so values and the
     DomainError raised are exactly those of the separate callables.
-
-    The function carries its fast path as ``fn.inline``: its own code
-    object, the source's statements and its value expression, in the
-    names of its arguments, for a caller that inlines it
-    (``integrate._loop``) in the namespace ``fn.__globals__``.  That
-    source raises nothing but
-    ``_FAST_ERRORS``, on which the caller is to call ``fn``.  A wrapper
-    that copies the attribute (``functools.wraps``) has other code, so a
-    caller can tell that calling it is not the same.
     """
     point = _point(channels)
     fast, namespace = _fused(template, exprs, params, point)
     body = ["try:", *_value_lines(fast, "return {}", 4),
             "except _FAST_ERRORS:",
             f"    return _slow({point})"]
-    fn = _define("fused", point, body, namespace)
-    *statements, value = fast.splitlines()
-    fn.inline = (fn.__code__, tuple(statements), value)
-    return fn
+    return _define("fused", point, body, namespace)
 
 
 def compile_series(template: str, exprs: dict[str, Expr],

@@ -31,7 +31,7 @@ import struct
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
-from .expr import DomainError, Expr, _define, _point
+from .expr import DomainError, Expr, _define
 from .problem import Integrand, JacobiProblem, canonical, read_channel, rhs
 
 if TYPE_CHECKING:
@@ -311,18 +311,12 @@ def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = 
     dense output.  The k1 returned is the derivative at the last accepted
     state (FSAL: the last step's k13).
 
-    Each stage binds its point to f's argument names (t, x, v[, u0]).
-    When f carries its fast path (``f.inline``, see
-    ``expr.compile_fused``), the stage then runs that source inline, in
-    f's namespace, instead of calling f; where it raises one of its
-    ``_FAST_ERRORS``, the stage calls f at the same point, so the values
-    and every DomainError are those of the calls.  Any other f, a wrapped
-    one such as a tracer's counting wrapper (also one that copied the
-    attribute, whose code is its own), gets the call path alone: the same
-    lines with the call in place of each inlined stage, 12 calls of f per
-    attempted step and 3 more per accepted one.  Each distinct body is
-    compiled once (``expr._define``) and found again by the tuple that
-    ``_loop_body`` keeps per shape, so problems of one shape share it.
+    Every stage calls f at its point: 12 calls per attempted step and 3
+    more per step that passes the error test.  The source depends only on
+    the shape (n, inputs, controlled), not on f, so every problem of one
+    shape, and any f (a tracer's counting wrapper too), runs the one loop:
+    it is compiled once (``expr._define``) and found again by the body
+    tuple that ``_loop_body`` keeps per shape.
 
     The error norm is DOP853's: with e5 and e3 the sums of squares of the
     fifth- and third-order estimates over atol + rtol*max(|y|, |y_new|), it
@@ -336,13 +330,9 @@ def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = 
     comparisons, not by ``abs``/``max``/``min``, choosing the float those
     would.
     """
-    inline = getattr(f, "inline", None)
-    if inline is not None and inline[0] is not getattr(f, "__code__", None):
-        inline = None  # a wrapper that copied the attribute
-    namespace = {**(f.__globals__ if inline is not None else {}), **_LOOP_NAMESPACE, "f": f,
-                 "_pack_state": _packer(n), "_pack_stages": _packer(1 + n * len(_STORED))}
-    body = _loop_body(n, inputs, n if controlled is None else controlled,
-                      inline and inline[1:])
+    namespace = {**_LOOP_NAMESPACE, "f": f, "_pack_state": _packer(n),
+                 "_pack_stages": _packer(1 + n * len(_STORED))}
+    body = _loop_body(n, inputs, n if controlled is None else controlled)
     return _define("loop", "now, t_end, h, hmin, y, k1, atol, rtol, ts, ys, stages", body,
                    namespace)
 
@@ -359,10 +349,8 @@ def _packer(count: int):
 
 
 @functools.lru_cache(maxsize=128)
-def _loop_body(n: int, inputs: tuple[int, ...], controlled: int,
-               inline: tuple[tuple[str, ...], str] | None) -> tuple[str, ...]:
-    """The body of ``_loop``'s function, as source lines; ``inline`` is the
-    right-hand side's fast path, None for the call path alone."""
+def _loop_body(n: int, inputs: tuple[int, ...], controlled: int) -> tuple[str, ...]:
+    """The body of ``_loop``'s function, as source lines."""
     comps = range(n)
 
     def k(s, i):
@@ -380,31 +368,21 @@ def _loop_body(n: int, inputs: tuple[int, ...], controlled: int,
     def indent(lines):
         return ["    " + line for line in lines]
 
-    names = _point(len(inputs) - 2).split(", ")
-
-    def stage_lines(s):
-        """Stage s: its point, bound to the right-hand side's argument
-        names, then its derivative, by the inlined fast path with a call of
-        f where that raises, or by the call alone."""
+    def stage_line(s):
+        """Stage s: its derivative, f called at its point."""
         if s == 13:
             point = [f"now + {_C[12]!r}*h", *(f"n{i}" for i in inputs)]
         else:
             point = [f"now + {_C[s - 1]!r}*h",
                      *(f"y{i} + h*({combo(_A[s - 1], i)})" for i in inputs)]
-        lines = [f"{name} = {src}" for name, src in zip(names, point, strict=True)]
-        call = f"{stage(s)} = f({', '.join(names)})"
-        if inline is None:
-            return [*lines, call]
-        statements, value = inline
-        return [*lines, "try:", *indent([*statements, f"{stage(s)} = {value}"]),
-                "except _FAST_ERRORS:", f"    {call}"]
+        return f"{stage(s)} = f({', '.join(point)})"
 
     state = ", ".join(f"y{i}" for i in comps)
     derivative = f"({stage(1)})"
     stored = ", ".join(stage(s) for s in _STORED)
-    attempt = [line for s in range(2, 13) for line in stage_lines(s)]
+    attempt = [stage_line(s) for s in range(2, 13)]
     attempt += [f"n{i} = y{i} + h*({combo(_B, i)})" for i in comps]
-    attempt += stage_lines(13)
+    attempt.append(stage_line(13))
     for i in range(controlled):
         attempt += [f"a{i} = y{i} if y{i} >= 0.0 else -y{i}",
                     f"b{i} = n{i} if n{i} >= 0.0 else -n{i}",
@@ -422,10 +400,7 @@ def _loop_body(n: int, inputs: tuple[int, ...], controlled: int,
                 f"if not _isfinite(err{unchecked}):",
                 "    err = 10.0",
                 "if err <= 1.0:",
-                *indent([line for s in range(14, 17) for line in stage_lines(s)])]
-    # the loop's own names (now, h, y0.., k1_0.., n0..) stay clear of those
-    # the inlined source reads or binds: its arguments t, x, v, u0.., which
-    # each stage binds, and names that start with "_"
+                *indent([stage_line(s) for s in range(14, 17)])]
     body = [f"{state} = y",
             f"{stage(1)} = k1",
             "ts_append, ys_frombytes, stages_frombytes = ts.append, ys.frombytes, stages.frombytes",

@@ -180,6 +180,7 @@ HOSTILE_FILES = {
                              "'domain' must be finite"),
     "digits_past_the_int_limit": (_problem_text(t0=0).replace('"t0": 0', '"t0": 1' + "0" * 5000),
                                   "is not valid JSON"),
+    "nested_past_the_recursion_limit": ("[" * 200000, "is not valid JSON"),
     "B_unbound": (_problem_text(B="k*x"), "parameter 'k' is not bound"),
     "phi_unbound": (_problem_text(phi="k*x"), "parameter 'k' is not bound"),
     "delta2_unbound": (_problem_text(delta2="k - x^2/2"), "parameter 'k' is not bound"),
@@ -502,6 +503,20 @@ def test_a_second_run_finds_every_generated_function_in_the_cache(monkeypatch):
     after = ex._code.cache_info()
     assert sorted(defined) == ["fast", "fused", "loop", "loop"] + ["series"] * 4
     assert (after.hits - before.hits, after.misses - before.misses) == (len(defined), 0)
+
+
+def test_the_six_fixtures_share_three_integration_loops(monkeypatch):
+    # the loop's source depends on the shape alone (the components, the
+    # ones the right-hand side reads, the ones under step control), so the
+    # six fixtures' runs, with the oracle's channels, define three distinct
+    # loop bodies between them
+    loops = set()
+    original = integrate_module._define
+    monkeypatch.setattr(integrate_module, "_define", lambda name, args, body, namespace: (
+        loops.add(tuple(body)) or original(name, args, body, namespace)))
+    for fixture_id in catalog.ids():
+        assert cli.run_fixture(fixture_id)[1] == 0
+    assert len(loops) == 3
 
 
 GOLDEN_CATALOG = pathlib.Path(__file__).parent / "data" / "catalog_all.json"

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import itertools
 import math
@@ -338,31 +337,31 @@ def test_dense_rows_match_the_per_step_scalar_reference(name):
 
 
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS + tuple(EARLY_ENDS))
-def test_inlined_loop_matches_the_call_path(name, monkeypatch):
-    # the loop inlines the fused right-hand side's fast path at every stage,
-    # and calls a wrapped right-hand side instead, 15 times per accepted
-    # step.  Both give the same bits and the same end, also where the fast
-    # path fails: the domain-abort, channel-abort and dressing-overflow runs
-    # go through the inlined loop's fallback to the calls
+def test_a_wrapped_right_hand_side_runs_the_same_loop(name, monkeypatch):
+    # the loop calls the right-hand side at every stage, 15 times per
+    # accepted step, and its source depends on the shape alone: a wrapped
+    # right-hand side, such as a tracer's counting wrapper, runs the loop
+    # already compiled for the plain one, with the same bits and the same
+    # end, also where a stage leaves the domain or overflows
     p, integrands, tol, quadratures = integration_case(name)
-    inlined = integrate(p, integrands, (tol, tol), quadratures)
-    assert rhs(p, inlined.integrands).inline
+    plain = integrate(p, integrands, (tol, tol), quadratures)
     module = importlib.import_module("jacobi_invariants.integrate")
     built = module.rhs
     calls = []
 
     def wrapped(p, integrands):
-        # functools.wraps copies the fast path too, but not the code
         f = built(p, integrands)
-        return functools.wraps(f)(lambda *point: calls.append(1) or f(*point))
+        return lambda *point: calls.append(1) or f(*point)
 
     monkeypatch.setattr(module, "rhs", wrapped)
+    misses = ex._code.cache_info().misses
     called = integrate(p, integrands, (tol, tol), quadratures)
+    assert ex._code.cache_info().misses == misses
     assert len(calls) >= 15 * (len(called.ts) - 1)
-    for got, want in ((inlined.ts, called.ts), (inlined.ys, called.ys),
-                      (inlined.conts, called.conts)):
+    for got, want in ((plain.ts, called.ts), (plain.ys, called.ys),
+                      (plain.conts, called.conts)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert inlined.termination == called.termination
+    assert plain.termination == called.termination
 
 
 @pytest.mark.parametrize("name", catalog.ids() + LONG_WINDOWS)
@@ -413,20 +412,22 @@ def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
 
 
 def test_problems_of_one_shape_compile_the_loop_once():
-    # the loop's source inlines the right-hand side's, which names the
-    # parameters instead of writing their values: two forced oscillators
-    # that differ only in k2 and c share it, and the second compiles
-    # nothing, neither the loop nor anything else of its integration
+    # the loop calls the right-hand side, so its source depends on the
+    # shape (n, inputs, controlled) alone: two forced oscillators that
+    # differ only in k2 and c share it, and so does a problem whose B and
+    # channel differ in structure.  The right-hand side's source names the
+    # parameters instead of writing their values, so the second oscillator
+    # compiles nothing, neither the loop nor anything else of its integration
     p, q = (JacobiProblem(phi=ex.ZERO, B=parse("k2*x + c*t"), params=params, t0=0.0,
                           t_end=3.0, x0=1.0, v0=0.0)
             for params in ({"k2": 1.3, "c": 0.1}, {"k2": 2.1, "c": -0.07}))
+    r = JacobiProblem(phi=ex.ZERO, B=parse("x^3 + sin(t)"), t0=0.0, t_end=3.0, x0=1.0, v0=0.0)
     integrands = (parse("c*x"),)
-    f, g = rhs(p, integrands), rhs(q, integrands)
+    fns = rhs(p, integrands), rhs(q, integrands), rhs(r, (parse("t*x^2"),))
     ex._code.cache_clear()
-    _loop(f, 3, (0, 1))
-    assert ex._code.cache_info().misses == 1
-    _loop(g, 3, (0, 1))
-    assert ex._code.cache_info().misses == 1
+    for f in fns:
+        _loop(f, 3, (0, 1))
+        assert ex._code.cache_info().misses == 1
     integrate(p, integrands, (1e-10, 1e-10))
     misses = ex._code.cache_info().misses
     traj = integrate(q, integrands, (1e-10, 1e-10))
