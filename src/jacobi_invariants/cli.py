@@ -391,7 +391,8 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
 
 # what a problem file can make loading or checking raise: each is an
 # ``error:`` line and exit 2
-_INPUT_ERRORS = (InputError, ex.UnboundParameterError, ex.IllPosedDomainError)
+_INPUT_ERRORS = (InputError, ex.UnboundParameterError, ex.IllPosedDomainError,
+                 ex.ExpressionTooLargeError)
 
 
 def cmd_check(args) -> int:

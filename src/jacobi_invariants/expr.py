@@ -67,9 +67,12 @@ class DomainError(ExprError):
 
     def __init__(self, expr: "Expr | str", t: float, x: float, reason: str):
         t, x = float(t), float(x)
-        node = str(expr)
-        if len(node) > _MAX_NODE_TEXT:
-            node = node[:_MAX_NODE_TEXT - 1] + "…"
+        node = ""  # printed only as far as it is shown
+        for piece in (expr,) if isinstance(expr, str) else _pieces(expr):
+            node += piece
+            if len(node) > _MAX_NODE_TEXT:
+                node = node[:_MAX_NODE_TEXT - 1] + "…"
+                break
         super().__init__(f"{reason} in {node} at (t={t!r}, x={x!r})")
         self.expr = expr
         self.t = t
@@ -89,6 +92,10 @@ class IllPosedDomainError(ExprError):
 
 class NonConstantExponentError(ExprError):
     pass
+
+
+class ExpressionTooLargeError(ExprError):
+    """A tree too large to print or compile (``_check_written``, ``_code``)."""
 
 
 class Expr:
@@ -229,15 +236,6 @@ def Cos(a) -> Expr:
 
 # ---------------------------------------------------------------- queries
 
-def free_params(e: Expr) -> set[str]:
-    if e.kind == PARAM:
-        return {e.name}
-    out: set[str] = set()
-    for a in e.args:
-        out |= free_params(a)
-    return out
-
-
 def depends_on(e: Expr, var: str) -> bool:
     """Structural dependence of e on variable name 't' or 'x'."""
     if e.kind == VAR:
@@ -255,62 +253,38 @@ def is_constant(e: Expr) -> bool:
 _KNOWN_FUNCS = {"exp": Exp, "ln": Ln, "sqrt": Sqrt, "sin": Sin, "cos": Cos}
 
 
-# Nesting levels (parentheses, unary minus, exponents, and one per operator
-# of a chain such as x+x+...+x, whose left-deep tree the recursive
-# evaluator, printer and simplifier walk) the recursive-descent parser
-# accepts.  Each level costs about five Python frames, so this stays well
-# inside the interpreter's default recursion limit of 1000.
+# Nesting levels (parentheses, unary minus and exponents) the parser
+# accepts.  Each costs about five Python frames of the descent, so this
+# stays well inside the interpreter's default recursion limit of 1000.
 _MAX_PARSE_DEPTH = 100
 
+# Operands of one sum or product, parsed or written: a chain is one n-ary
+# node, one frame of a walker, and its source stays inside the compiler.
+_MAX_OPERANDS = 1000
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.i = 0
-        self.depth = 0
 
-    def _scan(self):
-        s, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = s[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and s[i + 1].isdigit()):
-                j = i
-                seen_dot = False
-                while j < n and (s[j].isdigit() or (s[j] == "." and not seen_dot)):
-                    if s[j] == ".":
-                        seen_dot = True
-                    j += 1
-                self.tokens.append(("num", s[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (s[j].isalnum() or s[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", s[i:j], i))
-                i = j
-                continue
-            if c in "+-*/^()":
-                self.tokens.append(("op", c, i))
-                i += 1
-                continue
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, offset), kind "num", "ident" or
+    the operator's own character, closed by an "end" token."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c, j = text[i], i + 1
+        if c.isdigit() or (c == "." and text[j:j + 1].isdigit()):
+            while j < n and (text[j].isdigit() or text[j] == "." and "." not in text[i:j]):
+                j += 1
+            tokens.append(("num", text[i:j], i))
+        elif c.isalpha() or c == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+        elif c in "+-*/^()":
+            tokens.append((c, c, i))
+        elif not c.isspace():
             raise ParseError(f"unexpected character {c!r}", i)
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("end", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+        i = j
+    tokens.append(("end", "", n))
+    return tokens
 
 
 def parse(text: str) -> Expr:
@@ -319,116 +293,105 @@ def parse(text: str) -> Expr:
     Grammar: ``+ - * / ^`` with standard precedence (``^`` highest and
     right-associative, then unary minus, then ``* /``, then ``+ -``),
     functions exp/ln/sqrt/sin/cos, variables t and x, integer and decimal
-    literals, any other identifier as a named parameter.
+    literals, any other identifier as a named parameter.  Each chain of
+    ``+ -`` is one sum and each chain of ``* /`` one product.
     """
-    tz = _Tokenizer(text)
-    e = _parse_sum(tz)
-    kind, val, off = tz.peek()
+    tokens = _tokens(text)
+    e, i = _parse_sum(tokens, 0, 0)
+    kind, val, off = tokens[i]
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", off)
     return e
 
 
-def _descend(tz, off: int):
-    if tz.depth >= _MAX_PARSE_DEPTH:
+# The descent reads the token list from index i and returns the node it
+# read with the index after it; depth counts the enclosing parentheses,
+# unary minus signs and exponents.
+
+def _parse_sum(tokens, i, depth):
+    """A sum; a - b contributes the term (-1)*b."""
+    e, i = _parse_term(tokens, i, depth)
+    terms = [e]
+    kind, _, off = tokens[i]
+    while kind == "+" or kind == "-":
+        if len(terms) == _MAX_OPERANDS:
+            raise ParseError(f"sum of more than {_MAX_OPERANDS} terms", off)
+        e, i = _parse_term(tokens, i + 1, depth)
+        terms.append(e if kind == "+" else Expr(MUL, (MINUS_ONE, e)))
+        kind, _, off = tokens[i]
+    return (e if len(terms) == 1 else Expr(ADD, terms)), i
+
+
+def _parse_term(tokens, i, depth):
+    """A product; a / b contributes the factor b^(-1), and a leading run of
+    rational factors folds into one."""
+    e, i = _parse_unary(tokens, i, depth)
+    factors = [e]
+    count = 1  # folded factors count too
+    kind, _, off = tokens[i]
+    while kind == "*" or kind == "/":
+        if count == _MAX_OPERANDS:
+            raise ParseError(f"product of more than {_MAX_OPERANDS} factors", off)
+        count += 1
+        e, i = _parse_unary(tokens, i + 1, depth)
+        lead = factors[0]
+        if (len(factors) == 1 and lead.kind == RAT and e.kind == RAT
+                and (kind == "*" or e.value != 0)):
+            factors[0] = Rat(lead.value * e.value) if kind == "*" else Rat(lead.value, e.value)
+        else:
+            factors.append(e if kind == "*" else Expr(POW, (e, MINUS_ONE)))
+        kind, _, off = tokens[i]
+    return (factors[0] if len(factors) == 1 else Expr(MUL, factors)), i
+
+
+def _parse_unary(tokens, i, depth):
+    """A negated operand, or an atom and its exponent."""
+    kind, _, off = tokens[i]
+    if depth > _MAX_PARSE_DEPTH:
         raise ParseError(f"expression nested deeper than {_MAX_PARSE_DEPTH} levels", off)
-    tz.depth += 1
+    if kind == "-":
+        e, i = _parse_unary(tokens, i + 1, depth + 1)
+        return (Rat(-e.value) if e.kind == RAT else Expr(MUL, (MINUS_ONE, e))), i
+    base, i = _parse_atom(tokens, i, depth)
+    kind, _, off = tokens[i]
+    if kind != "^":
+        return base, i
+    expo, i = _parse_unary(tokens, i + 1, depth + 1)  # right-associative, allows x^-2
+    if depends_on(expo, "t") or depends_on(expo, "x"):
+        raise ParseError("exponent must be a constant expression", off)
+    if base.kind == RAT and expo.kind == RAT and expo.value.denominator == 1:
+        folded = _rat_pow(base.value, expo.value)
+        if folded is not None:
+            return Rat(folded), i
+    return Expr(POW, (base, expo)), i
 
 
-def _parse_sum(tz) -> Expr:
-    depth = tz.depth
-    e = _parse_term(tz)
-    while True:
-        kind, val, off = tz.peek()
-        if kind == "op" and val in "+-":
-            tz.next()
-            _descend(tz, off)  # a binary chain is one tree level per operator
-            rhs = _parse_term(tz)
-            e = e + rhs if val == "+" else e - rhs
-        else:
-            tz.depth = depth
-            return e
-
-
-def _parse_term(tz) -> Expr:
-    depth = tz.depth
-    e = _parse_unary(tz)
-    while True:
-        kind, val, off = tz.peek()
-        if kind == "op" and val in "*/":
-            tz.next()
-            _descend(tz, off)
-            rhs = _parse_unary(tz)
-            if val == "/" and e.kind == RAT and rhs.kind == RAT and rhs.value != 0:
-                e = Rat(e.value, rhs.value)
-            elif val == "*" and e.kind == RAT and rhs.kind == RAT:
-                e = Rat(e.value * rhs.value)
-            else:
-                e = e * rhs if val == "*" else e / rhs
-        else:
-            tz.depth = depth
-            return e
-
-
-def _parse_unary(tz) -> Expr:
-    kind, val, off = tz.peek()
-    _descend(tz, off)
-    if kind == "op" and val == "-":
-        tz.next()
-        inner = _parse_unary(tz)
-        e = Rat(-inner.value) if inner.kind == RAT else -inner
-    else:
-        e = _parse_power(tz)
-    tz.depth -= 1
-    return e
-
-
-def _parse_power(tz) -> Expr:
-    base = _parse_atom(tz)
-    kind, val, off = tz.peek()
-    if kind == "op" and val == "^":
-        tz.next()
-        expo = _parse_unary(tz)  # right-associative, allows x^-2
-        if depends_on(expo, "t") or depends_on(expo, "x"):
-            raise ParseError("exponent must be a constant expression", off)
-        if base.kind == RAT and expo.kind == RAT and expo.value.denominator == 1:
-            folded = _rat_pow(base.value, expo.value)
-            if folded is not None:
-                return Rat(folded)
-        return Expr(POW, (base, expo))
-    return base
-
-
-def _parse_atom(tz) -> Expr:
-    kind, val, off = tz.next()
+def _parse_atom(tokens, i, depth):
+    kind, val, off = tokens[i]
     if kind == "num":
         try:
-            return Rat(int(val) if val.isascii() and val.isdigit() else Fraction(val))
+            return Rat(int(val) if val.isascii() and val.isdigit() else Fraction(val)), i + 1
         except ValueError as err:  # beyond the int-from-string digit limit
             raise ParseError(str(err), off) from None
     if kind == "ident":
-        nkind, nval, noff = tz.peek()
-        if nkind == "op" and nval == "(":
+        if tokens[i + 1][0] == "(":
             if val not in _KNOWN_FUNCS:
                 raise ParseError(f"unknown function {val!r}", off)
-            tz.next()
-            arg = _parse_sum(tz)
-            ckind, cval, coff = tz.next()
-            if not (ckind == "op" and cval == ")"):
-                raise ParseError("expected ')'", coff)
-            return _KNOWN_FUNCS[val](arg)
-        if val == "t":
-            return T
-        if val == "x":
-            return X
-        return Param(val)
-    if kind == "op" and val == "(":
-        e = _parse_sum(tz)
-        ckind, cval, coff = tz.next()
-        if not (ckind == "op" and cval == ")"):
-            raise ParseError("expected ')'", coff)
-        return e
+            arg, i = _parse_group(tokens, i + 2, depth)
+            return _KNOWN_FUNCS[val](arg), i
+        return (T if val == "t" else X if val == "x" else Param(val)), i + 1
+    if kind == "(":
+        return _parse_group(tokens, i + 1, depth)
     raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
+
+
+def _parse_group(tokens, i, depth):
+    """A parenthesized sum, from the token after its '(' through its ')'."""
+    e, i = _parse_sum(tokens, i, depth + 1)
+    kind, _, off = tokens[i]
+    if kind != ")":
+        raise ParseError("expected ')'", off)
+    return e, i + 1
 
 
 # ---------------------------------------------------------------- printing
@@ -436,31 +399,72 @@ def _parse_atom(tz) -> Expr:
 def pprint(e: Expr) -> str:
     """Fully parenthesized infix form; re-parses to the same canonical tree.
     A sum prints a term (-c)*rest as a subtraction of c*rest."""
+    _check_written((e,))
+    return "".join(_pieces(e))
+
+
+def _pieces(e: Expr):
+    """The text of e, piece by piece, left to right."""
     k = e.kind
     if k == RAT:
         v = e.value
         if v.denominator == 1:
-            return f"({v.numerator})" if v < 0 else str(v.numerator)
-        # fractions always need parens: x ^ 3/2 would re-parse as (x^3)/2
-        return f"({v.numerator}/{v.denominator})"
-    if k == PARAM or k == VAR:
-        return e.name
-    if k in _FUNCS:
-        return f"{k}({pprint(e.args[0])})"
-    if k == ADD:
-        parts = [pprint(e.args[0])]
+            yield f"({v.numerator})" if v < 0 else str(v.numerator)
+        else:
+            # fractions always need parens: x ^ 3/2 would re-parse as (x^3)/2
+            yield f"({v.numerator}/{v.denominator})"
+    elif k == PARAM or k == VAR:
+        yield e.name
+    elif k in _FUNCS:
+        yield f"{k}("
+        yield from _pieces(e.args[0])
+        yield ")"
+    elif k == ADD:
+        yield "("
+        yield from _pieces(e.args[0])
         for a in e.args[1:]:
             neg = _negated_term(a)
-            if neg is not None:
-                parts.append(f" - {pprint(neg)}")
-            else:
-                parts.append(f" + {pprint(a)}")
-        return "(" + "".join(parts) + ")"
-    if k == MUL:
-        return "(" + " * ".join(pprint(a) for a in e.args) + ")"
-    if k == POW:
-        return f"({pprint(e.args[0])} ^ {pprint(e.args[1])})"
-    raise ExprError(f"unknown node kind {k!r}")
+            yield " + " if neg is None else " - "
+            yield from _pieces(a if neg is None else neg)
+        yield ")"
+    elif k == MUL or k == POW:
+        op = " * " if k == MUL else " ^ "
+        for i, a in enumerate(e.args):
+            yield op if i else "("
+            yield from _pieces(a)
+        yield ")"
+    else:
+        raise ExprError(f"unknown node kind {k!r}")
+
+
+# nodes that pprint or a generated source may write, a shared node once per
+# use; the benchmark's largest normal forms have about 200
+_MAX_TREE_NODES = 1_000_000
+
+
+def _check_written(exprs, params: dict[str, float] | None = None) -> None:
+    """Raise ExpressionTooLargeError unless the trees of exprs hold at most
+    _MAX_TREE_NODES nodes together and no sum or product more than
+    _MAX_OPERANDS operands, and, given params, UnboundParameterError for a
+    parameter they do not bind.  Tree sizes are kept by node identity, so
+    the walk visits each node of the DAG once."""
+    sizes: dict[int, int] = {}
+
+    def size(e: Expr) -> int:
+        if id(e) not in sizes:
+            if len(e.args) > _MAX_OPERANDS:
+                raise ExpressionTooLargeError(
+                    f"expression too large: a {'sum' if e.kind == ADD else 'product'} "
+                    f"of {len(e.args)} operands, more than {_MAX_OPERANDS}")
+            if e.kind == PARAM and params is not None and e.name not in params:
+                raise UnboundParameterError(e.name)
+            sizes[id(e)] = 1 + sum(map(size, e.args))
+        return sizes[id(e)]
+
+    total = sum(map(size, exprs))
+    if total > _MAX_TREE_NODES:
+        raise ExpressionTooLargeError(
+            f"expression too large: {total} tree nodes, more than {_MAX_TREE_NODES}")
 
 
 def _negated_term(a: Expr) -> Expr | None:
@@ -470,10 +474,8 @@ def _negated_term(a: Expr) -> Expr | None:
     if a.kind == MUL and a.args[0].kind == RAT and a.args[0].value < 0:
         flipped = Rat(-a.args[0].value)
         rest = a.args[1:]
-        if flipped.value == 1 and len(rest) == 1:
-            return rest[0]
         if flipped.value == 1:
-            return Expr(MUL, rest)
+            return rest[0] if len(rest) == 1 else Expr(MUL, rest)
         return Expr(MUL, (flipped,) + rest)
     return None
 
@@ -570,12 +572,6 @@ def _fast_pow(base, expo):
 _NAMESPACE = {"math": math, "_pw": _fast_pow}
 
 
-def _check_bound(e: Expr, params: dict[str, float]) -> None:
-    for name in free_params(e):
-        if name not in params:
-            raise UnboundParameterError(name)
-
-
 def _param_name(name: str) -> str:
     """The name a parameter's value is bound to in generated source: ``_p_``
     and the parameter's own name when that is an ASCII identifier, else
@@ -604,7 +600,7 @@ def compile_fn(e: Expr, params: dict[str, float] | None = None):
     its DomainError (inf - inf is "sum of opposite infinities").
     """
     params = params or {}
-    _check_bound(e, params)
+    _check_written((e,), params)
     fast = _define("fast", "t, x", (f"return {_pysrc(e)}",),
                    {**_NAMESPACE, **_bindings(params)})
 
@@ -627,7 +623,10 @@ def _code(name: str, args: str, body: tuple[str, ...]):
     values, so a parameter sweep repeats a few sources; a run of distinct
     problems repeats none, hence the bound."""
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
-    return compile(source, "<generated>", "exec")
+    try:
+        return compile(source, "<generated>", "exec")
+    except (RecursionError, SyntaxError) as err:  # nested past the compiler's limits
+        raise ExpressionTooLargeError(f"expression too large to compile: {err}") from None
 
 
 def _define(name: str, args: str, body: tuple[str, ...] | list[str], namespace: dict):
@@ -664,8 +663,7 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
     and ``_slow`` raises it as a DomainError of the template at that point.
     """
     params = params or {}
-    for e in exprs.values():
-        _check_bound(e, params)
+    _check_written(exprs.values(), params)
     compiled = []
 
     def slow(*args):

@@ -464,9 +464,9 @@ def _dense_rows(ys: array, stages: array, k13: tuple[float, ...], n: int) -> np.
     """The seventh-order dense-output coefficients of every accepted step,
     shape (steps, 8, n), from the flat buffers of ``_loop``: the accepted
     states and the stored stages; k13 is the derivative at the last
-    accepted state.  It is a view of an (8, n, steps) array, the stage
-    buffer copied transposed once, so that each operation runs on
-    contiguous rows.
+    accepted state.  It is a view of an (8, n, steps) array.  The stages
+    are read in place: each stage row is a strided view of the row-major
+    stage buffer, and every operation is element-wise.
 
     With d = y_new - y, the rows are y, d, h*k1 - d, 2*d - h*(k13 + k1)
     and, for each row of _D, h*(sum of _D[j][s]*k_s), as
@@ -486,7 +486,7 @@ def _dense_rows(ys: array, stages: array, k13: tuple[float, ...], n: int) -> np.
     rows = np.empty((8, n, steps))
     if not steps:
         return rows.transpose(2, 0, 1)
-    stored = np.frombuffer(stages).reshape(steps, width).T.copy()
+    stored = np.frombuffer(stages).reshape(steps, width).T
     h = stored[:1]
     k = dict(zip(_STORED, (stored[1 + j * n:1 + (j + 1) * n] for j in range(len(_STORED)))))
     # k13 of a step is the next step's k1, and the given k13 for the last

@@ -10,13 +10,19 @@ dressed pair, one sign of the general dressed pair, the Euler-Lagrange
 residual, the closed-form solution of JAC_EXACT with its ODE residual
 and the fixtures' classical forms.
 
-Last, the runs that the integrator's and the sampler's parity tests
+Then the runs that the integrator's and the sampler's parity tests
 share: the runs that end early, and each fixture's and long window's
-channels."""
+channels.
+
+Last, commands run in child processes bounded in memory and time, for
+problem files built to exhaust them."""
 
 import json
 import math
 import pathlib
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -285,3 +291,36 @@ def integration_case(name):
     _, built = cli.run_checks(p, exprs, oracle=True)
     quadratures = integrated_oracle(p, built.lagrangian, built.family).integrands
     return p, built.spec_integrands, 1e-10, quadratures
+
+
+# ------------------------------------------------------------ bounded commands
+
+# the address space of a bounded child: 1 GB
+BOUNDED_BYTES = 1 << 30
+
+
+def _bound_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (BOUNDED_BYTES, BOUNDED_BYTES))
+
+
+def run_bounded(*argvs, timeout: float = 60.0) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of the command line of each argv, all
+    run at once, each in a child process with at most BOUNDED_BYTES of
+    address space; a child still running after timeout seconds is killed
+    and the call raises subprocess.TimeoutExpired.  A run that outgrows
+    either bound fails its test instead of exhausting the host."""
+    procs = [subprocess.Popen([sys.executable, "-m", "jacobi_invariants.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              preexec_fn=_bound_address_space)
+             for argv in argvs]
+    results = []
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=timeout)
+            results.append((proc.returncode, out, err))
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    return results

@@ -16,6 +16,8 @@ from jacobi_invariants import problem as problem_module
 from jacobi_invariants.cli import dumps, load_problem, main
 from jacobi_invariants.verify import integrated_oracle, oracle_vs_closed
 
+from helpers import run_bounded
+
 # the package re-exports the function integrate under the module's name
 integrate_module = importlib.import_module("jacobi_invariants.integrate")
 
@@ -112,6 +114,42 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
         code, _, err = run_main(["check", write(tmp_path, "p.json", bad)], capsys)
         assert code == 2
         assert "cannot parse 'B'" in err
+
+
+def _long_chain_file():
+    # B's normal form is a sum of 4,802 terms, past what the compiler
+    # takes as one chain of + (about 3,000 operands)
+    xs = "+".join(["x"] + [f"x^{i}" for i in range(2, 50)])
+    ts = "+".join(["1", "t"] + [f"t^{i}" for i in range(2, 49)])
+    dx = "+".join(["1"] + [f"{i}*x^{i - 1}" for i in range(2, 50)])
+    return {"phi": "0", "eta": "0", "delta2": f"({xs})*({ts})*(a + b)",
+            "B": f"-({dx})*({ts})*(a + b)", "params": {"a": 0.01, "b": 0.02},
+            "t0": 0, "t_end": 0.1, "x0": 0.1, "v0": 0, "domain": [0, 0.1, 0.05, 0.2]}
+
+
+def _shared_factors_file(m):
+    # delta2 = (a+x)*(b+x)*.. over m parameters, B its x-derivative's
+    # negative as a sum of m products: the dressed channel integrand's DAG
+    # has 3,987 distinct nodes at m = 9, its tree 2.48 million
+    names = "abcdefghijkl"[:m]
+    factors = [f"({n}+x)" for n in names]
+    B = "+".join("*".join(factors[:i] + factors[i + 1:]) for i in range(m))
+    return {"phi": "0", "B": f"-({B})", "delta2": "*".join(factors),
+            "params": {n: 1.0 + 0.1 * i for i, n in enumerate(names)},
+            "t0": 0, "t_end": 0.05, "x0": 0.5, "v0": 0, "domain": [0, 0.05, 0.1, 1.0]}
+
+
+@pytest.mark.parametrize("data", [_long_chain_file(), _shared_factors_file(9)],
+                         ids=["long_chain", "shared_subtrees"])
+def test_normal_forms_too_large_to_write_exit_2(tmp_path, data):
+    # the checks pass; the run refuses to compile or print the normal form
+    # instead of crashing the compiler or running out of memory
+    path = write(tmp_path, "p.json", data)
+    (check, _, _), *runs = run_bounded(["check", path], ["run", path], ["run", "--oracle", path])
+    assert check == 0
+    for code, out, err in runs:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expression too large") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, change", [

@@ -112,14 +112,95 @@ def test_parse_accepts_or_raises_parse_error(text):
 
 
 def test_parse_depth_limited():
-    # a flat chain builds a left-deep tree, one level per operator
+    # 3,000 parentheses or 5,000 minus signs are past the nesting limit,
+    # and a chain of 3,000 operands is past the operand cap
     for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x",
                  "+".join(["x"] * 3000), "/".join(["x"] * 3000)):
         with pytest.raises(ParseError):
             parse(text)
+    # the limit counts parentheses, a function's too, minus signs and exponents
+    for text in ("(" * 101 + "x" + ")" * 101, "-" * 101 + "x",
+                 "2^" * 101 + "x", "sqrt(" * 101 + "x" + ")" * 101):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse(text)
+    assert parse("(" * 100 + "x" + ")" * 100) == parse("x")
+    assert evaluate(parse("-" * 100 + "x"), 0.0, 2.0) == 2.0
     assert parse("(" * 90 + "x" + ")" * 90) == parse("x")
     assert evaluate(parse("-" * 90 + "x"), 0.0, 2.0) == 2.0
     assert evaluate(parse("+".join(["x"] * 90)), 0.0, 2.0) == 180.0
+
+
+def test_long_chains_parse_to_one_node():
+    # a chain is one n-ary node, not one nesting level per operator: this
+    # 59-term polynomial and the 101-term sum were refused as too deep
+    poly = parse("+".join(f"x^{i}" for i in range(1, 60)))
+    assert poly.kind == ex.ADD and len(poly.args) == 59
+    powers = [ex.Expr(ex.POW, (X, Rat(i))) for i in range(2, 60)]
+    assert simplify(poly) == ex.Expr(ex.ADD, [X, *powers])
+    total = parse("+".join(["x"] * 101))
+    assert total == ex.Expr(ex.ADD, [X] * 101)
+    assert simplify(total) == ex.Expr(ex.MUL, (Rat(101), X))
+
+
+@pytest.mark.parametrize("op", list("+-*/"))
+def test_a_chain_holds_at_most_the_operand_cap(op):
+    assert len(parse(op.join(["x"] * 1000)).args) == 1000
+    with pytest.raises(ParseError, match="more than 1000"):
+        parse(op.join(["x"] * 1001))
+
+
+# operands of a random chain, none with a binary operator of its own but
+# an exponent's ^
+CHAIN_TERMS = ["0", "1", "2", "0.75", "-1", "t", "x", "-x", "k", "x^2", "x^-1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CHAIN_TERMS), min_size=1, max_size=12),
+       st.lists(st.sampled_from("+-*/"), min_size=11, max_size=11))
+def test_a_chain_has_the_normal_form_of_its_left_fold(terms, ops):
+    # each run of * and / folds left to right through Expr's operators,
+    # then the + and - between the runs
+    text = terms[0] + "".join(op + term for op, term in zip(ops, terms[1:]))
+    operands = [parse(term) for term in terms]
+    products, signs = [operands[0]], []
+    for op, e in zip(ops, operands[1:]):
+        if op == "*":
+            products[-1] = products[-1] * e
+        elif op == "/":
+            products[-1] = products[-1] / e
+        else:
+            products.append(e)
+            signs.append(op)
+    folded = products[0]
+    for op, e in zip(signs, products[1:]):
+        folded = folded + e if op == "+" else folded - e
+    assert simplify(parse(text)) == simplify(folded)
+
+
+def test_written_text_and_source_are_bounded():
+    # a sum past the operand cap, and a tree of 2^21 - 1 nodes over 21
+    # shared ones, are neither printed nor compiled
+    wide = ex.Expr(ex.ADD, [X] * 1001)
+    deep = X
+    for _ in range(20):
+        deep = deep + deep
+    for e in (wide, deep):
+        with pytest.raises(ex.ExpressionTooLargeError, match="^expression too large"):
+            pprint(e)
+        with pytest.raises(ex.ExpressionTooLargeError, match="^expression too large"):
+            compile_fn(e)
+    # a DomainError prints the failing node only as far as it shows it
+    message = str(DomainError(deep, 0.0, 1.0, "a reason"))
+    assert message.startswith("a reason in " + "(" * 20 + "x + x) + (x + x))")
+    assert len(message) == len("a reason in ") + 80 + len(" at (t=0.0, x=1.0)")
+
+
+def test_a_source_past_the_compilers_nesting_limit_is_refused():
+    # three parentheses a level in the generated source, where the
+    # compiler takes 200
+    nested = parse("sqrt(" * 70 + "x" + "+1)" * 70)
+    with pytest.raises(ex.ExpressionTooLargeError, match="^expression too large to compile"):
+        compile_fn(nested)
 
 
 def test_exact_folding_is_bounded():

@@ -186,6 +186,15 @@ def test_the_regime_is_dispatched_once_in_run_checks():
     assert not read & (REGIME_TAGS | {"classify"})
 
 
+def test_every_generated_source_is_compiled_in_expr_code():
+    # expr._code is the one compile, which turns the compiler's refusal
+    # into an ExpressionTooLargeError, and _define the one exec, of its code
+    calls = {builtin: {path.stem: [f for f, _ in found] for path in sorted(SOURCE.glob("*.py"))
+                       if (found := _calls_by_function(ast.parse(path.read_text()), builtin))}
+             for builtin in ("compile", "exec", "eval")}
+    assert calls == {"compile": {"expr": ["_code"]}, "exec": {"expr": ["_define"]}, "eval": {}}
+
+
 def _private_reads_of_invariants(tree):
     """Names starting with ``_`` that the module imports from, or reads
     as attributes of, the invariants module."""
