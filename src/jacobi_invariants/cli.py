@@ -79,7 +79,9 @@ _string = json.encoder.encode_basestring_ascii  # json.dumps' encoder of a str
 
 
 def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats as %.12e."""
+    """Deterministic JSON: insertion-ordered keys, floats as %.12e.  The one
+    writer of a non-finite float: inf, -inf and nan, which JSON lacks, are
+    99.0, -99.0 and -99.0."""
     pad = "  " * indent
     pad1 = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -201,14 +203,9 @@ def _lagrangian_from(exprs: dict[str, Expr]) -> LagrangianData | None:
 
 
 def _report_of(check: CheckReport) -> dict:
-    out = {
-        "name": check.name,
-        "passed": check.passed,
-        "structural": check.structural,
-        "residual": check.residual,
-    }
-    if check.warning:
-        out["warning"] = check.warning
+    out = check._asdict()
+    if not check.warning:
+        del out["warning"]
     return out
 
 
@@ -277,21 +274,18 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
                 add(check)
             closed = inv.nonlocal_general(problem, rho1, rho2, checks)
             specs.append(closed)
-            fi_check = {"name": "first_integral_condition",
-                        "passed": closed.kind == FIRST_INTEGRAL,
-                        "structural": True, "residual": ""}
+            first_integral = closed.kind == FIRST_INTEGRAL
+            add(CheckReport("first_integral_condition", first_integral, True, ""))
             if closed.exp_closed_arg is not None:
-                fi_check["closed_form_exponent"] = ex.pprint(closed.exp_closed_arg)
-            hypotheses.append(fi_check)
-            if oracle and fi_check["passed"]:  # every other check passed above
+                hypotheses[-1]["closed_form_exponent"] = ex.pprint(closed.exp_closed_arg)
+            if oracle and first_integral:  # every other check passed above
                 try:
                     aux_p, _ = inv.general_aux(problem)
                 except (HypothesisError, DegenerateDenominatorError) as err:
                     raise InputError(f"oracle family unavailable: {err}") from err
                 family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
     except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
-        hypotheses.append({"name": type(err).__name__, "passed": False,
-                           "structural": False, "residual": str(err)})
+        add(CheckReport(type(err).__name__, False, False, str(err)))
 
     passed = all(h["passed"] for h in hypotheses)
     if oracle and passed and L is None:
@@ -357,7 +351,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
         gate = drift_gate(rep, threshold)
         all_pass = all_pass and gate
         entry = spec.to_jsonable()
-        entry["drift"] = rep.to_jsonable()
+        entry["drift"] = rep._asdict()
         entry["gate"] = gate
         inv_reports.append(entry)
     report["invariants"] = inv_reports
@@ -379,7 +373,7 @@ def run_pipeline(problem: JacobiProblem, exprs: dict[str, Expr], data: dict,
                        "sign": fam.sign},
             "compared_to": built.closed.name,
             "max_discrepancy": disc,
-            "drift": o_rep.to_jsonable(),
+            "drift": o_rep._asdict(),
             "gate": o_gate,
         }
 

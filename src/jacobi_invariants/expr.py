@@ -407,12 +407,12 @@ def _pieces(e: Expr):
     """The text of e, piece by piece, left to right."""
     k = e.kind
     if k == RAT:
-        v = e.value
-        if v.denominator == 1:
-            yield f"({v.numerator})" if v < 0 else str(v.numerator)
+        n, d = e.value.as_integer_ratio()
+        if d == 1:
+            yield f"(-{_decimal(-n)})" if n < 0 else _decimal(n)
         else:
             # fractions always need parens: x ^ 3/2 would re-parse as (x^3)/2
-            yield f"({v.numerator}/{v.denominator})"
+            yield f"({'-' if n < 0 else ''}{_decimal(abs(n))}/{_decimal(d)})"
     elif k == PARAM or k == VAR:
         yield e.name
     elif k in _FUNCS:
@@ -435,6 +435,16 @@ def _pieces(e: Expr):
         yield ")"
     else:
         raise ExprError(f"unknown node kind {k!r}")
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0, also past Python's 4300-digit int-to-string
+    limit, which folded constants can pass: a longer n is written in halves."""
+    if n.bit_length() <= 13_000:  # at most 3914 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) = 0.30103
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 # nodes that pprint or a generated source may write, a shared node once per
@@ -766,8 +776,9 @@ def _pysrc(e: Expr) -> str:
     same IEEE operation that runs on the names at run time."""
     k = e.kind
     if k == RAT:
-        # a constant beyond float range fails at run time, and _eval says so
-        return _literal(e.value) or f"({e.value.numerator}/{e.value.denominator})"
+        # a constant beyond float range fails at run time, and _eval says so;
+        # hexadecimal literals have no digit limit
+        return _literal(e.value) or "({:#x}/{:#x})".format(*e.value.as_integer_ratio())
     if k == VAR:
         return e.name
     if k == PARAM:
@@ -1347,17 +1358,17 @@ def _halton(i: int, base: int) -> float:
     return r
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_points(n: int) -> tuple[tuple[float, float], ...]:
-    """The first n Halton (2, 3) points of the unit square, computed once."""
-    return tuple((_halton(i, 2), _halton(i, 3)) for i in range(1, n + 1))
+@functools.lru_cache(maxsize=1)
+def _unit_points() -> tuple[tuple[float, float], ...]:
+    """The first SAMPLES Halton (2, 3) points of the unit square, computed once."""
+    return tuple((_halton(i, 2), _halton(i, 3)) for i in range(1, SAMPLES + 1))
 
 
-def sample_points(domain: tuple[float, float, float, float], n: int):
-    """n quasi-random (t, x) points in [tmin,tmax] x [xmin,xmax] (Halton 2,3)."""
+def sample_points(domain: tuple[float, float, float, float]):
+    """SAMPLES quasi-random (t, x) points in [tmin,tmax] x [xmin,xmax] (Halton 2,3)."""
     tmin, tmax, xmin, xmax = domain
     return [(tmin + ht * (tmax - tmin), xmin + hx * (xmax - xmin))
-            for ht, hx in _unit_points(n)]
+            for ht, hx in _unit_points()]
 
 
 def _monomial(term: Expr) -> tuple[int, int] | None:
@@ -1407,7 +1418,7 @@ class ZeroCheck:
 
 
 def zero_check(e: Expr, domain: tuple[float, float, float, float],
-               samples: int = SAMPLES, params: dict[str, float] | None = None) -> ZeroCheck:
+               params: dict[str, float] | None = None) -> ZeroCheck:
     """Structural-then-numeric test of e == 0 on the domain rectangle.
 
     A normal form of 0 is zero (``structural``); one that is a sum of
@@ -1417,8 +1428,6 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
     un-cancelled top-level terms.  Sample points hitting domain errors are
     skipped; more than half skipped raises IllPosedDomainError.
     """
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
     s = simplify(e)
     if s.kind == RAT and s.value == 0:
         return ZeroCheck(True, structural=True)
@@ -1428,7 +1437,7 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
     terms = s.args if s.kind == ADD else (s,)
     skipped = 0
     ok = True
-    for (tv, xv) in sample_points(domain, samples):
+    for (tv, xv) in sample_points(domain):
         try:
             vals = [_eval(term, tv, xv, params) for term in terms]
         except DomainError:
@@ -1440,9 +1449,9 @@ def zero_check(e: Expr, domain: tuple[float, float, float, float],
         if not resid < 1e-12 * (1.0 + scale):
             ok = False
             break
-    if skipped > samples // 2:
+    if skipped > SAMPLES // 2:
         raise IllPosedDomainError(
-            f"{skipped}/{samples} sample points hit domain errors")
+            f"{skipped}/{SAMPLES} sample points hit domain errors")
     if ok:
         warning = ("zero established by sampling only; "
                    "structural simplification left " + pprint(s))

@@ -654,18 +654,6 @@ class DriftReport(NamedTuple):
     truncated: bool = False
     window: tuple[float, float] = (0.0, 0.0)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "initial_value": self.initial_value,
-            "max_abs_drift": self.max_abs_drift,
-            "mean_abs_drift": self.mean_abs_drift,
-            "rel_drift": self.rel_drift,
-            "order": (self.order if math.isfinite(self.order) else 99.0),
-            "truncated": self.truncated,
-            "window": list(self.window),
-        }
-
 
 def evaluate_along(traj: Trajectory, spec, grid: int = 1024) -> EvalSeries:
     """An invariant's series on a uniform dense-output grid, read from the

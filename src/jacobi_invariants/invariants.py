@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import expr as ex
-from .expr import Expr, pprint, simplify, zero_check
-from .problem import CheckReport, Frozen, JacobiProblem
+from .expr import Expr, pprint, simplify
+from .problem import CheckReport, Frozen, JacobiProblem, check, vanishes
 
 FIRST_INTEGRAL = "FirstIntegral"
 NONLOCAL_CONSTANT = "NonlocalConstant"
@@ -151,7 +151,7 @@ def autonomous_aux(p: JacobiProblem,
     # is undefined lie outside the problem domain and are skipped
     raw_radicand = ex.Rat(2) * delta2 * ex.Exp(-p.phi)
     radicand_at = ex.compile_fn(raw_radicand, p.params)
-    for (tv, xv) in ex.sample_points(p.domain, ex.SAMPLES):
+    for (tv, xv) in ex.sample_points(p.domain):
         try:
             val = radicand_at(tv, xv)
         except ex.DomainError:
@@ -163,7 +163,7 @@ def autonomous_aux(p: JacobiProblem,
     bbar = simplify(ex.Sqrt(radicand))
     b = simplify(ex.Rat(-1, 2) * ex.diff(p.phi, "x") * bbar - ex.diff(bbar, "x"))
     product_residual = simplify(bbar * b - p.B)
-    if not zero_check(product_residual, p.domain, params=p.params).is_zero:
+    if not vanishes(p, product_residual):
         raise HypothesisError("factorization bbar*b == B fails", product_residual)
     return (
         AuxiliaryFunctions(a=a, bbar=bbar, b=b, sign=+1),
@@ -174,9 +174,8 @@ def autonomous_aux(p: JacobiProblem,
 def check_y_ode(p: JacobiProblem, bbar: Expr) -> CheckReport:
     """Residual of d_x(bbar^2) + phi_x*bbar^2 + 2B, an independent check."""
     y = simplify(bbar * bbar)
-    resid = simplify(ex.diff(y, "x") + ex.diff(p.phi, "x") * y + ex.Rat(2) * p.B)
-    return CheckReport.from_zero_check(
-        "square_factor_ode", resid, zero_check(resid, p.domain, params=p.params))
+    return check(p, "square_factor_ode",
+                 simplify(ex.diff(y, "x") + ex.diff(p.phi, "x") * y + ex.Rat(2) * p.B))
 
 
 def first_integral_autonomous(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
@@ -208,9 +207,8 @@ def check_accumulator(p: JacobiProblem, eta: Expr, delta2: Expr) -> CheckReport:
     """Residual of e^phi*B - d_x(eta_t - delta2), the hypothesis of the
     phi_t = 0 construction."""
     psi = simplify(ex.diff(eta, "t") - delta2)
-    resid = simplify(ex.Exp(p.phi) * p.B - ex.diff(psi, "x"))
-    return CheckReport.from_zero_check(
-        "accumulator_hypothesis", resid, zero_check(resid, p.domain, params=p.params))
+    return check(p, "accumulator_hypothesis",
+                 simplify(ex.Exp(p.phi) * p.B - ex.diff(psi, "x")))
 
 
 def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr,
@@ -245,16 +243,16 @@ def general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunction
     """
     phi_t = ex.diff(p.phi, "t")
     den = simplify(ex.Rat(2) * ex.diff(phi_t, "t") + phi_t * phi_t)
-    if zero_check(den, p.domain, params=p.params).is_zero:
+    if vanishes(p, den):
         raise DegenerateDenominatorError("2*phi_tt + phi_t^2 vanishes identically")
     den2 = simplify(ex.diff(ex.Ln(p.B), "t") + phi_t)
-    if zero_check(den2, p.domain, params=p.params).is_zero:
+    if vanishes(p, den2):
         raise DegenerateDenominatorError("d_t ln B + phi_t vanishes identically")
     num = simplify(ex.diff(p.B, "t") + p.B * phi_t)
     bbar_plus = simplify(ex.Rat(4) * num / den)
     b_plus = simplify(ex.Rat(1, 4) * den / den2)
     product_residual = simplify(bbar_plus * b_plus - p.B)
-    if not zero_check(product_residual, p.domain, params=p.params).is_zero:
+    if not vanishes(p, product_residual):
         raise HypothesisError("factorization bbar*b == B fails", product_residual)
     a = simplify(ex.Exp(ex.Rat(-1, 2) * p.phi))
     return (
@@ -269,23 +267,17 @@ def check_general_hypotheses(p: JacobiProblem, rho1: Expr, rho2: Expr) -> list[C
     rho1' = d_t(ln phi_t) * (e^(phi/2) + rho2/rho1),
     with rho1, rho2 functions of x alone and rho1 not identically zero.
     """
-    if zero_check(rho1, p.domain, params=p.params).is_zero:
+    if vanishes(p, rho1):
         raise HypothesisError("rho1 must not vanish identically")
-    reports = []
-    for name, r in (("rho1_time_free", rho1), ("rho2_time_free", rho2)):
-        dr = ex.diff(r, "t")
-        reports.append(CheckReport.from_zero_check(
-            name, dr, zero_check(dr, p.domain, params=p.params)))
+    reports = [check(p, "rho1_time_free", ex.diff(rho1, "t")),
+               check(p, "rho2_time_free", ex.diff(rho2, "t"))]
     half_phi = simplify(ex.HALF * p.phi)
-    resid1 = simplify(p.B * ex.Exp(p.phi) - rho1 * ex.Exp(half_phi) - rho2)
-    reports.append(CheckReport.from_zero_check(
-        "forcing_decomposition", resid1, zero_check(resid1, p.domain, params=p.params)))
-    phi_t = ex.diff(p.phi, "t")
-    growth = simplify(ex.diff(ex.Ln(phi_t), "t"))
-    resid2 = simplify(ex.diff(rho1, "x")
-                      - growth * (ex.Exp(half_phi) + simplify(rho2 / rho1)))
-    reports.append(CheckReport.from_zero_check(
-        "rho_compatibility", resid2, zero_check(resid2, p.domain, params=p.params)))
+    reports.append(check(p, "forcing_decomposition",
+                         simplify(p.B * ex.Exp(p.phi) - rho1 * ex.Exp(half_phi) - rho2)))
+    growth = simplify(ex.diff(ex.Ln(ex.diff(p.phi, "t")), "t"))
+    reports.append(check(p, "rho_compatibility",
+                         simplify(ex.diff(rho1, "x")
+                                  - growth * (ex.Exp(half_phi) + simplify(rho2 / rho1)))))
     return reports
 
 
@@ -339,7 +331,7 @@ def nonlocal_general(p: JacobiProblem, rho1: Expr, rho2: Expr,
                               f"(residual {failed[0].residual})")
     phi_t = ex.diff(p.phi, "t")
     D = simplify(ex.diff(simplify(ex.Rat(2) * ex.Ln(phi_t) + p.phi), "t"))
-    if zero_check(D, p.domain, params=p.params).is_zero:
+    if vanishes(p, D):
         raise DegenerateDenominatorError("d_t(2*ln(phi_t) + phi) vanishes identically")
     half_phi = simplify(ex.HALF * p.phi)
     quotient = simplify(rho2 / rho1)

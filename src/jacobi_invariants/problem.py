@@ -143,31 +143,33 @@ class CheckReport(NamedTuple):
     residual: str
     warning: str | None = None
 
-    @classmethod
-    def from_zero_check(cls, name: str, residual: Expr, zc: ZeroCheck) -> "CheckReport":
-        return cls(
-            name=name,
-            passed=zc.is_zero,
-            structural=zc.structural,
-            residual=ex.pprint(ex.simplify(residual)),
-            warning=zc.warning,
-        )
+
+def vanishes(p: JacobiProblem, e: Expr) -> ZeroCheck:
+    """The zero test of e on the problem's domain with its parameters,
+    true when e vanishes there; every hypothesis test of a run is one."""
+    return zero_check(e, p.domain, params=p.params)
+
+
+def check(p: JacobiProblem, name: str, residual: Expr) -> CheckReport:
+    """The hypothesis row ``name``: whether residual vanishes on the
+    problem's domain, and the residual's normal form."""
+    zc = vanishes(p, residual)
+    return CheckReport(name, zc.is_zero, zc.structural,
+                       ex.pprint(ex.simplify(residual)), zc.warning)
 
 
 def classify(p: JacobiProblem) -> Classification:
     """Split into the three regimes by whether phi_t and B_t vanish."""
-    phi_t = ex.diff(p.phi, "t")
-    zc_phi = zero_check(phi_t, p.domain, params=p.params)
+    zc_phi = vanishes(p, ex.diff(p.phi, "t"))
     warnings = []
     if zc_phi.warning:
         warnings.append("phi_t: " + zc_phi.warning)
-    if not zc_phi.is_zero:
+    if not zc_phi:
         return Classification(GENERAL, tuple(warnings))
-    B_t = ex.diff(p.B, "t")
-    zc_B = zero_check(B_t, p.domain, params=p.params)
+    zc_B = vanishes(p, ex.diff(p.B, "t"))
     if zc_B.warning:
         warnings.append("B_t: " + zc_B.warning)
-    if zc_B.is_zero:
+    if zc_B:
         return Classification(AUTONOMOUS, tuple(warnings))
     return Classification(TIME_INDEPENDENT_PHI, tuple(warnings))
 
@@ -267,13 +269,8 @@ def lagrangian_residual_expr(p: JacobiProblem, L: LagrangianData) -> Expr:
 
 def validate_lagrangian(p: JacobiProblem, L: LagrangianData) -> list[CheckReport]:
     """Check the defining constraint, and delta1 = d_x(eta) when eta is given."""
-    resid = lagrangian_residual_expr(p, L)
-    reports = [CheckReport.from_zero_check(
-        "lagrangian_constraint", resid,
-        zero_check(resid, p.domain, params=p.params))]
+    reports = [check(p, "lagrangian_constraint", lagrangian_residual_expr(p, L))]
     if L.eta is not None:
-        diff_eta = ex.simplify(L.delta1 - ex.diff(L.eta, "x"))
-        reports.append(CheckReport.from_zero_check(
-            "delta1_is_dx_eta", diff_eta,
-            zero_check(diff_eta, p.domain, params=p.params)))
+        reports.append(check(p, "delta1_is_dx_eta",
+                             ex.simplify(L.delta1 - ex.diff(L.eta, "x"))))
     return reports

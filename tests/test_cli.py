@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -207,6 +208,8 @@ def _problem_text(**change) -> str:
     return json.dumps(dict(PG18_FILE, **change))
 
 
+NINES = "9" * 3000
+
 # problem files that must be refused as input errors, with a fragment of
 # the message: one row per hostile input
 HOSTILE_FILES = {
@@ -219,6 +222,14 @@ HOSTILE_FILES = {
     "digits_past_the_int_limit": (_problem_text(t0=0).replace('"t0": 0', '"t0": 1' + "0" * 5000),
                                   "is not valid JSON"),
     "nested_past_the_recursion_limit": ("[" * 200000, "is not valid JSON"),
+    # products of literals that fold past Python's 4300-digit int-to-string
+    # limit; the error names the constant by its leading digits
+    "product_past_the_int_limit": (
+        _problem_text(B=f"{NINES}*{NINES}*x", delta2=f"-{NINES}*{NINES}*x^2/2"),
+        "constant beyond float range"),
+    "quotient_past_the_int_limit": (
+        _problem_text(B=f"({NINES}*{NINES})/({NINES}*{NINES}+1)*x"),
+        "constant beyond float range"),
     "B_unbound": (_problem_text(B="k*x"), "parameter 'k' is not bound"),
     "phi_unbound": (_problem_text(phi="k*x"), "parameter 'k' is not bound"),
     "delta2_unbound": (_problem_text(delta2="k - x^2/2"), "parameter 'k' is not bound"),
@@ -294,8 +305,8 @@ def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    for module in (problem_module, invariants_module):
-        monkeypatch.setattr(module, "zero_check", counting)
+    # problem.vanishes makes every zero test of a run
+    monkeypatch.setattr(problem_module, "zero_check", counting)
     for fid, want in (("PG18", 5), ("PG4", 5), ("JAC_EXACT", 7)):
         problem, exprs = load_problem(catalog.get(fid).data)
         calls.clear()
@@ -840,6 +851,10 @@ def test_dumps_float_format():
     assert '"n": 3' in text
     assert '"flag": true' in text
     assert json.loads(text)["list"] == [1.0]
+    # JSON has no infinity: dumps alone writes one, as +-99
+    text = dumps({"inf": math.inf, "-inf": -math.inf})
+    assert '"inf": 9.900000000000e+01' in text
+    assert '"-inf": -9.900000000000e+01' in text
 
 
 def test_dumps_refuses_a_record():

@@ -863,18 +863,13 @@ def test_sample_points_are_the_scaled_halton_sequence(domain):
         return sum(d / base ** (k + 1) for k, d in enumerate(digits))
 
     tmin, tmax, xmin, xmax = domain
-    for n in (16, ex.SAMPLES):
-        want = [(tmin + radical_inverse(i, 2) * (tmax - tmin),
-                 xmin + radical_inverse(i, 3) * (xmax - xmin)) for i in range(1, n + 1)]
-        # the unit points are shared between calls; the result is a new list
-        first, second = ex.sample_points(domain, n), ex.sample_points(domain, n)
-        assert first == second == pytest.approx(want, rel=1e-15, abs=0)
-        assert first is not second
-
-
-def test_zero_check_requires_16_samples():
-    with pytest.raises(ValueError):
-        zero_check(Rat(0), (0, 1, 0, 1), samples=8)
+    want = [(tmin + radical_inverse(i, 2) * (tmax - tmin),
+             xmin + radical_inverse(i, 3) * (xmax - xmin)) for i in range(1, 65)]
+    # the unit points are shared between calls; the result is a new list
+    first, second = ex.sample_points(domain), ex.sample_points(domain)
+    assert ex.SAMPLES == 64 and len(first) == 64
+    assert first == second == pytest.approx(want, rel=1e-15, abs=0)
+    assert first is not second
 
 
 def test_pprint_fully_parenthesized():
@@ -882,6 +877,16 @@ def test_pprint_fully_parenthesized():
     text = pprint(s)
     assert simplify(parse(text)) == s
     assert text.startswith("(") and text.endswith(")")
+
+
+def test_a_constant_past_the_int_to_string_limit_is_printed_and_compiled():
+    # (10^3000 - 1)^2 folds to 6000 digits, past the 4300 that str() converts
+    nines = "9" * 3000
+    e = simplify(parse(f"{nines} * {nines} * x"))
+    assert pprint(e) == f"({'9' * 2999}8{'0' * 2999}1 * x)"
+    assert pprint(Rat(1 - 10 ** 20000, 7)) == f"(-{'9' * 20000}/7)"
+    with pytest.raises(DomainError, match="constant beyond float range"):
+        compile_fn(e)(0.0, 0.5)
 
 
 # ------------------------------------------------------- sympy cross-check
@@ -999,7 +1004,7 @@ def test_simplify_and_diff_agree_with_sympy():
     # sympy at points where both sides are defined
     sp = pytest.importorskip("sympy")
     rng = random.Random(9001)
-    points = ex.sample_points((0.5, 1.5, 0.5, 1.5), 5)
+    points = ex.sample_points((0.5, 1.5, 0.5, 1.5))[:5]
     trees = 0
     compared = {"simplify": 0, "diff": 0}
 

@@ -108,7 +108,7 @@ def test_autonomous_aux_radicand_guard_skips_a_point_beyond_float_range(pg18, mo
 
     monkeypatch.setattr(ex, "compile_fn", recording_fn)
     monkeypatch.setattr(ex, "sample_points",
-                        lambda domain, n: [*original_points(domain, n), (0.0, 1e120)])
+                        lambda domain: [*original_points(domain), (0.0, 1e120)])
     delta2 = pg18.exprs["delta2"] + parse("x*x*x - x*x*x")
     aux_p, _ = autonomous_aux(pg18.problem, delta2)
     assert seen[-1] == (1e120, "sum of opposite infinities")

@@ -195,6 +195,18 @@ def test_every_generated_source_is_compiled_in_expr_code():
     assert calls == {"compile": {"expr": ["_code"]}, "exec": {"expr": ["_define"]}, "eval": {}}
 
 
+def test_every_hypothesis_row_is_made_by_problem_check():
+    # outside expr, problem.vanishes is the one zero test, and a hypothesis
+    # row is a CheckReport built by problem.check, or by cli.run_checks for
+    # a row that is not a zero test
+    calls = {name: {path.stem: sorted({f for f, _ in found})
+                    for path in sorted(SOURCE.glob("*.py")) if path.stem != "expr"
+                    if (found := _calls_by_function(ast.parse(path.read_text()), name))}
+             for name in ("zero_check", "CheckReport")}
+    assert calls == {"zero_check": {"problem": ["vanishes"]},
+                     "CheckReport": {"cli": ["run_checks"], "problem": ["check"]}}
+
+
 def _private_reads_of_invariants(tree):
     """Names starting with ``_`` that the module imports from, or reads
     as attributes of, the invariants module."""
