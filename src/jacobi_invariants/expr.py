@@ -562,24 +562,21 @@ def _pow_guard(base: float, expo: float, e: Expr, t, x) -> float:
         raise DomainError(e, t, x, "overflow in power") from None
 
 
-class _FastDomainSignal(Exception):
-    pass
-
-
 # what the fast path of a compiled function raises before it falls back to
 # the slow evaluator
-_FAST_ERRORS = (ValueError, ZeroDivisionError, OverflowError, _FastDomainSignal)
+_FAST_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def _fast_pow(base, expo):
+    """base ** expo, raising ValueError where math.pow does for a finite base."""
     if base == 0.0 and expo < 0.0:
-        raise _FastDomainSignal
+        raise ValueError
     if base < 0.0 and not expo.is_integer():
-        raise _FastDomainSignal
+        raise ValueError
     return base ** expo
 
 
-_NAMESPACE = {"math": math, "_pw": _fast_pow}
+_NAMESPACE = {"math": math, "_pw": _fast_pow, "_eval": _eval}
 
 
 def _param_name(name: str) -> str:
@@ -596,33 +593,6 @@ def _bindings(params: dict[str, float]) -> dict[str, float]:
     """Namespace entries that bind each parameter's generated-source name
     to its value, as a float, as ``_eval`` reads it."""
     return {_param_name(name): float(value) for name, value in params.items()}
-
-
-def compile_fn(e: Expr, params: dict[str, float] | None = None):
-    """Compile to a fast (t, x) -> float callable of finite t and x, with
-    params bound in.
-
-    The fast path uses plain math ops; on any numeric-domain failure the slow
-    evaluator re-runs to raise a DomainError locating the offending node.
-    It re-runs too where the fast path's value is inf or nan, which float
-    products and sums reach without an error, and gives what ``evaluate``
-    gives there: its value (an overflowed product is inf for both) or
-    its DomainError (inf - inf is "sum of opposite infinities").
-    """
-    params = params or {}
-    _check_written((e,), params)
-    fast = _define("fast", "t, x", (f"return {_pysrc(e)}",),
-                   {**_NAMESPACE, **_bindings(params)})
-
-    def fn(t: float, x: float) -> float:
-        try:
-            value = fast(t, x)
-        except _FAST_ERRORS:
-            return _eval(e, t, x, params)
-        # value - value is 0.0 for a finite value, nan for inf or nan
-        return value if value - value == 0.0 else _eval(e, t, x, params)
-
-    return fn
 
 
 @functools.lru_cache(maxsize=128)
@@ -665,12 +635,11 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
     channel values u0, u1..): statements, one a line, then the value
     expression.  Each field ``{name}`` stands for ``exprs[name]``, and the
     fast path inlines that expression's fast-path source.  The namespace's
-    ``_slow(point)`` evaluates the template at one point over each
-    expression's ``compile_fn`` callable instead; it is compiled on the
-    first fast-path failure, which most series never meet.  Those callables
-    raise only DomainError, so an OverflowError there comes from the
-    template's own arithmetic (the exp of a channel value, a power of v),
-    and ``_slow`` raises it as a DomainError of the template at that point.
+    ``_slow(point)``, compiled on its first call, evaluates the template
+    over ``_eval`` instead: ``evaluate``'s values or its DomainError.  An
+    OverflowError there comes from the template's own arithmetic (the exp
+    of a channel value, a power of v), and is raised as a DomainError of
+    the template at that point.
     """
     params = params or {}
     _check_written(exprs.values(), params)
@@ -678,10 +647,10 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
 
     def slow(*args):
         if not compiled:
-            fns = [compile_fn(e, params) for e in exprs.values()]
-            source = template.format(**{name: f"_f[{i}](t, x)" for i, name in enumerate(exprs)})
+            source = template.format(**{name: f"_eval(_e[{i}], t, x, _params)"
+                                        for i, name in enumerate(exprs)})
             compiled.append(_define("slow", point, _value_lines(source, "return {}"),
-                                    {**_NAMESPACE, "_f": fns}))
+                                    {**_NAMESPACE, "_e": list(exprs.values()), "_params": params}))
         try:
             return compiled[0](*args)
         except OverflowError:
@@ -690,8 +659,25 @@ def _fused(template: str, exprs: dict[str, Expr], params: dict[str, float] | Non
 
     fast = template.format(**{name: f"({_pysrc(e)})" for name, e in exprs.items()})
     namespace = {**_NAMESPACE, **_bindings(params), "_FAST_ERRORS": _FAST_ERRORS,
-                 "DomainError": DomainError, "_slow": slow}
+                 "_slow": slow, "_finish": _finish}
     return fast, namespace
+
+
+def _finish(slow, out: list, points) -> tuple[list, DomainError | None]:
+    """A series block's values out at points, and the DomainError that cut
+    them short: where their sum is not finite, each value that is inf or
+    nan becomes ``slow``'s at its point, up to the first that raises."""
+    total = sum(out)  # a sum of finite values is finite unless it overflows
+    if total - total == 0.0:
+        return out, None
+    for i, (value, point) in enumerate(zip(out, points)):
+        if value - value != 0.0:  # inf or nan
+            try:
+                out[i] = slow(*point)
+            except DomainError as err:
+                del out[i:]
+                return out, err
+    return out, None
 
 
 def _point(channels: int) -> str:
@@ -712,15 +698,30 @@ def velocity_poly(fields: dict[int, str], sign: int = 0, channel: str = "") -> s
     return f"({text})*math.exp({sign}*{channel})" if sign and fields else text
 
 
+def compile_fn(e: Expr, params: dict[str, float] | None = None):
+    """Compile to a fast (t, x) -> float function of finite t and x, with
+    params bound in: ``_fused``'s one-expression case.  Where the fast path
+    raises or gives inf or nan, which float products and sums reach without
+    an error, it gives ``_slow``'s result: ``evaluate``'s value (an
+    overflowed product is inf for both) or its DomainError (inf - inf is
+    "sum of opposite infinities")."""
+    fast, namespace = _fused("{e}", {"e": e}, params, "t, x")
+    body = ["try:", *_value_lines(fast, "value = {}", 4),
+            "except _FAST_ERRORS:",
+            "    return _slow(t, x)",
+            # value - value is 0.0 for a finite value, nan for inf or nan
+            "return value if value - value == 0.0 else _slow(t, x)"]
+    return _define("fast", "t, x", body, namespace)
+
+
 def compile_fused(template: str, exprs: dict[str, Expr],
                   params: dict[str, float] | None = None, channels: int = 0):
     """Compile several expressions and the arithmetic that combines them
     into one function ``fn(t, x, v, u0, ..)`` with one ``u`` per channel
-    (see ``_fused`` for ``template``).
-
-    On any fast-path failure the template runs again over the separate
-    ``compile_fn`` callables, in its own order, so values and the
-    DomainError raised are exactly those of the separate callables.
+    (see ``_fused`` for ``template``).  Where the fast path raises, it
+    gives ``_slow``'s result.  An inf or nan is returned as it is: the
+    integration loop that calls it rejects a step with a stage that is not
+    finite, and a test in every call would slow that loop by about a sixth.
     """
     point = _point(channels)
     fast, namespace = _fused(template, exprs, params, point)
@@ -732,28 +733,24 @@ def compile_fused(template: str, exprs: dict[str, Expr],
 
 def compile_series(template: str, exprs: dict[str, Expr],
                    params: dict[str, float] | None = None, channels: int = 0):
-    """``compile_fused`` as a loop over many points:
+    """A float-valued template at many points, under ``compile_fn``'s rule:
     ``fn(T, X, V, U0, ..) -> (values, err)`` over equal-length sequences of
-    Python floats, one ``U`` per channel (``u0``.. in the template).
-
-    Every point runs the fused fast path, or the fallback where it fails.
-    The loop stops at the first point whose fallback raises a DomainError
-    and returns it with the values before it, as a point-by-point loop
-    over ``compile_fused`` would; other errors propagate.
+    Python floats, one ``U`` per channel (``u0``.. in the template).  The
+    values stop at the first point where ``_slow`` raises a DomainError,
+    which is err, as in a point-by-point loop; other errors propagate.  A
+    point where the fast path raises reads nan until ``_finish``.
     """
     point = _point(channels)
+    columns = point.upper()
     fast, namespace = _fused(template, exprs, params, point)
     body = ["out = []",
             "append = out.append",
-            f"for {point} in zip({point.upper()}):",
+            f"for {point} in zip({columns}):",
             "    try:", *_value_lines(fast, "append({})", 8),
             "    except _FAST_ERRORS:",
-            "        try:",
-            f"            append(_slow({point}))",
-            "        except DomainError as err:",
-            "            return out, err",
-            "return out, None"]
-    return _define("series", point.upper(), body, namespace)
+            "        append(math.nan)",
+            f"return _finish(_slow, out, zip({columns}))"]
+    return _define("series", columns, body, namespace)
 
 
 def _literal(value) -> str | None:

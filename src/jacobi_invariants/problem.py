@@ -9,6 +9,7 @@ d_t(delta1) - d_x(delta2) = e^phi * B.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from . import expr as ex
@@ -103,6 +104,11 @@ class JacobiProblem(Frozen):
         if not all(map(math.isfinite, (self.t_end - self.t0, tmax - tmin, xmax - xmin))):
             raise ProblemError(f"window [{self.t0}, {self.t_end}] and domain "
                                f"{list(self.domain)} must have widths within float range")
+        # the integrator's step floor is 1e-12 of the window; below the
+        # smallest normal float, steps round to zero or past the window
+        if 1e-12 * (self.t_end - self.t0) < sys.float_info.min:
+            raise ProblemError(f"window [{self.t0}, {self.t_end}] is too narrow to integrate: "
+                               f"1e-12*(t_end - t0) must be at least {sys.float_info.min!r}")
         if domain is None:
             return
         # the sampled zero test compares with an absolute 1e-12, which a

@@ -22,7 +22,6 @@ As in ``integrate``, numpy is imported by the functions that build arrays.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -97,30 +96,30 @@ def oracle_constant(p: JacobiProblem, L: LagrangianData, fam: PerturbationFamily
         raise ValueError("grid must be >= 8")
     exprs = _variational_exprs(p, L, fam)
     chan = traj.channel_of(fam.b) if fam.sign != 0 else None
-    # momentum term and perturbed-Lagrangian integrand at one point, in the
-    # order of the scalar formula
-    template = "\n".join((
+    # the momentum term and the perturbed-Lagrangian integrand at one point,
+    # in the order of the scalar formula; both series evaluate every field,
+    # so the one that stops first stops where the pair of them fails
+    statements = "\n".join((
         f"factor = math.exp({fam.sign}*u0)" if chan is not None else "factor = 1.0",
         "a = {a}",
         "vf = a*factor",
         f"vfd = ({{a_t}} + {{a_x}}*v + {fam.sign}*{{b}}*a)*factor",
         "dldv = {dLdv_1}*v + {dLdv_0}",
         "dldx = {dLdx_2}*v*v + {dLdx_1}*v + {dLdx_0}",
-        "(dldv*vf, dldx*vf + dldv*vfd)",
     ))
-    fn = ex.compile_series(template, exprs, p.params, int(chan is not None))
+    fns = [ex.compile_series(f"{statements}\n{value}", exprs, p.params, int(chan is not None))
+           for value in ("dldv*vf", "dldx*vf + dldv*vfd")]
     ts = np.linspace(traj.t0, traj.t_last, grid)
-    rows = []
+    momentum, integrand = [], []
     for t, x, v, *u in traj.listed(ts):
-        part, err = fn(t, x, v, *((u[chan],) if chan is not None else ()))
+        parts = [fn(t, x, v, *((u[chan],) if chan is not None else ())) for fn in fns]
+        err = min(parts, key=lambda part: len(part[0]))[1]
         if err is not None:
             raise IntegrationError(f"oracle undefined on the trajectory: {err}") from err
-        rows += part
-    # a flat iterator converts twice as fast as the list of pairs
-    rows = np.fromiter(itertools.chain.from_iterable(rows), float, 2 * grid).reshape(-1, 2)
-    h = ts[1] - ts[0]
-    work = _prefix_simpson(rows[:, 1], h)
-    return EvalSeries(ts, rows[:, 0] - work)
+        momentum += parts[0][0]
+        integrand += parts[1][0]
+    work = _prefix_simpson(np.array(integrand), ts[1] - ts[0])
+    return EvalSeries(ts, np.array(momentum) - work)
 
 
 def oracle_vs_closed(series_oracle: EvalSeries, series_closed: EvalSeries) -> float:

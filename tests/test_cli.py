@@ -242,6 +242,17 @@ HOSTILE_FILES = {
     "default_domain_wider_than_floats": (
         _problem_text(phi="0", B="x", delta2="2 - x^2/2", t_end=1.0, x0=1e308, domain=None),
         "must have widths within float range"),
+    # windows whose step floor 1e-12*(t_end - t0) is subnormal; integrated,
+    # the first would divide by zero in the initial step and the second
+    # sample past t_end
+    "window_too_narrow_to_step": (
+        _problem_text(phi="0", B="-x", delta2="x^2/2", t0=0, t_end=5e-324, x0=0.5, v0=1e300,
+                      domain=None),
+        "is too narrow to integrate"),
+    "window_too_narrow_to_sample": (
+        _problem_text(phi="0", B="-x", delta2="x^2/2", t0=0, t_end=1e-320, x0=0.5, v0=0.1,
+                      domain=None),
+        "is too narrow to integrate"),
 }
 
 

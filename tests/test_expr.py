@@ -421,6 +421,51 @@ def test_template_overflow_is_a_domain_error():
     assert values == [2.0 * math.exp(1.0)] and str(err) == want
 
 
+def test_compile_fn_is_one_generated_function():
+    fn = compile_fn(X)
+    assert fn.__code__.co_filename == "<generated>" and fn.__closure__ is None
+
+
+# points where products overflow to +-inf without an error, sums of them
+# meet as inf - inf, and quotients and logarithms leave the domain
+RULE_POINTS = [(t, x) for t in (0.0, 0.7, 1e120, -1e200)
+               for x in (1e120, -1e120, 1e-300, 0.0, 1.5, -0.5)]
+
+
+def _outcome(fn, *point):
+    """The bits of fn's value at point, or the text of its DomainError."""
+    try:
+        return "value", _bits(fn(*point))
+    except DomainError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.builds(lambda seed: simplify(random_tree(random.Random(seed), 4)),
+                 st.integers(min_value=0, max_value=2 ** 32 - 1)))
+@example(parse("x*x*x - x*x*x"))
+@example(parse("t*x"))
+def test_every_compiled_evaluator_follows_one_non_finite_rule(e):
+    # the slow path is evaluate; compile_fn gives the fast path's value
+    # where it is finite and the slow path's result elsewhere, and a series
+    # gives the same point by point, up to its first DomainError
+    fused = ex.compile_fused("{e}", {"e": e}, SAFE_ENV)
+    fn = compile_fn(e, SAFE_ENV)
+    want = []
+    for t, x in RULE_POINTS:
+        ref = _outcome(lambda: evaluate(e, t, x, SAFE_ENV))
+        assert _outcome(fused.__globals__["_slow"], t, x, 0.0) == ref, pprint(e)
+        fast = _outcome(fused, t, x, 0.0)
+        finite = fast[0] == "value" and math.isfinite(np.frombuffer(fast[1])[0])
+        want.append(fast if finite else ref)
+        assert _outcome(fn, t, x) == want[-1], pprint(e)
+    ts, xs = zip(*RULE_POINTS)
+    values, err = ex.compile_series("{e}", {"e": e}, SAFE_ENV)(ts, xs, [0.0] * len(ts))
+    stop = next((i for i, (kind, _) in enumerate(want) if kind == "error"), len(want))
+    assert [("value", _bits(v)) for v in values] == want[:stop], pprint(e)
+    assert (None if err is None else str(err)) == (want[stop][1] if want[stop:] else None)
+
+
 def test_domain_error_point_is_plain_floats():
     err = DomainError(X, np.float64(0.5), np.float64(-1.0), "test")
     assert type(err.t) is float and type(err.x) is float

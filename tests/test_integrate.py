@@ -382,9 +382,7 @@ def test_quadrature_channels_stay_out_of_step_control(name):
 
 
 @pytest.mark.parametrize("name", tuple(EARLY_ENDS))
-def test_rhs_calls_are_two_plus_six_per_attempted_step(monkeypatch, name):
-    # the name dates from the Dormand-Prince 5(4) loop, whose attempts made
-    # six calls each; the rule for DOP853 is the one below.
+def test_rhs_calls_are_two_plus_twelve_per_attempt_plus_three_per_passed_step(monkeypatch, name):
     # k1 and the starting-step heuristic make one call each, every
     # attempted step twelve (FSAL reuses the thirteenth) and every one that
     # passes the error test three more, for its dense output: each accepted

@@ -195,6 +195,32 @@ def test_every_generated_source_is_compiled_in_expr_code():
     assert calls == {"compile": {"expr": ["_code"]}, "exec": {"expr": ["_define"]}, "eval": {}}
 
 
+def _names(tree) -> set[str]:
+    """Every name the module reads, binds, imports, or reads as an
+    attribute or a string (as in getattr)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_compiled_evaluator_comes_from_one_generator():
+    # compile_fn is the generator's one-expression case, so nothing in expr
+    # calls it, and the slow path is expr's own: no other module names _eval
+    probe = "from .expr import _eval\nex._eval(e)\ngetattr(ex, '_eval')"
+    assert "_eval" in _names(ast.parse(probe))
+    assert not _calls_by_function(ast.parse((SOURCE / "expr.py").read_text()), "compile_fn")
+    assert not [path.stem for path in sorted(SOURCE.glob("*.py")) if path.stem != "expr"
+                if "_eval" in _names(ast.parse(path.read_text()))]
+
+
 def test_every_hypothesis_row_is_made_by_problem_check():
     # outside expr, problem.vanishes is the one zero test, and a hypothesis
     # row is a CheckReport built by problem.check, or by cli.run_checks for

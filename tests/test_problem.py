@@ -190,18 +190,19 @@ def test_fused_rhs_raises_the_separate_domain_error():
 
 
 def test_rhs_compiles_its_fallback_only_on_a_fast_path_failure(monkeypatch, loaded):
-    original = ex.compile_fn
-    compiled = []
-    monkeypatch.setattr(ex, "compile_fn", lambda *args: compiled.append(args) or original(*args))
+    original = ex._define
+    defined = []
+    monkeypatch.setattr(ex, "_define",
+                        lambda name, *args: defined.append(name) or original(name, *args))
     p = loaded["PG18"].problem
     f = rhs(p, (parse("x^(1/2)"),))
-    assert f(0.0, 1.0, 0.0) == (0.0, 4.0, 1.0) and compiled == []
-    # phi_x, B and the channel, compiled once; PG18's phi_t is structurally
-    # zero, and the acceleration leaves its term out
+    assert f(0.0, 1.0, 0.0) == (0.0, 4.0, 1.0) and defined == ["fused"]
+    # the fallback is one generated function over the slow evaluator,
+    # compiled on the first failure only
     for _ in range(2):
         with pytest.raises(ex.DomainError, match="negative base with fractional exponent"):
             f(0.0, -1.0, 0.0)
-        assert len(compiled) == 3
+        assert defined == ["fused", "slow"]
     # free parameters are still checked when the function is built
     with pytest.raises(ex.UnboundParameterError):
         rhs(p, (parse("k*x"),))
