@@ -35,7 +35,6 @@ from .invariants import (
     FIRST_INTEGRAL,
     check_accumulator,
     check_general_hypotheses,
-    check_y_ode,
     nonlocal_autonomous,
     HypothesisError,
     DegenerateDenominatorError,
@@ -249,12 +248,12 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
                                  "(symbolic input preferred; see README)")
             for check in validate_lagrangian(problem, L):
                 add(check)
-            aux_p, aux_m = inv.autonomous_aux(problem, exprs["delta2"])
-            add(check_y_ode(problem, aux_p.bbar))
+            aux, row = inv.autonomous_aux(problem, exprs["delta2"])
+            add(row)
             specs.append(inv.first_integral_autonomous(problem, exprs["delta2"]))
-            closed = nonlocal_autonomous(problem, aux_p)
-            specs += [closed, nonlocal_autonomous(problem, aux_m)]
-            family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
+            closed = nonlocal_autonomous(problem, aux, +1)
+            specs += [closed, nonlocal_autonomous(problem, aux, -1)]
+            family = PerturbationFamily(a=aux.a, b=aux.b, sign=+1)
         elif cls.tag == TIME_INDEPENDENT_PHI:
             if "eta" not in exprs or "delta2" not in exprs:
                 raise InputError("problems with time-free phi need 'eta' and 'delta2'")
@@ -280,10 +279,10 @@ def run_checks(problem: JacobiProblem, exprs: dict[str, Expr],
                 hypotheses[-1]["closed_form_exponent"] = ex.pprint(closed.exp_closed_arg)
             if oracle and first_integral:  # every other check passed above
                 try:
-                    aux_p, _ = inv.general_aux(problem)
+                    aux = inv.general_aux(problem)
                 except (HypothesisError, DegenerateDenominatorError) as err:
                     raise InputError(f"oracle family unavailable: {err}") from err
-                family = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
+                family = PerturbationFamily(a=aux.a, b=aux.b, sign=+1)
     except (HypothesisError, NegativeRadicandError, DegenerateDenominatorError) as err:
         add(CheckReport(type(err).__name__, False, False, str(err)))
 

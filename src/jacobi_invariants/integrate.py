@@ -124,6 +124,9 @@ STEP_FAILURE = "StepFailure"
 
 _BLOWUP_BOUND = 1e8
 _MAX_CONSECUTIVE_REJECTS = 20
+# attempted steps of one integration, NMAX of Hairer's dop853.f: a window the
+# steps cannot cover in bounded memory ends in a StepFailure
+_MAX_STEPS = 100_000
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-2
@@ -309,7 +312,8 @@ def _loop(f, n: int, inputs: tuple[int, ...] = (0, 1), controlled: int | None = 
     time to ts, its end state to ys and h with the stages ``_STORED`` to
     stages, ``array('d')`` buffers, from which ``_dense_rows`` builds the
     dense output.  The k1 returned is the derivative at the last accepted
-    state (FSAL: the last step's k13).
+    state (FSAL: the last step's k13).  An attempt past the ``_MAX_STEPS``th
+    ends the loop with a StepFailure.
 
     Every stage calls f at its point: 12 calls per attempted step and 3
     more per step that passes the error test.  The source depends only on
@@ -407,7 +411,12 @@ def _loop_body(n: int, inputs: tuple[int, ...], controlled: int) -> tuple[str, .
             "errprev = 1.0",
             "rejects = 0",
             "just_rejected = False",
+            "steps = 0",
             "while now < t_end:",
+            "    steps += 1",
+            f"    if steps > {_MAX_STEPS}:",
+            f"        return {STEP_FAILURE!r}, now, (now, y0), "
+            f"{f'more than {_MAX_STEPS} steps'!r}, {derivative}",
             "    # floor first, then clamp: the last step ends exactly on t_end",
             "    if hmin > h:",
             "        h = hmin",

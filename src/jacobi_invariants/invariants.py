@@ -48,7 +48,8 @@ class DegenerateDenominatorError(Exception):
 
 
 class AuxiliaryFunctions(NamedTuple):
-    """Amplitude/factorization data behind one sign of the dressed pair.
+    """Amplitude/factorization data of the dressed pair's plus sign; the
+    minus sign's is (a, -bbar, -b).
 
     bbar and b factor the forcing term (bbar*b == B on the domain); the
     amplitude a = e^(-phi/2) kills the v^2 term of the perturbed action.
@@ -57,7 +58,6 @@ class AuxiliaryFunctions(NamedTuple):
     a: Expr
     bbar: Expr
     b: Expr
-    sign: int
 
 
 class InvariantSpec(Frozen):
@@ -65,21 +65,22 @@ class InvariantSpec(Frozen):
 
     The local part is a polynomial in the velocity with (t,x)-coefficients,
     optionally dressed by exp(sign*u0) for its first accumulator channel
-    and/or a closed-form factor exp(g(t)); additive channels enter linearly.
-    Channel indices refer to this spec's own ``integrands`` tuple.
+    and/or a closed-form factor exp(g(t)), minus the channel
+    ``minus_channel`` when one is given.  Channel indices refer to this
+    spec's own ``integrands`` tuple.
     """
 
     # the last evaluator compiled, as (params items, function); the spec is
     # immutable
-    __slots__ = ("name", "kind", "poly", "integrands", "exp_sign", "linear_channels",
+    __slots__ = ("name", "kind", "poly", "integrands", "exp_sign", "minus_channel",
                  "exp_closed_arg", "_compiled")
 
     def __init__(self, name: str, kind: str, poly: dict[int, Expr],
                  integrands: tuple[Expr, ...] = (), exp_sign: int = 0,
-                 linear_channels: tuple[tuple[Fraction, int], ...] = (),
+                 minus_channel: int | None = None,
                  exp_closed_arg: Expr | None = None):
         self._set(name=name, kind=kind, poly=poly, integrands=integrands, exp_sign=exp_sign,
-                  linear_channels=linear_channels, exp_closed_arg=exp_closed_arg,
+                  minus_channel=minus_channel, exp_closed_arg=exp_closed_arg,
                   _compiled=None)
 
     def compiled(self, params: dict[str, float] | None = None):
@@ -101,8 +102,8 @@ class InvariantSpec(Frozen):
         if self.exp_closed_arg is not None:
             exprs["closed"] = self.exp_closed_arg
             template = f"({template})*math.exp({{closed}})"
-        for c, i in self.linear_channels:
-            template += f" + ({float(c)!r})*u{i}"
+        if self.minus_channel is not None:
+            template += f" + (-1.0)*u{self.minus_channel}"
         return ex.compile_series(template, exprs, params, len(self.integrands))
 
     def printed(self) -> str:
@@ -122,9 +123,9 @@ class InvariantSpec(Frozen):
             body = f"({body}) * exp({s}Int[{g}])"
         if self.exp_closed_arg is not None:
             body = f"({body}) * exp({pprint(simplify(self.exp_closed_arg))})"
-        for c, i in self.linear_channels:
-            g = pprint(simplify(self.integrands[i]))
-            body += f" + ({c}) * Int[{g}]"
+        if self.minus_channel is not None:
+            g = pprint(simplify(self.integrands[self.minus_channel]))
+            body += f" + (-1) * Int[{g}]"
         return body
 
     def to_jsonable(self) -> dict:
@@ -141,11 +142,13 @@ class InvariantSpec(Frozen):
 # the one dispatch on the regime, has classified and checked.
 
 def autonomous_aux(p: JacobiProblem,
-                   delta2: Expr) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
-    """Factorization data for the autonomous dressed pair.
+                   delta2: Expr) -> tuple[AuxiliaryFunctions, CheckReport]:
+    """Factorization data for the autonomous dressed pair, and its one
+    test, the ``square_factor_ode`` row: with y = bbar^2 the row's
+    residual y_x + phi_x*y + 2B is -2*(bbar*b - B).
 
     Builds a = e^(-phi/2), bbar = sqrt(2*delta2*e^(-phi)) (principal root)
-    and b = -(1/2)*phi_x*bbar - bbar_x, then verifies bbar*b == B.
+    and b = -(1/2)*phi_x*bbar - bbar_x.
     """
     # guard the radicand in its defining form: points where e^(-phi) itself
     # is undefined lie outside the problem domain and are skipped
@@ -162,17 +165,14 @@ def autonomous_aux(p: JacobiProblem,
     a = simplify(ex.Exp(ex.Rat(-1, 2) * p.phi))
     bbar = simplify(ex.Sqrt(radicand))
     b = simplify(ex.Rat(-1, 2) * ex.diff(p.phi, "x") * bbar - ex.diff(bbar, "x"))
-    product_residual = simplify(bbar * b - p.B)
-    if not vanishes(p, product_residual):
-        raise HypothesisError("factorization bbar*b == B fails", product_residual)
-    return (
-        AuxiliaryFunctions(a=a, bbar=bbar, b=b, sign=+1),
-        AuxiliaryFunctions(a=a, bbar=bbar, b=b, sign=-1),
-    )
+    row = check_y_ode(p, bbar)
+    if not row.passed:
+        raise HypothesisError("factorization bbar*b == B fails", bbar * b - p.B)
+    return AuxiliaryFunctions(a=a, bbar=bbar, b=b), row
 
 
 def check_y_ode(p: JacobiProblem, bbar: Expr) -> CheckReport:
-    """Residual of d_x(bbar^2) + phi_x*bbar^2 + 2B, an independent check."""
+    """Residual of d_x(bbar^2) + phi_x*bbar^2 + 2B."""
     y = simplify(bbar * bbar)
     return check(p, "square_factor_ode",
                  simplify(ex.diff(y, "x") + ex.diff(p.phi, "x") * y + ex.Rat(2) * p.B))
@@ -186,17 +186,16 @@ def first_integral_autonomous(p: JacobiProblem, delta2: Expr) -> InvariantSpec:
                          poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: simplify(-delta2)})
 
 
-def nonlocal_autonomous(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:
-    """Dressed constant (v +/- bbar)*e^(phi/2)*exp(-/+ u), u' = phi_x*bbar/2 + bbar_x."""
+def nonlocal_autonomous(p: JacobiProblem, aux: AuxiliaryFunctions, sign: int) -> InvariantSpec:
+    """Dressed constant (v +/- bbar)*e^(phi/2)*exp(-/+ u), u' = -b, for
+    sign +1 or -1."""
     half_phi = simplify(ex.HALF * p.phi)
-    g = simplify(ex.HALF * ex.diff(p.phi, "x") * aux.bbar + ex.diff(aux.bbar, "x"))  # = -b
-    sign = aux.sign
     return InvariantSpec(
         name=f"dressed_constant_{'plus' if sign > 0 else 'minus'}",
         kind=NONLOCAL_CONSTANT,
         poly={1: simplify(ex.Exp(half_phi)),
               0: simplify(ex.Rat(sign) * aux.bbar * ex.Exp(half_phi))},
-        integrands=(g,),
+        integrands=(simplify(-aux.b),),
         exp_sign=-sign,
     )
 
@@ -230,16 +229,16 @@ def nonlocal_timedep_phi0(p: JacobiProblem, eta: Expr, delta2: Expr,
         kind=FIRST_INTEGRAL if integrand == ex.ZERO else NONLOCAL_CONSTANT,
         poly={2: simplify(ex.HALF * ex.Exp(p.phi)), 0: psi},
         integrands=(integrand,),
-        linear_channels=((Fraction(-1), 0),),
+        minus_channel=0,
     )
 
 
 # ------------------------------------------------------------- general
 
-def general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunctions]:
-    """Factorization for phi_t != 0:
-    bbar(+/-) = +/- 4*(B_t + B*phi_t) / (2*phi_tt + phi_t^2),
-    b(+/-)    = +/- (1/4)*(2*phi_tt + phi_t^2) / (d_t ln B + phi_t).
+def general_aux(p: JacobiProblem) -> AuxiliaryFunctions:
+    """Factorization for phi_t != 0, the plus sign's record:
+    bbar = 4*(B_t + B*phi_t) / (2*phi_tt + phi_t^2),
+    b    = (1/4)*(2*phi_tt + phi_t^2) / (d_t ln B + phi_t).
     """
     phi_t = ex.diff(p.phi, "t")
     den = simplify(ex.Rat(2) * ex.diff(phi_t, "t") + phi_t * phi_t)
@@ -249,16 +248,12 @@ def general_aux(p: JacobiProblem) -> tuple[AuxiliaryFunctions, AuxiliaryFunction
     if vanishes(p, den2):
         raise DegenerateDenominatorError("d_t ln B + phi_t vanishes identically")
     num = simplify(ex.diff(p.B, "t") + p.B * phi_t)
-    bbar_plus = simplify(ex.Rat(4) * num / den)
-    b_plus = simplify(ex.Rat(1, 4) * den / den2)
-    product_residual = simplify(bbar_plus * b_plus - p.B)
+    bbar = simplify(ex.Rat(4) * num / den)
+    b = simplify(ex.Rat(1, 4) * den / den2)
+    product_residual = simplify(bbar * b - p.B)
     if not vanishes(p, product_residual):
         raise HypothesisError("factorization bbar*b == B fails", product_residual)
-    a = simplify(ex.Exp(ex.Rat(-1, 2) * p.phi))
-    return (
-        AuxiliaryFunctions(a=a, bbar=bbar_plus, b=b_plus, sign=+1),
-        AuxiliaryFunctions(a=a, bbar=simplify(-bbar_plus), b=simplify(-b_plus), sign=-1),
-    )
+    return AuxiliaryFunctions(a=simplify(ex.Exp(ex.Rat(-1, 2) * p.phi)), bbar=bbar, b=b)
 
 
 def check_general_hypotheses(p: JacobiProblem, rho1: Expr, rho2: Expr) -> list[CheckReport]:

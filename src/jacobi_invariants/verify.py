@@ -22,7 +22,6 @@ As in ``integrate``, numpy is imported by the functions that build arrays.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import expr as ex
@@ -155,7 +154,7 @@ def integrated_oracle(p: JacobiProblem, L: LagrangianData,
         name="oracle", kind=NONLOCAL_CONSTANT,
         poly={1: ex.simplify(e["dLdv_1"] * a), 0: ex.simplify(e["dLdv_0"] * a)},
         integrands=channels, exp_sign=fam.sign,
-        linear_channels=((Fraction(-1), len(channels) - 1),))
+        minus_channel=len(channels) - 1)
 
 
 # the fewest grid points of the oracle's constancy gate: an order

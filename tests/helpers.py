@@ -68,7 +68,7 @@ def local_exprs(spec) -> dict[int, ex.Expr]:
     Only meaningful when no live accumulator remains (pure point
     function); used for structural comparisons against target formulas.
     """
-    if spec.exp_sign != 0 or spec.linear_channels:
+    if spec.exp_sign != 0 or spec.minus_channel is not None:
         raise ValueError(f"{spec.name} still depends on accumulator channels")
     if spec.exp_closed_arg is None:
         return {d: ex.simplify(c) for d, c in spec.poly.items()}
@@ -137,7 +137,7 @@ def product_first_integral(iplus: InvariantSpec, iminus: InvariantSpec) -> Invar
     """(1/2)*I+*I-; the exponential dressings cancel pairwise and drop out."""
     if (not iplus.integrands or iplus.integrands != iminus.integrands
             or iplus.exp_sign != -iminus.exp_sign or iplus.exp_sign == 0
-            or iplus.linear_channels or iminus.linear_channels):
+            or iplus.minus_channel is not None or iminus.minus_channel is not None):
         raise ValueError("inputs must share one accumulator with opposite exponential signs")
     poly: dict[int, Expr] = {}
     for d1, c1 in iplus.poly.items():
@@ -149,11 +149,20 @@ def product_first_integral(iplus: InvariantSpec, iminus: InvariantSpec) -> Invar
     return InvariantSpec(name="product_integral", kind=FIRST_INTEGRAL, poly=poly)
 
 
-def nonlocal_general_signed(p: JacobiProblem, aux: AuxiliaryFunctions) -> InvariantSpec:
+def signed_aux(aux: AuxiliaryFunctions, s: int) -> AuxiliaryFunctions:
+    """The record of sign s from the plus sign's: (a, s*bbar, s*b)."""
+    if s > 0:
+        return aux
+    return AuxiliaryFunctions(a=aux.a, bbar=simplify(-aux.bbar), b=simplify(-aux.b))
+
+
+def nonlocal_general_signed(p: JacobiProblem, plus: AuxiliaryFunctions,
+                            s: int) -> InvariantSpec:
     """One sign of the general dressed pair, (v + s*bbar_s)*e^(phi/2)*exp(s*u),
-    u' = b_s.  Both signs collapse to the same constant."""
+    u' = b_s, from the plus sign's record (``general_aux``).  Both signs
+    collapse to the same constant."""
     half_phi = simplify(ex.HALF * p.phi)
-    s = aux.sign
+    aux = signed_aux(plus, s)
     return InvariantSpec(
         name=f"general_constant_{'plus' if s > 0 else 'minus'}",
         kind=NONLOCAL_CONSTANT,

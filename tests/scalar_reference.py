@@ -17,8 +17,8 @@ from scipy.integrate._ivp import dop853_coefficients as dop853
 from jacobi_invariants import expr as ex
 from jacobi_invariants.expr import DomainError
 from jacobi_invariants.integrate import (
-    _BLOWUP_BOUND, _MAX_CONSECUTIVE_REJECTS, BLOW_UP, COMPLETED, DOMAIN_ABORT,
-    STEP_FAILURE, IntegrationError)
+    _BLOWUP_BOUND, _MAX_CONSECUTIVE_REJECTS, _MAX_STEPS, BLOW_UP, COMPLETED,
+    DOMAIN_ABORT, STEP_FAILURE, IntegrationError)
 from jacobi_invariants.problem import read_channel
 
 # stage s + 1 is at C[s] with weights A[s][:s] on the stages before it:
@@ -115,6 +115,8 @@ def integrate(problem, integrands, tol, f, quadratures=0):
     h = initial_step(call, inputs, controlled, t0, y, k1, t_end, hmin, atol, rtol)
     t, errprev, rejects, just_rejected = t0, 1.0, 0, False
     while t < t_end:
+        if counts["attempts"] >= _MAX_STEPS:
+            return finish(STEP_FAILURE, t, (t, y[0]), f"more than {_MAX_STEPS} steps")
         h = max(h, hmin)
         last = h >= t_end - t
         if last:
@@ -256,8 +258,8 @@ def spec_fn(spec, params):
             val *= math.exp(spec.exp_sign * u[0])
         if closed_fn is not None:
             val *= math.exp(closed_fn(t, x))
-        for c, i in spec.linear_channels:
-            val += float(c) * u[i]
+        if spec.minus_channel is not None:
+            val -= u[spec.minus_channel]
         return val
 
     return fn

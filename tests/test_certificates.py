@@ -49,8 +49,8 @@ def certified(problem, spec: InvariantSpec) -> bool:
         inv *= sp.exp(spec.exp_sign * u[0])
     if spec.exp_closed_arg is not None:
         inv *= sp.exp(to_sp(spec.exp_closed_arg))
-    inv += sp.Add(*(sp.Rational(c.numerator, c.denominator) * u[i]
-                    for c, i in spec.linear_channels))
+    if spec.minus_channel is not None:
+        inv -= u[spec.minus_channel]
     phi = to_sp(problem.phi)
     accel = -(sp.diff(phi, x) / 2 * V ** 2 + sp.diff(phi, t) * V + to_sp(problem.B))
     d_inv = (sp.diff(inv, t) + V * sp.diff(inv, x) + accel * sp.diff(inv, V)
@@ -63,7 +63,7 @@ def mutated(spec: InvariantSpec) -> InvariantSpec:
     poly = dict(spec.poly)
     poly[1] = ex.simplify(poly.get(1, ex.ZERO) + ex.Rat(1, 1000) * ex.X)
     return InvariantSpec(spec.name, spec.kind, poly, spec.integrands, spec.exp_sign,
-                         spec.linear_channels, spec.exp_closed_arg)
+                         spec.minus_channel, spec.exp_closed_arg)
 
 
 @pytest.mark.parametrize("fid", catalog.ids())
@@ -75,8 +75,23 @@ def test_every_fixture_constant_is_certified(fid, loaded, constructed):
     if fid in ("PG18", "PG21", "PG22"):
         specs.append(product_first_integral(specs[1], specs[2]))
     if fid == "JAC_EXACT":
-        specs += [nonlocal_general_signed(problem, aux) for aux in general_aux(problem)]
+        plus = general_aux(problem)
+        specs += [nonlocal_general_signed(problem, plus, s) for s in (1, -1)]
     assert [spec.name for spec in specs if not certified(problem, spec)] == []
+
+
+def test_the_square_factor_row_is_the_factorization_residual():
+    # with y = bbar^2, bbar*bbar_x = y_x/2, so for any phi(t, x), delta2 and
+    # B the square_factor_ode row's residual y_x + phi_x*y + 2B is
+    # -2*(bbar*b - B): the row alone decides the autonomous factorization
+    t, x = sp.symbols("t x", real=True)
+    phi, delta2, B = (sp.Function(name)(t, x) for name in ("phi", "delta2", "B"))
+    bbar = sp.sqrt(2 * delta2 * sp.exp(-phi))
+    b = -sp.diff(phi, x) / 2 * bbar - sp.diff(bbar, x)
+    y = bbar * bbar
+    row = sp.diff(y, x) + sp.diff(phi, x) * y + 2 * B
+    assert sp.simplify(bbar * b - B + row / 2) == 0
+    assert sp.simplify(bbar * b - B - row / 2) != 0
 
 
 @pytest.mark.parametrize("fid", catalog.ids())

@@ -153,6 +153,20 @@ def test_normal_forms_too_large_to_write_exit_2(tmp_path, data):
         assert err.startswith("error: expression too large") and "Traceback" not in err
 
 
+def test_a_window_past_the_step_bound_ends_in_a_step_failure(tmp_path):
+    # the forced oscillator over 1e9 time units would take about 1e8 steps,
+    # each stored for the dense output; the integration stops after
+    # 100,000 attempted steps with exit 3 instead of running out of memory
+    data = json.loads((pathlib.Path(__file__).parent / "data"
+                       / "forced_oscillator_long.json").read_text())
+    path = write(tmp_path, "p.json", dict(data, t_end=1e9))
+    for code, out, err in run_bounded(["run", path], ["run", "--oracle", path]):
+        assert (code, err) == (3, "")
+        termination = json.loads(out)["termination"]
+        assert termination["status"] == "StepFailure"
+        assert termination["detail"] == "more than 100000 steps"
+
+
 @pytest.mark.parametrize("command, change", [
     ("run", {"t_end": "inf"}),
     ("check", {"x0": "nan"}),
@@ -305,8 +319,8 @@ def test_run_with_a_right_hand_side_beyond_1e300_aborts(tmp_path, capsys, data):
 
 
 def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
-    # Autonomous: phi_t, B_t, Lagrangian constraint, factorization,
-    # square-factor ODE; TimeIndependentPhi: phi_t, B_t,
+    # Autonomous: phi_t, B_t, Lagrangian constraint, factorization (the
+    # square-factor ODE row); TimeIndependentPhi: phi_t, B_t,
     # two Lagrangian checks, accumulator; General: phi_t, rho1 != 0, two
     # time-free checks, forcing decomposition, rho compatibility, D != 0
     original = ex.zero_check
@@ -318,7 +332,7 @@ def test_run_checks_zero_checks_each_hypothesis_once(monkeypatch):
 
     # problem.vanishes makes every zero test of a run
     monkeypatch.setattr(problem_module, "zero_check", counting)
-    for fid, want in (("PG18", 5), ("PG4", 5), ("JAC_EXACT", 7)):
+    for fid, want in (("PG18", 4), ("PG4", 5), ("JAC_EXACT", 7)):
         problem, exprs = load_problem(catalog.get(fid).data)
         calls.clear()
         report, _ = cli.run_checks(problem, exprs)

@@ -7,7 +7,6 @@ oracle series."""
 import json
 import pathlib
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ def leaving_spec():
               0: parse("ln(x) + x^(3/2) - 1/(x - 2)")},
         integrands=(parse("x"),),
         exp_sign=-1,
-        linear_channels=((Fraction(1, 2), 0),),
+        minus_channel=0,
         exp_closed_arg=parse("t/3"),
     )
 

@@ -13,6 +13,7 @@ from jacobi_invariants.invariants import (
     NONLOCAL_CONSTANT,
     DegenerateDenominatorError,
     HypothesisError,
+    AuxiliaryFunctions,
     NegativeRadicandError,
     autonomous_aux,
     check_accumulator,
@@ -32,6 +33,7 @@ from helpers import (
     nonlocal_general_signed,
     on_states,
     product_first_integral,
+    signed_aux,
     spec_value,
 )
 
@@ -58,22 +60,23 @@ def general_constant(p, rho1, rho2):
 # ----------------------------------------------------------- autonomous aux
 
 def test_autonomous_aux_pg18(pg18):
-    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
-    assert aux_p.bbar == simplify(parse("2*x^(3/2)"))
-    assert aux_p.b == simplify(parse("-2*x^(1/2)"))
-    assert aux_p.a == simplify(parse("x^(1/2)"))
-    assert aux_p.sign == 1 and aux_m.sign == -1
-    assert simplify(aux_p.bbar * aux_p.b - pg18.problem.B) == Rat(0)
+    aux, row = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
+    assert AuxiliaryFunctions._fields == ("a", "bbar", "b")
+    assert aux.bbar == simplify(parse("2*x^(3/2)"))
+    assert aux.b == simplify(parse("-2*x^(1/2)"))
+    assert aux.a == simplify(parse("x^(1/2)"))
+    assert simplify(aux.bbar * aux.b - pg18.problem.B) == Rat(0)
+    assert row == check_y_ode(pg18.problem, aux.bbar) and row.passed
 
 
 def test_autonomous_aux_constant_forcing_negative_x():
     p = JacobiProblem(phi=ex.ZERO, B=Param("k"), params={"k": 3.0},
                       t0=0.0, t_end=1.0, x0=-1.0, v0=0.0,
                       domain=(0.0, 1.0, -2.0, -0.5))
-    aux_p, _ = autonomous_aux(p, parse("-k*x"))
-    assert aux_p.bbar == simplify(parse("(-2*k*x)^(1/2)"))
+    aux, _ = autonomous_aux(p, parse("-k*x"))
+    assert aux.bbar == simplify(parse("(-2*k*x)^(1/2)"))
     for x in (-2.0, -1.0, -0.6):
-        assert ex.evaluate(aux_p.bbar, 0.0, x, p.params) == \
+        assert ex.evaluate(aux.bbar, 0.0, x, p.params) == \
             pytest.approx(math.sqrt(-2 * 3.0 * x), rel=1e-14)
 
 
@@ -110,10 +113,10 @@ def test_autonomous_aux_radicand_guard_skips_a_point_beyond_float_range(pg18, mo
     monkeypatch.setattr(ex, "sample_points",
                         lambda domain: [*original_points(domain), (0.0, 1e120)])
     delta2 = pg18.exprs["delta2"] + parse("x*x*x - x*x*x")
-    aux_p, _ = autonomous_aux(pg18.problem, delta2)
+    aux, _ = autonomous_aux(pg18.problem, delta2)
     assert seen[-1] == (1e120, "sum of opposite infinities")
     assert all(math.isfinite(value) and value >= 0.0 for _, value in seen[:-1])
-    assert aux_p.bbar == simplify(parse("2*x^(3/2)"))
+    assert aux.bbar == simplify(parse("2*x^(3/2)"))
 
 
 def test_autonomous_aux_rejects_a_time_dependent_forcing_by_factorization(loaded):
@@ -125,16 +128,16 @@ def test_autonomous_aux_rejects_a_time_dependent_forcing_by_factorization(loaded
 # ----------------------------------------------------------------- y-ODE
 
 def test_check_y_ode_pg18(pg18):
-    aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
-    report = check_y_ode(pg18.problem, aux_p.bbar)
+    _, report = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
+    assert report.name == "square_factor_ode"
     assert report.passed and report.structural
 
 
 def test_check_y_ode_all_autonomous_aux(loaded):
     for fid in ("PG18", "PG21", "PG22"):
         fx = loaded[fid]
-        aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
-        assert check_y_ode(fx.problem, aux_p.bbar).passed, fid
+        aux, row = autonomous_aux(fx.problem, fx.exprs["delta2"])
+        assert row.passed and check_y_ode(fx.problem, aux.bbar) == row, fid
 
 
 def test_check_y_ode_rejects_wrong_factor(pg18):
@@ -167,15 +170,15 @@ def test_first_integral_requires_consistent_delta2():
 
 def test_nonlocal_autonomous_free_particle():
     p = free_particle()
-    aux_p, aux_m = autonomous_aux(p, ex.ZERO)
-    spec = nonlocal_autonomous(p, aux_p)
+    aux, _ = autonomous_aux(p, ex.ZERO)
+    spec = nonlocal_autonomous(p, aux, +1)
     assert simplify(spec.integrands[0]) == Rat(0)
     assert spec_value(spec, 0.0, 0.0, 3.0, [0.0]) == pytest.approx(3.0)
 
 
 def test_nonlocal_autonomous_pg18_values(pg18, trajectories):
-    aux_p, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
-    spec = nonlocal_autonomous(pg18.problem, aux_p)
+    aux, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
+    spec = nonlocal_autonomous(pg18.problem, aux, +1)
     # at the initial state u = 0: I+ = (v + bbar) e^(phi/2) = (0 + 2)*1
     assert spec_value(spec, 0.0, 1.0, 0.0, [0.0]) == pytest.approx(2.0, rel=1e-14)
     series = evaluate_along(trajectories["PG18"], spec, 512)
@@ -183,9 +186,9 @@ def test_nonlocal_autonomous_pg18_values(pg18, trajectories):
 
 
 def test_product_first_integral_identity(pg18, trajectories):
-    aux_p, aux_m = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
-    ip = nonlocal_autonomous(pg18.problem, aux_p)
-    im = nonlocal_autonomous(pg18.problem, aux_m)
+    aux, _ = autonomous_aux(pg18.problem, pg18.exprs["delta2"])
+    ip = nonlocal_autonomous(pg18.problem, aux, +1)
+    im = nonlocal_autonomous(pg18.problem, aux, -1)
     prod = product_first_integral(ip, im)
     assert prod.kind == FIRST_INTEGRAL and not prod.integrands
     fi = first_integral_autonomous(pg18.problem, pg18.exprs["delta2"])
@@ -200,9 +203,9 @@ def test_product_first_integral_identity(pg18, trajectories):
 
 def test_product_first_integral_free_particle():
     p = free_particle()
-    aux_p, aux_m = autonomous_aux(p, ex.ZERO)
-    prod = product_first_integral(nonlocal_autonomous(p, aux_p),
-                                  nonlocal_autonomous(p, aux_m))
+    aux, _ = autonomous_aux(p, ex.ZERO)
+    prod = product_first_integral(nonlocal_autonomous(p, aux, +1),
+                                  nonlocal_autonomous(p, aux, -1))
     assert spec_value(prod, 0.0, 0.0, 2.0) == pytest.approx(2.0)  # (1/2) v^2
 
 
@@ -215,7 +218,7 @@ def test_theorem3_pg4_structure(loaded):
     assert spec.poly[2] == Rat(1, 2)
     assert spec.poly[0] == simplify(parse("-2*x^3 - t*x"))
     assert simplify(spec.integrands[0]) == simplify(parse("-x"))
-    assert spec.linear_channels == ((-1, 0),)
+    assert spec.minus_channel == 0
 
 
 def test_theorem3_pg20_structure(loaded):
@@ -261,12 +264,10 @@ def test_theorem3_drift(loaded):
 
 def test_general_aux_exact_fixture(loaded):
     fx = loaded["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem)
-    assert aux_p.bbar == simplify(parse("2*rho*exp(-(t+x)/2)"))
-    assert aux_p.b == Rat(1, 2)
-    assert aux_m.bbar == simplify(parse("-2*rho*exp(-(t+x)/2)"))
-    assert aux_m.b == Rat(-1, 2)
-    assert simplify(aux_p.bbar * aux_p.b - fx.problem.B) == Rat(0)
+    aux = general_aux(fx.problem)
+    assert aux.bbar == simplify(parse("2*rho*exp(-(t+x)/2)"))
+    assert aux.b == Rat(1, 2)
+    assert simplify(aux.bbar * aux.b - fx.problem.B) == Rat(0)
 
 
 def test_general_hypotheses_pass_structurally(loaded):
@@ -302,9 +303,12 @@ def test_general_constant_equals_itilde_on_trajectory(loaded, trajectories):
 
 def test_general_sign_collapse(loaded):
     fx = loaded["JAC_EXACT"]
-    aux_p, aux_m = general_aux(fx.problem)
-    sp = nonlocal_general_signed(fx.problem, aux_p)
-    sm = nonlocal_general_signed(fx.problem, aux_m)
+    plus = general_aux(fx.problem)
+    minus = signed_aux(plus, -1)
+    assert minus.bbar == simplify(parse("-2*rho*exp(-(t+x)/2)"))
+    assert minus.b == Rat(-1, 2)
+    sp = nonlocal_general_signed(fx.problem, plus, +1)
+    sm = nonlocal_general_signed(fx.problem, plus, -1)
     traj = integrate(fx.problem, sp.integrands + sm.integrands, (1e-10, 1e-10))
     fp, fm = on_states(sp, fx.problem.params), on_states(sm, fx.problem.params)
     cp = [traj.channel_of(g) for g in sp.integrands]
@@ -351,12 +355,12 @@ def test_every_constructed_invariant_drifts_below_1e6(loaded, constructed,
 def test_factorization_invariant_for_every_aux(loaded):
     for fid in ("PG18", "PG21", "PG22"):
         fx = loaded[fid]
-        aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
+        aux, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
         assert zero_check(
-            simplify(aux_p.bbar * aux_p.b - fx.problem.B),
+            simplify(aux.bbar * aux.b - fx.problem.B),
             fx.problem.domain, params=fx.problem.params).is_zero
     fx = loaded["JAC_EXACT"]
-    aux_p, _ = general_aux(fx.problem)
+    aux = general_aux(fx.problem)
     assert zero_check(
-        simplify(aux_p.bbar * aux_p.b - fx.problem.B),
+        simplify(aux.bbar * aux.b - fx.problem.B),
         fx.problem.domain, params=fx.problem.params).is_zero

@@ -39,9 +39,9 @@ def test_oracle_grid_minimum():
 
 def test_oracle_matches_closed_form_pg18(loaded):
     fx = loaded["PG18"]
-    aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
-    spec = nonlocal_autonomous(fx.problem, aux_p)
-    fam = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
+    aux, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
+    spec = nonlocal_autonomous(fx.problem, aux, +1)
+    fam = PerturbationFamily(a=aux.a, b=aux.b, sign=+1)
     regs = tuple(spec.integrands) + (fam.b,)
     traj = integrate(fx.problem, regs, (1e-12, 1e-12))
     discrepancies = {}
@@ -58,14 +58,14 @@ def test_oracle_matches_closed_form_pg18(loaded):
 def test_oracle_offset_is_initial_dressing_pg18(loaded):
     # closed form absorbs bbar*e^(phi/2) at t0: offset = 2 exactly for PG18
     fx = loaded["PG18"]
-    aux_p, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
-    spec = nonlocal_autonomous(fx.problem, aux_p)
-    fam = PerturbationFamily(a=aux_p.a, b=aux_p.b, sign=+1)
+    aux, _ = autonomous_aux(fx.problem, fx.exprs["delta2"])
+    spec = nonlocal_autonomous(fx.problem, aux, +1)
+    fam = PerturbationFamily(a=aux.a, b=aux.b, sign=+1)
     regs = tuple(spec.integrands) + (fam.b,)
     traj = integrate(fx.problem, regs, (1e-12, 1e-12))
     so = oracle_constant(fx.problem, fx.lagrangian, fam, traj, 1024)
     sc = evaluate_along(traj, spec, 1024)
-    expected = ex.evaluate(ex.simplify(aux_p.bbar * ex.Exp(ex.HALF * fx.problem.phi)),
+    expected = ex.evaluate(ex.simplify(aux.bbar * ex.Exp(ex.HALF * fx.problem.phi)),
                            fx.problem.t0, fx.problem.x0, fx.problem.params)
     assert oracle_offset(so, sc) == pytest.approx(expected, abs=1e-10)
 
